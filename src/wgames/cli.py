@@ -52,6 +52,7 @@ from .strategies import (
     PureStrategyProfile,
     behavioral_to_mixed,
     deterministic_mixed,
+    one_mixed_per_player,
     restrict_profile,
 )
 
@@ -76,7 +77,8 @@ _FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
     type=int,
     default=1,
     show_default=True,
-    help="Worker threads for pushforward sampling; any count gives identical output.",
+    help="Accepted for compatibility; pushforward solves its samples in one thread, "
+    "because the solves are pure Python under the interpreter lock.",
 )
 @click.pass_context
 def main(ctx: click.Context, fmt: str, timing: bool, threads: int) -> None:
@@ -144,7 +146,8 @@ def _as_mixed_strategies(model: WModel, loaded: list) -> list[MixedStrategy]:
     """Normalize CLI strategy inputs to one mixed strategy per player.
 
     Pure profiles are split along player lines and lifted to point
-    masses; behavioral strategies are expanded to their mixed form.
+    masses; behavioral strategies are expanded to their mixed form.  The
+    result must then hold exactly one valid strategy per player.
     """
     out: list[MixedStrategy] = []
     for strategy in loaded:
@@ -165,14 +168,10 @@ def _as_mixed_strategies(model: WModel, loaded: list) -> list[MixedStrategy]:
                 out.append(deterministic_mixed(name, own))
         else:
             raise click.UsageError("unsupported strategy input")
-    seen: set[str] = set()
-    for m in out:
-        if m.player in seen:
-            raise click.UsageError(f"two strategies given for player {m.player!r}")
-        seen.add(m.player)
-    missing = [p for p in model.player_names if p not in seen]
-    if missing:
-        raise click.UsageError(f"no strategy given for player {missing[0]!r}")
+    try:
+        one_mixed_per_player(model, out)
+    except ValueError as err:
+        raise click.UsageError(str(err))
     return out
 
 
@@ -368,7 +367,10 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
         "behavioral": strategy_payload(beta),
     }
     if verify_flag:
-        preserved = transform_preserves_law(model, player, beta, nu, mixed)
+        try:
+            preserved = transform_preserves_law(model, player, beta, nu, mixed)
+        except PlayabilityError as err:
+            raise click.UsageError(f"profiles in the support are not solvable: {err}")
         details["verified"] = preserved
         if not preserved:
             _emit(ctx, "kuhn", model, "law-changed", details, 1)

@@ -6,16 +6,14 @@ that finite space is represented by the partition of its atoms, and every
 subset of the space by a bitmask over the canonical enumeration (Nature
 most significant, then agents in declared order).  All predicates the
 analysis needs (refinement, join, trace, membership) become cheap bitmask
-arithmetic.
+arithmetic.  ``ConfigurationSpace`` owns that index encoding: no other
+module turns an index into digits or digits into an index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .model import WModel
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_SPACE_CAP = 10**7
 
@@ -67,24 +65,38 @@ class ConfigurationSpace:
     action FiniteSet of ``agents[i]``.  Configuration index 0 is the one
     with the first Nature state and every agent's first action; the last
     agent's action varies fastest.
+
+    The space is the only owner of that mixed-radix encoding.  Coordinate
+    0 is Nature and coordinate ``i + 1`` is ``agents[i]``; ``sizes`` and
+    ``strides`` give each coordinate's radix and place value.  The table
+    holds nothing of length ``size``, so building a space is free even
+    when the space is too large to analyse.
     """
 
     nature: FiniteSet
     agents: tuple[str, ...]
     actions: tuple[FiniteSet, ...]
+    labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.agents) != len(self.actions):
             raise ValueError("agents and action sets must align")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError("duplicate agent ids")
-
-    @property
-    def size(self) -> int:
-        n = len(self.nature)
-        for acts in self.actions:
-            n *= len(acts)
-        return n
+        labels = (self.nature.labels, *(acts.labels for acts in self.actions))
+        strides = [1] * len(labels)
+        for i in range(len(labels) - 1, 0, -1):
+            strides[i - 1] = strides[i] * len(labels[i])
+        set_ = object.__setattr__
+        set_(self, "labels", labels)
+        set_(self, "sizes", tuple(len(ls) for ls in labels))
+        set_(self, "strides", tuple(strides))
+        set_(self, "size", strides[0] * len(labels[0]))
+        set_(self, "_pos", {a: i for i, a in enumerate(self.agents)})
 
     @property
     def full_mask(self) -> int:
@@ -92,8 +104,8 @@ class ConfigurationSpace:
 
     def agent_pos(self, agent: str) -> int:
         try:
-            return self.agents.index(agent)
-        except ValueError:
+            return self._pos[agent]
+        except KeyError:
             raise ValueError(f"unknown agent {agent!r}") from None
 
     def actions_of(self, agent: str) -> FiniteSet:
@@ -101,26 +113,26 @@ class ConfigurationSpace:
 
     # ── index arithmetic ────────────────────────────────────────────────
 
-    def _strides(self) -> tuple[int, ...]:
-        # stride of coordinate i (0 = nature); last agent has stride 1
-        sizes = [len(self.nature)] + [len(a) for a in self.actions]
-        strides = [1] * len(sizes)
-        for i in range(len(sizes) - 2, -1, -1):
-            strides[i] = strides[i + 1] * sizes[i + 1]
-        return tuple(strides)
-
     def index_of(self, nature_label: str, actions: Mapping[str, str]) -> int:
-        strides = self._strides()
-        idx = self.nature.index(nature_label) * strides[0]
+        idx = self.nature.index(nature_label) * self.strides[0]
         for i, agent in enumerate(self.agents):
-            idx += self.actions[i].index(actions[agent]) * strides[i + 1]
+            idx += self.actions[i].index(actions[agent]) * self.strides[i + 1]
         return idx
+
+    def digit(self, index: int, coord: int) -> int:
+        """Digit of coordinate ``coord`` (0 = Nature) of a configuration."""
+        return index // self.strides[coord] % self.sizes[coord]
 
     def coordinates(self, index: int) -> tuple[int, ...]:
         """Digit vector (nature index, action index per agent)."""
-        strides = self._strides()
-        sizes = [len(self.nature)] + [len(a) for a in self.actions]
-        return tuple((index // strides[i]) % sizes[i] for i in range(len(sizes)))
+        return tuple(index // s % n for s, n in zip(self.strides, self.sizes))
+
+    def cylinder_mask(self, coord: int, digit: int) -> int:
+        """Bitmask of the configurations whose coordinate ``coord`` is ``digit``."""
+        stride, size = self.strides[coord], self.sizes[coord]
+        # one period of the pattern, most significant bit first
+        period = "0" * (stride * (size - digit - 1)) + "1" * stride + "0" * (stride * digit)
+        return int(period * (self.size // (stride * size)), 2)
 
     def config(self, index: int) -> "Configuration":
         if not 0 <= index < self.size:
@@ -141,19 +153,18 @@ class Configuration:
 
     @property
     def nature(self) -> str:
-        return self.space.nature.labels[self.space.coordinates(self.index)[0]]
+        return self.space.labels[0][self.space.digit(self.index, 0)]
 
     def action(self, agent: str) -> str:
-        pos = self.space.agent_pos(agent)
-        digit = self.space.coordinates(self.index)[pos + 1]
-        return self.space.actions[pos].labels[digit]
+        coord = self.space.agent_pos(agent) + 1
+        return self.space.labels[coord][self.space.digit(self.index, coord)]
 
     def as_dict(self) -> dict[str, str]:
-        coords = self.space.coordinates(self.index)
-        out = {"nature": self.space.nature.labels[coords[0]]}
-        for i, agent in enumerate(self.space.agents):
-            out[agent] = self.space.actions[i].labels[coords[i + 1]]
-        return out
+        """Coordinate labels keyed by "nature" and agent id, declared order."""
+        space = self.space
+        digits = space.coordinates(self.index)
+        keys = ("nature", *space.agents)
+        return {k: ls[d] for k, ls, d in zip(keys, space.labels, digits)}
 
     def __repr__(self) -> str:
         vals = self.as_dict()
@@ -224,7 +235,8 @@ def partition_from_key(
         support = space.full_mask
     classes: dict[object, int] = {}
     for i in iter_bits(support):
-        classes[key(i)] = classes.get(key(i), 0) | (1 << i)
+        k = key(i)
+        classes[k] = classes.get(k, 0) | (1 << i)
     return Partition(space, tuple(classes.values()), support)
 
 
@@ -239,21 +251,20 @@ def complete_partition(space: ConfigurationSpace) -> Partition:
 # ── operations ──────────────────────────────────────────────────────────
 
 
-def build_space(model: "WModel", cap: int = DEFAULT_SPACE_CAP) -> ConfigurationSpace:
-    """Canonical configuration space of a model, guarded by a size cap."""
+def build_space(
+    nature: FiniteSet,
+    agents: Sequence[tuple[str, FiniteSet]],
+    cap: int = DEFAULT_SPACE_CAP,
+) -> ConfigurationSpace:
+    """Canonical space of Nature and (agent id, action set) pairs, guarded
+    by a size cap."""
     space = ConfigurationSpace(
-        nature=model.nature,
-        agents=tuple(a for a, _ in model.agents),
-        actions=tuple(acts for _, acts in model.agents),
+        nature=nature,
+        agents=tuple(a for a, _ in agents),
+        actions=tuple(acts for _, acts in agents),
     )
-    # multiply sizes before materializing anything large
-    n = len(space.nature)
-    for acts in space.actions:
-        n *= len(acts)
-        if n > cap:
-            raise SpaceTooLarge(
-                f"configuration space has more than {cap} elements"
-            )
+    if space.size > cap:
+        raise SpaceTooLarge(f"configuration space has more than {cap} elements")
     return space
 
 
@@ -264,15 +275,12 @@ def cylinder_partition(space: ConfigurationSpace, coords: CoordinateSet) -> Part
     included) and on every listed agent's action.  Empty coordinates give
     the trivial partition.
     """
-    positions = sorted(space.agent_pos(a) + 1 for a in coords.agents)
-
-    def key(i: int) -> tuple:
-        digits = space.coordinates(i)
-        parts = [digits[0]] if coords.include_nature else []
-        parts += [digits[p] for p in positions]
-        return tuple(parts)
-
-    return partition_from_key(space, key)
+    chosen = sorted(space.agent_pos(a) + 1 for a in coords.agents)
+    if coords.include_nature:
+        chosen.insert(0, 0)
+    return partition_from_key(
+        space, lambda i: tuple(space.digit(i, c) for c in chosen)
+    )
 
 
 def _require_same_space(p: Partition, q: Partition) -> None:

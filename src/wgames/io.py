@@ -18,9 +18,10 @@ from .fields import (
     Configuration,
     ConfigurationSpace,
     CoordinateSet,
-    DEFAULT_SPACE_CAP,
     FiniteSet,
     Partition,
+    SpaceTooLarge,
+    build_space,
     cylinder_partition,
     iter_bits,
 )
@@ -133,10 +134,7 @@ def _config_index(value, path: str, space: ConfigurationSpace) -> int:
 
 def config_payload(config: Configuration) -> dict:
     """Configuration as a plain coordinate object, declared order."""
-    out = {"nature": config.nature}
-    for agent in config.space.agents:
-        out[agent] = config.action(agent)
-    return out
+    return config.as_dict()
 
 
 def mask_payload(space: ConfigurationSpace, mask: int) -> list[dict]:
@@ -175,18 +173,11 @@ def parse_model(text: str) -> WModel:
         agents.append((aid, FiniteSet(aid, actions)))
     if not agents:
         raise ModelFormatError("$.agents", "must not be empty")
-    ids = tuple(a for a, _ in agents)
-
-    size = len(nature)
-    for _, acts in agents:
-        size *= len(acts)
-        if size > DEFAULT_SPACE_CAP:
-            raise ModelFormatError(
-                "$.agents", f"configuration space exceeds {DEFAULT_SPACE_CAP} elements"
-            )
-    space = ConfigurationSpace(
-        nature=nature, agents=ids, actions=tuple(acts for _, acts in agents)
-    )
+    try:
+        space = build_space(nature, agents)
+    except SpaceTooLarge as err:
+        raise ModelFormatError("$.agents", str(err)) from None
+    ids = space.agents
 
     players: list[tuple[str, tuple[str, ...]]] = []
     assigned: set[str] = set()
@@ -647,17 +638,12 @@ def certificate_payload(model: WModel, cert) -> dict:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Outcome of one CLI analysis, serializable both ways.
-
-    ``timing`` is filled only for the stderr timing channel and never
-    enters the emitted text, keeping stdout bit-identical across runs.
-    """
+    """Outcome of one CLI analysis, serializable both ways."""
 
     command: str
     model: str
     outcome: str
     details: dict
-    timing: Optional[float] = None
 
 
 def emit_report(report: AnalysisReport, format: str = "human") -> str:

@@ -17,13 +17,12 @@ unchanged.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .fields import Configuration, ConfigurationSpace, SpaceMismatch, atom_of, iter_bits
+from .fields import Configuration, ConfigurationSpace, SpaceMismatch, atom_of
 from .model import WModel
 from .playability import PlayabilityError, closed_loop_solutions
 from .recall import (
@@ -36,10 +35,9 @@ from .strategies import (
     MixedStrategy,
     PureStrategyProfile,
     RationalDistribution,
-    behavioral_to_mixed,
-    validate_behavioral,
-    validate_mixed,
     BehavioralStrategy,
+    one_mixed_per_player,
+    validate_behavioral,
 )
 
 
@@ -72,22 +70,6 @@ class PushforwardDistribution:
 def validate_belief(model: WModel, nu: RationalDistribution) -> bool:
     """A belief is a distribution carried by Nature states."""
     return all(w in model.nature.labels for w in nu.carrier)
-
-
-def _one_mixed_per_player(
-    model: WModel, mixed_all: Iterable[MixedStrategy]
-) -> dict[str, MixedStrategy]:
-    by_player: dict[str, MixedStrategy] = {}
-    for m in mixed_all:
-        if m.player in by_player:
-            raise ValueError(f"two mixed strategies given for player {m.player!r}")
-        if not validate_mixed(model, m):
-            raise ValueError(f"invalid mixed strategy for player {m.player!r}")
-        by_player[m.player] = m
-    missing = [p for p in model.player_names if p not in by_player]
-    if missing:
-        raise ValueError(f"no strategy given for players {missing!r}")
-    return by_player
 
 
 def _samples(
@@ -124,24 +106,19 @@ def pushforward(
     """Law of the closed-loop configuration under ``nu`` and the plans.
 
     Each sample is solved exactly; a profile with zero or several solutions
-    raises PlayabilityError naming the profile and the Nature state.  With
-    ``threads`` > 1 the samples are solved on a thread pool; the pool map
-    keeps sample order, addition of exact rationals is associative and
-    commutative, and so the result is identical for every thread count.
+    raises PlayabilityError naming the profile and the Nature state.  A
+    ``threads`` count of at least 1 is accepted, but the samples are solved
+    in one thread: the solves are pure Python and would only contend for
+    the interpreter lock.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if not validate_belief(model, nu):
         raise ValueError("belief is not carried by Nature states")
-    by_player = _one_mixed_per_player(model, mixed_all)
-    samples = list(_samples(model, nu, by_player))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(
-                pool.map(lambda s: _solve(model, s[1], s[0]), samples)
-            )
-    else:
-        solved = [_solve(model, profile, omega) for omega, profile, _ in samples]
+    by_player = one_mixed_per_player(model, mixed_all)
     acc: dict[int, Fraction] = {}
-    for (_, _, weight), h in zip(samples, solved):
+    for omega, profile, weight in _samples(model, nu, by_player):
+        h = _solve(model, profile, omega)
         acc[h.index] = acc.get(h.index, Fraction(0)) + weight
     carrier = []
     weights = []
@@ -224,7 +201,7 @@ def conditional_kernel(
             f"player {player!r} lacks perfect recall along the given ordering: "
             f"prefix {report.violation.kappa.sequence!r} fails"
         )
-    by_player = _one_mixed_per_player(model, mixed_all)
+    by_player = one_mixed_per_player(model, mixed_all)
     if not validate_belief(model, nu):
         raise ValueError("belief is not carried by Nature states")
 
@@ -346,13 +323,16 @@ def behavioral_pushforward(
     the law never needs the plan expansion: each configuration's mass is
     the product of the kernel weights at its reached atoms, times the
     total weight of opponent sub-profiles that prescribe it.  This stays
-    exact and cheap when a plan enumeration would blow up.
+    exact and cheap when a plan enumeration would blow up.  The mass of a
+    Nature block is the belief's weight times the expected number of
+    closed-loop solutions there; when it is not the belief's weight alone,
+    PlayabilityError names the state and the configurations with mass.
     """
     if not validate_belief(model, nu):
         raise ValueError("belief is not carried by Nature states")
     if not validate_behavioral(model, beta):
         raise ValueError(f"invalid behavioral strategy for player {beta.player!r}")
-    others = _one_mixed_per_player_except(model, beta.player, mixed_others)
+    others = one_mixed_per_player(model, mixed_others, beta.player)
 
     own = model.agents_of(beta.player)
     acc: dict[int, Fraction] = {}
@@ -380,31 +360,16 @@ def behavioral_pushforward(
             if mass == 0:
                 break
         if mass != 0:
-            acc[index] = acc.get(index, Fraction(0)) + mass
+            acc[index] = mass
 
-    carrier = tuple(model.space.config(i) for i in sorted(acc))
-    weights = tuple(acc[i] for i in sorted(acc))
+    carrier = tuple(model.space.config(i) for i in acc)
+    for omega in model.nature.labels:
+        block = tuple(h for h in carrier if h.nature == omega)
+        if sum((acc[h.index] for h in block), Fraction(0)) != nu.weight(omega):
+            raise PlayabilityError(None, omega, block)
     return PushforwardDistribution(
-        model.space, RationalDistribution(carrier, weights)
+        model.space, RationalDistribution(carrier, tuple(acc.values()))
     )
-
-
-def _one_mixed_per_player_except(
-    model: WModel, player: str, mixed_others: Iterable[MixedStrategy]
-) -> dict[str, MixedStrategy]:
-    others: dict[str, MixedStrategy] = {}
-    for m in mixed_others:
-        if m.player == player:
-            raise ValueError(f"player {player!r} is already covered by the kernels")
-        if m.player in others:
-            raise ValueError(f"two mixed strategies given for player {m.player!r}")
-        if not validate_mixed(model, m):
-            raise ValueError(f"invalid mixed strategy for player {m.player!r}")
-        others[m.player] = m
-    missing = [p for p in model.player_names if p != player and p not in others]
-    if missing:
-        raise ValueError(f"no strategy given for players {missing!r}")
-    return others
 
 
 def transform_preserves_law(

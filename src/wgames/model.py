@@ -31,7 +31,7 @@ class WModel:
         agent_ids = [a for a, _ in self.agents]
         if len(set(agent_ids)) != len(agent_ids):
             raise ValueError("duplicate agent ids")
-        space = build_space(self)
+        space = build_space(self.nature, self.agents)
         object.__setattr__(self, "_space", space)
 
         grouped: list[str] = []

@@ -38,15 +38,26 @@ DEFAULT_PROFILE_CAP = 10**7
 
 
 class PlayabilityError(ValueError):
-    """A sampled profile has no or several closed-loop solutions."""
+    """A sampled profile has no or several closed-loop solutions.
+
+    ``profile`` is None when only a law's mass shows it: the mass at
+    ``omega`` is not the belief's weight, and ``solutions`` lists the
+    configurations there that received mass.
+    """
 
     def __init__(self, profile, omega, solutions):
         self.profile = profile
         self.omega = omega
         self.solutions = solutions
-        super().__init__(
-            f"profile has {len(solutions)} closed-loop solutions at {omega!r}"
-        )
+        if profile is None:
+            super().__init__(
+                f"closed-loop mass at {omega!r} is not the belief's weight; "
+                f"it falls on {list(solutions)!r}"
+            )
+        else:
+            super().__init__(
+                f"profile has {len(solutions)} closed-loop solutions at {omega!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,28 +97,20 @@ class SolutionMapTable:
 # ── agreement masks ─────────────────────────────────────────────────────
 
 
-@lru_cache(maxsize=4096)
-def _digits_of(space: ConfigurationSpace, coord: int) -> tuple[int, ...]:
-    """Digit of coordinate ``coord`` (0 = nature) per configuration index."""
-    sizes = [len(space.nature)] + [len(a) for a in space.actions]
-    stride = 1
-    for i in range(len(sizes) - 1, coord, -1):
-        stride *= sizes[i]
-    return tuple((i // stride) % sizes[coord] for i in range(space.size))
-
-
 @lru_cache(maxsize=65536)
 def agreement_mask(
     space: ConfigurationSpace, info: Partition, agent_pos: int, choice: tuple[str, ...],
     labels: tuple[str, ...],
 ) -> int:
     """Configurations where the strategy prescribes the configuration's own action."""
-    digits = _digits_of(space, agent_pos + 1)
-    index = info._index  # type: ignore[attr-defined]
     mask = 0
-    for i in range(space.size):
-        if labels[digits[i]] == choice[index[i]]:
-            mask |= 1 << i
+    for digit, label in enumerate(labels):
+        chosen = 0
+        for atom, action in zip(info.atoms, choice):
+            if action == label:
+                chosen |= atom
+        if chosen:
+            mask |= chosen & space.cylinder_mask(agent_pos + 1, digit)
     return mask
 
 
@@ -124,8 +127,7 @@ def strategy_mask(model: WModel, strategy: PureStrategy) -> int:
 
 def nature_block(space: ConfigurationSpace, omega: str) -> int:
     """Bitmask of the configurations with the given Nature state."""
-    block = space.size // len(space.nature)
-    return ((1 << block) - 1) << (space.nature.index(omega) * block)
+    return space.cylinder_mask(0, space.nature.index(omega))
 
 
 def profile_fixed_points(model: WModel, profile: PureStrategyProfile, omega: str) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .fields import Partition
 from .model import WModel
@@ -186,6 +186,26 @@ def validate_mixed(model: WModel, mixed: MixedStrategy) -> bool:
         if not all(validate_pure(model, s) for s in profile.strategies):
             return False
     return True
+
+
+def one_mixed_per_player(
+    model: WModel, mixed: Iterable[MixedStrategy], behavioral: Optional[str] = None
+) -> dict[str, MixedStrategy]:
+    """Valid mixed strategies by player, one for every player but the
+    ``behavioral`` one (whose kernels are given apart); raises ValueError."""
+    by_player: dict[str, MixedStrategy] = {}
+    for m in mixed:
+        if m.player == behavioral:
+            raise ValueError(f"player {m.player!r} is already covered by the kernels")
+        if m.player in by_player:
+            raise ValueError(f"two mixed strategies given for player {m.player!r}")
+        if not validate_mixed(model, m):
+            raise ValueError(f"invalid mixed strategy for player {m.player!r}")
+        by_player[m.player] = m
+    missing = [p for p in model.player_names if p != behavioral and p not in by_player]
+    if missing:
+        raise ValueError(f"no strategy given for players {missing!r}")
+    return by_player
 
 
 def validate_behavioral(model: WModel, beta: BehavioralStrategy) -> bool:

@@ -348,3 +348,65 @@ def test_timing_goes_to_stderr_only(runner, tmp_path):
     assert timed.stdout == silent.stdout
     assert "elapsed:" in timed.stderr
     assert "elapsed:" not in timed.stdout
+
+
+def mutual_observation_inputs(tmp_path):
+    """Two single-agent players, each observing the other.  A mixes the
+    constants 0 and 1 half and half and B copies a: every sampled plan pair
+    solves uniquely, but A's behavioral form (copy b) with B's copy has two
+    closed-loop solutions."""
+    model = write_json(
+        tmp_path,
+        "mutual.json",
+        {
+            "nature": {"states": ["*"]},
+            "agents": [{"id": "a", "actions": ["0", "1"]}, {"id": "b", "actions": ["0", "1"]}],
+            "players": {"A": ["a"], "B": ["b"]},
+            "information": {"a": {"observes": ["b"]}, "b": {"observes": ["a"]}},
+        },
+    )
+    nu = write_json(tmp_path, "nu.json", {"*": "1"})
+    mix_a = write_json(
+        tmp_path,
+        "a.json",
+        {
+            "kind": "mixed",
+            "player": "A",
+            "support": [
+                {"weight": "1/2", "profile": {"a": ["0", "0"]}},
+                {"weight": "1/2", "profile": {"a": ["1", "1"]}},
+            ],
+        },
+    )
+    copy_b = write_json(
+        tmp_path, "b.json", {"kind": "pure-profile", "strategies": {"b": ["0", "1"]}}
+    )
+    return model, nu, mix_a, copy_b
+
+
+def test_kuhn_verify_on_unplayable_model_is_exit_2(runner, tmp_path):
+    model, nu, mix_a, copy_b = mutual_observation_inputs(tmp_path)
+    args = ["kuhn", model, "--player", "A", "--nu", nu]
+    args += ["--strategy", mix_a, "--strategy", copy_b, "--search", "--verify"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert "not solvable" in result.stderr
+
+
+def test_validate_space_over_the_cap_is_exit_2(runner, tmp_path):
+    agents = [f"a{i}" for i in range(24)]
+    model = write_json(
+        tmp_path,
+        "huge.json",
+        {
+            "nature": {"states": ["*"]},
+            "agents": [{"id": a, "actions": ["0", "1"]} for a in agents],
+            "players": {"P": agents},
+            "information": {a: {"observes": []} for a in agents},
+        },
+    )
+    result = runner.invoke(main, ["validate", model])
+    assert result.exit_code == 2
+    assert "$.agents" in result.stderr

@@ -9,7 +9,9 @@ from wgames import (
     FiniteSet,
     Partition,
     SpaceMismatch,
+    SpaceTooLarge,
     atom_of,
+    build_space,
     complete_partition,
     cylinder_partition,
     partition_from_key,
@@ -176,3 +178,11 @@ def test_partition_from_key_groups_classes():
     p = partition_from_key(space, lambda i: i % 3)
     assert len(p) == 3
     assert sorted(a.bit_count() for a in p.atoms) == [4, 4, 4]
+
+
+def test_build_space_enforces_the_cap():
+    nature = FiniteSet("nature", ("*",))
+    agents = [(f"a{i}", FiniteSet(f"a{i}", ("0", "1"))) for i in range(24)]
+    with pytest.raises(SpaceTooLarge):
+        build_space(nature, agents)
+    assert build_space(nature, agents[:3]).size == 8

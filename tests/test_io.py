@@ -53,6 +53,38 @@ def test_digest_is_content_addressed():
     assert len(model_digest(a)) == 16
 
 
+@pytest.mark.parametrize(
+    "name,digest",
+    [
+        ("alice-bob-simultaneous", "58458575ec569179"),
+        ("alice-bob-ordered", "55f328cb1b65c5da"),
+        ("alice-bob-nature", "0ac045a5938b349b"),
+        ("sequential-3", "f53439e10f4cbdba"),
+        ("principal-agent-hidden-type", "2e227e3c20c2ef2c"),
+        ("principal-agent-hidden-action", "37c3998d892fb09c"),
+        ("stackelberg", "ca00128d899741e9"),
+        ("witsenhausen-noncausal", "d77ef21ec3ed2809"),
+    ],
+)
+def test_corpus_digests_are_pinned(name, digest):
+    # every report header carries the digest, so it must never drift
+    assert model_digest(corpus_model(name)) == digest
+
+
+def test_space_over_the_cap_fails_fast():
+    # 2**24 configurations exceed the 10**7 cap before anything is built
+    agents = [f"a{i}" for i in range(24)]
+    payload = {
+        "nature": {"states": ["*"]},
+        "agents": [{"id": a, "actions": ["0", "1"]} for a in agents],
+        "players": {"P": agents},
+        "information": {a: {"observes": []} for a in agents},
+    }
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(json.dumps(payload))
+    assert err.value.path == "$.agents"
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(ModelFormatError) as err:
         parse_model("not json {")

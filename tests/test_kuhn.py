@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from wgames import (
+    BehavioralStrategy,
     MixedStrategy,
+    PlayabilityError,
     PureStrategy,
     PureStrategyProfile,
     RationalDistribution,
@@ -18,6 +20,7 @@ from wgames import (
     distributions_equal,
     expected_utility,
     kuhn_transform,
+    parse_model,
     pushforward,
     search_recall_ordering,
     transform_preserves_law,
@@ -246,3 +249,27 @@ def test_factorized_behavioral_law_equals_plan_expansion():
         factored = behavioral_pushforward(model, nu, beta, others)
         expanded = pushforward(model, nu, [behavioral_to_mixed(model, beta), *others])
         assert distributions_equal(factored, expanded)
+
+
+def test_behavioral_pushforward_rejects_several_solutions():
+    # a and b each observe the other; A copies b and B copies a, so the
+    # closed loop has two solutions and the block mass is twice the belief
+    model = parse_model(
+        """{"nature": {"states": ["*"]},
+            "agents": [{"id": "a", "actions": ["0", "1"]}, {"id": "b", "actions": ["0", "1"]}],
+            "players": {"A": ["a"], "B": ["b"]},
+            "information": {"a": {"observes": ["b"]}, "b": {"observes": ["a"]}}}"""
+    )
+    labels = ("0", "1")
+    copy_b = BehavioralStrategy(
+        "A",
+        (("a", (RationalDistribution.point(labels, "0"), RationalDistribution.point(labels, "1"))),),
+    )
+    copy_a = deterministic_mixed("B", PureStrategyProfile((PureStrategy("b", labels),)))
+    with pytest.raises(PlayabilityError) as err:
+        behavioral_pushforward(model, point_belief(model), copy_b, [copy_a])
+    assert err.value.omega == "*"
+    assert [h.as_dict() for h in err.value.solutions] == [
+        {"nature": "*", "a": "0", "b": "0"},
+        {"nature": "*", "a": "1", "b": "1"},
+    ]
