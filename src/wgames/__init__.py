@@ -103,6 +103,7 @@ from .recall import (
     enumerate_orderings,
     iter_causal_orderings,
     ordering_cell,
+    prefix_cells,
     restrict_ordering,
     search_recall_ordering,
 )

@@ -254,7 +254,7 @@ def playability(ctx: click.Context, model_file: Path, want_witness: bool) -> Non
 @click.option("--player", required=True, help="Player whose recall is checked.")
 @click.option("--ordering", "ordering_file", type=_FILE, help="Configuration-ordering to check.")
 @click.option("--search", is_flag=True, help="Search for an ordering with perfect recall.")
-@click.option("--budget", type=int, default=200_000, show_default=True, help="Search node budget.")
+@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
 @click.pass_context
 def recall(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
     """Check perfect recall along an ordering, or search for one."""
@@ -330,7 +330,7 @@ def pushforward_cmd(ctx: click.Context, model_file: Path, nu_file: Path, strateg
 @click.option("--strategy", "strategy_files", type=_FILE, multiple=True, required=True, help="Strategy file; repeat to cover every player.")
 @click.option("--ordering", "ordering_file", type=_FILE, help="Perfect-recall ordering to disintegrate along.")
 @click.option("--search", is_flag=True, help="Search for a perfect-recall ordering first.")
-@click.option("--budget", type=int, default=200_000, show_default=True, help="Search node budget.")
+@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
 @click.option("--verify", "verify_flag", is_flag=True, help="Check that the transform preserves the closed-loop law.")
 @click.pass_context
 def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strategy_files, ordering_file, search: bool, budget: int, verify_flag: bool) -> None:
@@ -382,7 +382,7 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
 @click.option("--player", required=True, help="Player whose recall failure is certified.")
 @click.option("--ordering", "ordering_file", type=_FILE, help="Partially causal ordering to scan.")
 @click.option("--search", is_flag=True, help="Sweep all partially causal orderings.")
-@click.option("--budget", type=int, default=200_000, show_default=True, help="Search node budget.")
+@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
 @click.pass_context
 def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
     """Certify that a recall violation blocks any behavioral equivalent.

@@ -23,13 +23,7 @@ from .playability import (
     nature_block,
     strategy_mask,
 )
-from .recall import (
-    ConfigurationOrdering,
-    Ordering,
-    _validate_phi,
-    enumerate_orderings,
-    ordering_cell,
-)
+from .recall import ConfigurationOrdering, Ordering, prefix_cells
 from .strategies import (
     MixedStrategy,
     PureStrategy,
@@ -139,54 +133,47 @@ def find_recall_violation(
     agent of some prefix cannot distinguish while their predecessor
     records disagree.
 
-    Scans prefixes by length then lexicographically, conditioning atoms in
-    canonical order, pairs by ascending configuration index.  Within one
+    Scans the prefixes of length two or more that occur in ``phi``, by
+    length then in canonical agent order, atoms of the final agent's field
+    in canonical order, pairs by ascending configuration index.  Within one
     prefix an action-differing pair anywhere in the cell takes precedence
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
     predecessor action across the whole cell.
     """
-    _validate_phi(model, player, phi)
     space = model.space
-    agents = model.agents_of(player)
-    for k in range(2, len(agents) + 1):
-        for kappa in enumerate_orderings(model, player, k):
-            cell = ordering_cell(model, phi, kappa)
-            if cell == 0:
+    for kappa, cell in prefix_cells(model, player, phi, start=2):
+        preds = kappa.sequence[:-1]
+        first_atom_pair: Optional[tuple[int, int]] = None
+        for atom in model.info_of(kappa.last).atoms:
+            members = list(iter_bits(cell & atom))
+            if len(members) < 2:
                 continue
-            preds = kappa.sequence[:-1]
-            first_atom_pair: Optional[tuple[int, int]] = None
-            for atom in model.info_of(kappa.last).atoms:
-                members = list(iter_bits(cell & atom))
-                if len(members) < 2:
-                    continue
-                records = [
-                    _predecessor_record(model, preds, i) for i in members
-                ]
-                for x in range(len(members)):
-                    for y in range(x + 1, len(members)):
-                        if records[x] == records[y]:
-                            continue
-                        actions_differ = any(
-                            rx[1] != ry[1]
-                            for rx, ry in zip(records[x], records[y])
+            records = [_predecessor_record(model, preds, i) for i in members]
+            for x in range(len(members)):
+                for y in range(x + 1, len(members)):
+                    if records[x] == records[y]:
+                        continue
+                    actions_differ = any(
+                        rx[1] != ry[1]
+                        for rx, ry in zip(records[x], records[y])
+                    )
+                    if actions_differ:
+                        return RecallViolation(
+                            kappa,
+                            space.config(members[x]),
+                            space.config(members[y]),
+                            CASE_ACTION,
                         )
-                        if actions_differ:
-                            return RecallViolation(
-                                kappa,
-                                space.config(members[x]),
-                                space.config(members[y]),
-                                CASE_ACTION,
-                            )
-                        if first_atom_pair is None:
-                            first_atom_pair = (members[x], members[y])
-            if first_atom_pair is not None:
-                return RecallViolation(
-                    kappa,
-                    space.config(first_atom_pair[0]),
-                    space.config(first_atom_pair[1]),
-                    CASE_INFORMATION,
-                )
+                    if first_atom_pair is None:
+                        first_atom_pair = (members[x], members[y])
+        if first_atom_pair is not None:
+            return RecallViolation(
+                kappa,
+                space.config(first_atom_pair[0]),
+                space.config(first_atom_pair[1]),
+                CASE_INFORMATION,
+            )
     return None
 
 
@@ -525,6 +512,6 @@ def verify_certificate(
             merged = merged.merged_with(plan)
         if closed_loop_solutions(model, merged, cert.omega) != [cert.exhibited]:
             return False
-    except Exception:
+    except (ValueError, KeyError, IndexError):
         return False
     return True

@@ -6,7 +6,10 @@ that, cell by cell, whatever the predecessors did and knew is readable from
 the last agent's information field; partial causality asks that each cell,
 refined by the last agent's information, depends only on Nature, the other
 players' actions and the predecessors' actions.  Both checks quantify over
-atoms, which suffices for finite fields.
+atoms, which suffices for finite fields.  All three prefix checks (these
+two and the recall-violation scan) walk :func:`prefix_cells`: only the
+prefixes that occur in the configuration-ordering, each with its cell, in
+the canonical order of :func:`enumerate_orderings`.
 
 The searches build candidate orderings cell by cell, assigning the next
 agent in whole blocks.  The target property forces the block shape (the
@@ -126,21 +129,42 @@ def _validate_phi(model: WModel, player: str, phi: ConfigurationOrdering) -> Non
         raise ValueError("orderings must be total over the player's agents")
 
 
-def _prefix_cell(model: WModel, phi: ConfigurationOrdering, prefix: tuple[str, ...]) -> int:
-    """Bitmask of configurations whose assigned ordering starts with ``prefix``."""
-    if not prefix:
-        return model.space.full_mask
-    k = len(prefix)
+def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) -> int:
+    """Configurations whose ordering starts with ``kappa``, as a bitmask."""
+    k = len(kappa)
     mask = 0
-    for i in range(model.space.size):
-        if phi.orderings[i].sequence[:k] == prefix:
+    for i, rho in enumerate(phi.orderings):
+        if rho.sequence[:k] == kappa.sequence:
             mask |= 1 << i
     return mask
 
 
-def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) -> int:
-    """Configurations whose ordering starts with ``kappa``, as a bitmask."""
-    return _prefix_cell(model, phi, kappa.sequence)
+def prefix_cells(
+    model: WModel, player: str, phi: ConfigurationOrdering, start: int = 1
+) -> Iterator[tuple[Ordering, int]]:
+    """Prefixes of length ``start`` or more that occur in ``phi``, with cells.
+
+    Yields ``(kappa, cell)`` for every nonempty cell, by length and then by
+    the agents' positions in the player's list: the order of
+    :func:`enumerate_orderings`, so a check that stops at its first failure
+    reports what a walk over every injective sequence would.  One length
+    is collected at a time, as index lists, so the extra memory is O(|H|).
+    """
+    _validate_phi(model, player, phi)
+    agents = model.agents_of(player)
+    pos = {a: i for i, a in enumerate(agents)}
+    runs: dict[tuple[str, ...], list[int]] = {}
+    for i, rho in enumerate(phi.orderings):
+        runs.setdefault(rho.sequence, []).append(i)
+    for k in range(start, len(agents) + 1):
+        cells: dict[tuple[str, ...], list[int]] = {}
+        for sequence, indices in runs.items():
+            cells.setdefault(sequence[:k], []).extend(indices)
+        for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
+            mask = 0
+            for i in cells[prefix]:
+                mask |= 1 << i
+            yield Ordering(player, prefix), mask
 
 
 @lru_cache(maxsize=8192)
@@ -169,17 +193,6 @@ def causality_ground(model: WModel, player: str, predecessors) -> Partition:
     return _ground_partition(model, player, tuple(sorted(predecessors)))
 
 
-def _offending_atom(subset: int, field: Partition) -> Optional[int]:
-    """First atom of ``field`` that ``subset`` cuts properly, if any."""
-    if subset == 0:
-        return None
-    for atom in field.atoms:
-        hit = atom & subset
-        if hit != 0 and hit != atom:
-            return atom
-    return None
-
-
 @dataclass(frozen=True)
 class FieldMembershipViolation:
     """A cell piece that fails to be measurable where the check demands it.
@@ -193,6 +206,22 @@ class FieldMembershipViolation:
     conditioning_atom: int
     subset: int
     offending_atom: int
+
+
+def _first_cut(
+    kappa: Ordering, cell: int, conditioning: tuple[int, ...], field: Partition
+) -> Optional[FieldMembershipViolation]:
+    """First piece ``cell & block``, blocks of ``conditioning`` in order,
+    that cuts an atom of ``field`` properly, if any."""
+    for block in conditioning:
+        piece = cell & block
+        if piece == 0:
+            continue
+        for atom in field.atoms:
+            hit = atom & piece
+            if hit != 0 and hit != atom:
+                return FieldMembershipViolation(kappa, block, piece, atom)
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,33 +240,22 @@ def check_perfect_recall(
 ) -> RecallReport:
     """Test every prefix cell against the last agent's information field.
 
-    For prefixes of length one the cell itself must belong to the field;
-    for longer prefixes the cell is first intersected with each atom of the
+    Only the prefixes that occur in ``phi`` are scanned.  For prefixes of
+    length one the cell itself must belong to the field; for longer
+    prefixes the cell is first intersected with each atom of the
     predecessors' choice field.  The first failure, in canonical prefix and
     atom order, is reported.
     """
-    _validate_phi(model, player, phi)
-    space = model.space
-    agents = model.agents_of(player)
-    for k in range(1, len(agents) + 1):
-        for kappa in enumerate_orderings(model, player, k):
-            cell = _prefix_cell(model, phi, kappa.sequence)
-            if cell == 0:
-                continue
-            target = model.info_of(kappa.last)
-            if k == 1:
-                conditioning: tuple[int, ...] = (space.full_mask,)
-            else:
-                conditioning = choice_partition(model, kappa.sequence[:-1]).atoms
-            for block in conditioning:
-                piece = cell & block
-                bad = _offending_atom(piece, target)
-                if bad is not None:
-                    return RecallReport(
-                        False,
-                        phi,
-                        FieldMembershipViolation(kappa, block, piece, bad),
-                    )
+    full = (model.space.full_mask,)
+    for kappa, cell in prefix_cells(model, player, phi):
+        target = model.info_of(kappa.last)
+        if len(kappa) == 1:
+            conditioning = full
+        else:
+            conditioning = choice_partition(model, kappa.sequence[:-1]).atoms
+        violation = _first_cut(kappa, cell, conditioning, target)
+        if violation is not None:
+            return RecallReport(False, phi, violation)
     return RecallReport(True, phi, None)
 
 
@@ -247,23 +265,11 @@ def check_partial_causality(
     """Test every prefix cell, refined by the last agent's information,
     for membership in the ground field of Nature, opponents and
     predecessors' actions."""
-    _validate_phi(model, player, phi)
-    agents = model.agents_of(player)
-    for k in range(1, len(agents) + 1):
-        for kappa in enumerate_orderings(model, player, k):
-            cell = _prefix_cell(model, phi, kappa.sequence)
-            if cell == 0:
-                continue
-            ground = causality_ground(model, player, kappa.sequence[:-1])
-            for block in model.info_of(kappa.last).atoms:
-                piece = cell & block
-                bad = _offending_atom(piece, ground)
-                if bad is not None:
-                    return RecallReport(
-                        False,
-                        phi,
-                        FieldMembershipViolation(kappa, block, piece, bad),
-                    )
+    for kappa, cell in prefix_cells(model, player, phi):
+        ground = causality_ground(model, player, kappa.sequence[:-1])
+        violation = _first_cut(kappa, cell, model.info_of(kappa.last).atoms, ground)
+        if violation is not None:
+            return RecallReport(False, phi, violation)
     return RecallReport(True, phi, None)
 
 
@@ -408,11 +414,10 @@ def search_recall_ordering(
     yields the distinguished "unknown" outcome, never "none".
     """
     b = _Budget(budget)
-    agents = model.agents_of(player)
     try:
-        for kappa in enumerate_orderings(model, player, len(agents)):
+        for sequence in permutations(model.agents_of(player)):
             b.spend()
-            phi = constant_ordering(model, player, kappa.sequence)
+            phi = constant_ordering(model, player, sequence)
             if check_perfect_recall(model, player, phi).holds:
                 return OrderingSearch("found", phi, b.spent)
         for phi in _iter_valid_orderings(model, player, "recall", b):

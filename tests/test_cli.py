@@ -1,11 +1,12 @@
 """Exit codes, report shapes, and byte-level determinism of the CLI."""
 
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from wgames import corpus_model, serialize_model
+from wgames import corpus_model, corpus_names, serialize_model
 from wgames.cli import main
 
 
@@ -410,3 +411,67 @@ def test_validate_space_over_the_cap_is_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["validate", model])
     assert result.exit_code == 2
     assert "$.agents" in result.stderr
+
+
+# (exit code, sha256 of stdout) of ``--format structured`` reports, with the
+# first player of each model and, for causality, the constant ordering of
+# its agents in declared order.
+GOLDEN_REPORTS = {
+    ("alice-bob-simultaneous", "recall"): (1, "40a650f9fe1ba071ede46cb79c74e8dbc845bbf6e25873c530c0372cda02f899"),
+    ("alice-bob-simultaneous", "necessity"): (1, "ed8f980ebb5b4b601526e39945af4e4612db8f7b181b061c9822733a0db532fc"),
+    ("alice-bob-simultaneous", "causality"): (0, "84ff9b29e5f38d241ffc477ce4f697cce33416d48d2f58e5cd76e5b02fb973e5"),
+    ("alice-bob-ordered", "recall"): (0, "5ad0bf1c059ccf4d137a749285552fab7c2483256489bb5912671e3324da7ab4"),
+    ("alice-bob-ordered", "necessity"): (0, "2f624d52a0d9a275c2e073ae5543a21d5daf83cd9ebd785c2a01ffb8c2688d34"),
+    ("alice-bob-ordered", "causality"): (1, "63a82588ffea59cfd5f280dbd5e806f3bd053bf086dd6de0e693626a3f73c5ec"),
+    ("alice-bob-nature", "recall"): (0, "1ae8487e5a96cdd53e7bffea9b55fe008edb4350d4d6eab2bb0a994fa677e021"),
+    ("alice-bob-nature", "necessity"): (0, "84cc96a45f743beb21a9ac0cd108ca2d319de5f555d8b8ac47c145579e2edb44"),
+    ("alice-bob-nature", "causality"): (1, "249c71525228e05664f7a8bb0fe4e3ed0041a12688af0d7a43ac0cd3a6d8c955"),
+    ("sequential-3", "recall"): (0, "0d50dc7afd4394a13810fd6d1aaf97e7352d6a1b4caef427022375051669a641"),
+    ("sequential-3", "necessity"): (0, "566a84f89cf68ac04304f8da208809c7e27a78b3d56c921c24e513560b377f30"),
+    ("sequential-3", "causality"): (0, "9fcf53735ccf094af5fed8c417e0e2e18cbf3c6b69d4825f788e3f9eac30cad1"),
+    ("principal-agent-hidden-type", "recall"): (0, "12c947240bd43adcee9806c232a8fe5569876652cc5eee6d6883dc95a2c6450e"),
+    ("principal-agent-hidden-type", "necessity"): (0, "ddc50379dabe684f814b76eb398a6aa7fcaea23e71ce1c89c19bf9c8619d2833"),
+    ("principal-agent-hidden-type", "causality"): (0, "d878b962caaf972899acf608d08962bbec9542dd3706a7108e217cc9727e8cf2"),
+    ("principal-agent-hidden-action", "recall"): (0, "8af062882a8ff6ea79b9011e6b1d4ccef582e0db890e99bc06ad0f947142f1d2"),
+    ("principal-agent-hidden-action", "necessity"): (0, "8717dde6907d3542b16940861336fe19ebd243a6dabacea1e9b7b145f555d7cd"),
+    ("principal-agent-hidden-action", "causality"): (0, "a08ccdede4f7ae42d6256c3249545ff94a6bce84e80b5b25088d18b7116062c9"),
+    ("stackelberg", "recall"): (0, "b8eb917e133daeb2cb82a74e2d8c95869a0b951f56df26b20ec3dc026ed009e8"),
+    ("stackelberg", "necessity"): (0, "a792ff0322d8e0e37aa5272af2f5978a352e449bf52ac007ff7a9996f2c21ead"),
+    ("stackelberg", "causality"): (0, "5fdc516f6668f2f8dc69904ace51a2529942d2cbc95f29ca399ad9ab34800bca"),
+    ("witsenhausen-noncausal", "recall"): (1, "8e692ba3a89881e7d526910c0319b81b88e0d76f80d19b3e5a3762145f70d990"),
+    ("witsenhausen-noncausal", "necessity"): (3, "b3d1e88e8eb0eceaaf64de09ea223a30662e81fa796f5e8f2c313f7bece4cca5"),
+    ("witsenhausen-noncausal", "causality"): (1, "1db767d200350bf17d40bf2e6641f76a4ca4954b4fbabc608e49035aae9c1a4b"),
+}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+@pytest.mark.parametrize("command", ["recall", "necessity", "causality"])
+def test_corpus_reports_are_golden(runner, tmp_path, name, command):
+    model = write_model(tmp_path, name)
+    player = corpus_model(name).player_names[0]
+    if command == "causality":
+        sequence = list(corpus_model(name).agents_of(player))
+        order = write_json(
+            tmp_path, "order.json", {"kind": "ordering", "player": player, "sequence": sequence}
+        )
+        extra = ["--ordering", order]
+    else:
+        extra = ["--search"]
+    result = runner.invoke(
+        main, ["--format", "structured", command, model, "--player", player, *extra]
+    )
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == GOLDEN_REPORTS[(name, command)]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", ["recall", "kuhn", "necessity"])
+def test_nonpositive_search_budget_is_exit_2(runner, tmp_path, command, budget):
+    model = write_model(tmp_path, "alice-bob-ordered")
+    args = [command, model, "--player", "team", "--search", "--budget", budget]
+    if command == "kuhn":
+        nu = write_json(tmp_path, "nu.json", {"*": "1"})
+        args += ["--nu", nu, "--strategy", write_json(tmp_path, "mixed.json", CORRELATED)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output

@@ -6,6 +6,8 @@ ordered and coin-toss variants both recall perfectly along the constant
 (bob, alice) ordering.
 """
 
+from dataclasses import replace
+from itertools import islice
 from random import Random
 
 import pytest
@@ -14,19 +16,32 @@ from wgames import (
     ConfigurationOrdering,
     Ordering,
     SearchBudgetExhausted,
+    causality_ground,
     check_partial_causality,
     check_perfect_recall,
     choice_partition,
+    complete_partition,
     constant_ordering,
     corpus_model,
     enumerate_orderings,
+    find_recall_violation,
+    iter_bits,
     iter_causal_orderings,
     ordering_cell,
+    prefix_cells,
     restrict_ordering,
     search_recall_ordering,
 )
+from wgames.necessity import CASE_ACTION, CASE_INFORMATION
 
-from generators import config_tuple, oracle_phi, random_partition_model, to_oracle
+from generators import (
+    config_tuple,
+    oracle_phi,
+    random_causal_model,
+    random_partition,
+    random_partition_model,
+    to_oracle,
+)
 import oracles
 
 
@@ -196,3 +211,143 @@ def test_nonconstant_ordering_cells():
     assert cell_a == 0b0011
     cell_b = ordering_cell(model, phi, Ordering("team", ("bob",)))
     assert cell_b == 0b1100
+
+
+# ── every prefix against the shared scan, on non-constant orderings ─────
+
+
+def _every_nonempty_prefix(model, player, phi, start):
+    """Reference walk: every injective sequence, cells by a scan of H."""
+    for k in range(start, len(model.agents_of(player)) + 1):
+        for kappa in enumerate_orderings(model, player, k):
+            cell = ordering_cell(model, phi, kappa)
+            if cell:
+                yield kappa, cell
+
+
+def _first_cut(kappa, cell, blocks, field):
+    for block in blocks:
+        piece = cell & block
+        for atom in field.atoms:
+            if piece and atom & piece not in (0, atom):
+                return (kappa, block, piece, atom)
+    return None
+
+
+def _reference_recall(model, player, phi):
+    for kappa, cell in _every_nonempty_prefix(model, player, phi, 1):
+        if len(kappa) == 1:
+            blocks = (model.space.full_mask,)
+        else:
+            blocks = choice_partition(model, kappa.sequence[:-1]).atoms
+        cut = _first_cut(kappa, cell, blocks, model.info_of(kappa.last))
+        if cut:
+            return cut
+    return None
+
+
+def _reference_causality(model, player, phi):
+    for kappa, cell in _every_nonempty_prefix(model, player, phi, 1):
+        ground = causality_ground(model, player, kappa.sequence[:-1])
+        cut = _first_cut(kappa, cell, model.info_of(kappa.last).atoms, ground)
+        if cut:
+            return cut
+    return None
+
+
+def _reference_violation(model, player, phi):
+    """First differing pair per prefix; an action difference anywhere in
+    the cell beats the first information-only pair."""
+
+    def record(preds, i):
+        h = model.space.config(i)
+        return [(model.info_of(a).atom_index(i), h.action(a)) for a in preds]
+
+    for kappa, cell in _every_nonempty_prefix(model, player, phi, 2):
+        preds = kappa.sequence[:-1]
+        pairs = []
+        for atom in model.info_of(kappa.last).atoms:
+            members = list(iter_bits(cell & atom))
+            for x, i in enumerate(members):
+                for j in members[x + 1 :]:
+                    ri, rj = record(preds, i), record(preds, j)
+                    if ri != rj:
+                        differ = any(p[1] != q[1] for p, q in zip(ri, rj))
+                        pairs.append((differ, i, j))
+        for differ, i, j in pairs:
+            if differ:
+                return (kappa, i, j, CASE_ACTION)
+        if pairs:
+            return (kappa, pairs[0][1], pairs[0][2], CASE_INFORMATION)
+    return None
+
+
+def _field_report(report):
+    v = report.violation
+    assert report.holds == (v is None)
+    return None if v is None else (v.kappa, v.conditioning_atom, v.subset, v.offending_atom)
+
+
+def _nonconstant_cases(rng, count):
+    """(model, player, phi) with two or more agents in the player and a
+    non-constant ordering, from three sources in turn: one random order
+    per atom of a random partition; the same where the player's agents see
+    the whole configuration, so recall holds; and the non-constant
+    partially causal orderings of random causal models."""
+    cases = []
+    while len(cases) < count:
+        source = len(cases) % 3
+        if source == 2:
+            model = random_causal_model(rng)
+        else:
+            model = random_partition_model(rng, max_agents=4, max_atoms=3)
+        player = model.player_names[0]
+        own = model.agents_of(player)
+        if len(own) < 2:
+            continue
+        if source == 2:
+            try:
+                found = list(islice(iter_causal_orderings(model, player, 20_000), 4))
+            except SearchBudgetExhausted:
+                continue
+        else:
+            if source == 1:
+                sees_all = complete_partition(model.space)
+                info = tuple(
+                    (a, sees_all if a in own else part) for a, part in model.information
+                )
+                model = replace(model, information=info)
+            table = [None] * model.space.size
+            for atom in random_partition(rng, model.space, 4).atoms:
+                rho = Ordering(player, tuple(rng.sample(own, len(own))))
+                for i in iter_bits(atom):
+                    table[i] = rho
+            found = [ConfigurationOrdering(player, tuple(table))]
+        cases += [(model, player, phi) for phi in found if not phi.is_constant][:1]
+    return cases
+
+
+def test_prefix_checks_match_every_prefix_walk_on_nonconstant_orderings():
+    failures = {"recall": 0, "causality": 0, "violation": 0}
+    tags = set()
+    for model, player, phi in _nonconstant_cases(Random(7), 300):
+        for start in (1, 2):
+            assert list(prefix_cells(model, player, phi, start)) == list(
+                _every_nonempty_prefix(model, player, phi, start)
+            )
+
+        recall = _field_report(check_perfect_recall(model, player, phi))
+        assert recall == _reference_recall(model, player, phi)
+        causal = _field_report(check_partial_causality(model, player, phi))
+        assert causal == _reference_causality(model, player, phi)
+        v = find_recall_violation(model, player, phi)
+        mine = None if v is None else (v.ordering, v.h_plus.index, v.h_minus.index, v.case)
+        assert mine == _reference_violation(model, player, phi)
+
+        failures["recall"] += recall is not None
+        failures["causality"] += causal is not None
+        failures["violation"] += v is not None
+        tags.add(None if v is None else v.case)
+    # the sample exercises both verdicts of every check and both case tags
+    assert all(20 <= n <= 280 for n in failures.values()), failures
+    assert tags == {None, CASE_ACTION, CASE_INFORMATION}
