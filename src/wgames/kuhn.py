@@ -3,12 +3,15 @@
 The pushforward is the exact distribution over configurations induced by a
 belief on Nature and one mixed strategy per player, computed by enumerating
 the finitely many (Nature state, plan combination) samples and solving the
-closed-loop equations at each.  The transform disintegrates the focus
-player's randomness along a perfect-recall configuration-ordering: for each
-agent and each of its information atoms, the behavioral kernel is the
-conditional law of that agent's action given the atom and the predecessors'
-realized actions.  All weights are exact rationals; distribution equality
-is literal equality, never tolerance.
+closed-loop equations at each; it is the one function here that solves
+samples.  The transform reads the focus player's behavioral kernels off
+that one law: the kernel of an agent at one of its information atoms is the
+conditional law of the agent's action given the atom.  That is the
+disintegration along a perfect-recall configuration-ordering, because
+perfect recall puts each atom inside one prefix cell on which the
+predecessors' atoms and actions are constant: conditioning on their play
+as well changes nothing.  All weights are exact rationals; distribution
+equality is literal equality, never tolerance.
 
 Atoms that no sample reaches carry no constraint; they receive the uniform
 kernel, which is a total, canonical choice that leaves every pushforward
@@ -146,8 +149,8 @@ def expected_utility(
     """Exact expectation of ``criterion`` under the pushforward law."""
     q = pushforward(model, nu, mixed_all)
     total = Fraction(0)
-    for h in q.support:
-        total += q.weight(h) * Fraction(criterion(h))
+    for h, w in zip(q.support, q.dist.weights):
+        total += w * Fraction(criterion(h))
     return total
 
 
@@ -179,6 +182,41 @@ class ConditionalKernel:
         raise KeyError(f"atom {atom_id} is not part of this kernel's cell")
 
 
+def _require_recall(model: WModel, player: str, phi: ConfigurationOrdering) -> None:
+    report = check_perfect_recall(model, player, phi)
+    if not report.holds:
+        raise ValueError(
+            f"player {player!r} lacks perfect recall along the given ordering: "
+            f"prefix {report.violation.kappa.sequence!r} fails"
+        )
+
+
+def _laws_by_atom(
+    model: WModel, q: PushforwardDistribution, agents: tuple[str, ...]
+) -> list[tuple[RationalDistribution, bool]]:
+    """Law of the actions of ``agents`` given each atom of the last one.
+
+    The law is read off ``q``; on atoms ``q`` does not reach it is uniform
+    and flagged unreached.
+    """
+    info = model.info_of(agents[-1])
+    carrier = tuple(product(*[model.actions_of(b).labels for b in agents]))
+    joint: list[dict[tuple, Fraction]] = [{} for _ in info.atoms]
+    for h, w in zip(q.support, q.dist.weights):
+        masses = joint[info.atom_index(h.index)]
+        u = tuple(h.action(b) for b in agents)
+        masses[u] = masses.get(u, Fraction(0)) + w
+    laws = []
+    for masses in joint:
+        total = sum(masses.values(), Fraction(0))
+        if total == 0:
+            laws.append((RationalDistribution.uniform(carrier), False))
+        else:
+            weights = tuple(masses.get(u, Fraction(0)) / total for u in carrier)
+            laws.append((RationalDistribution(carrier, weights), True))
+    return laws
+
+
 def conditional_kernel(
     model: WModel,
     player: str,
@@ -190,60 +228,22 @@ def conditional_kernel(
     """Joint conditional law of the prefix agents' plan components.
 
     For each information atom z of the last prefix agent inside the prefix
-    cell, condition the sample law on the solution landing in z and read
-    off the plan components at z's first configuration.  Perfect recall
-    makes that evaluation independent of the representative: predecessors'
-    atoms and actions are constant across z.
+    cell, the law of the prefix agents' actions under the pushforward,
+    conditioned on z.  Perfect recall keeps the predecessors' atoms
+    constant on z, so a solution in z played, at those atoms, exactly the
+    actions it shows: this is the law of the plan components too.
     """
-    report = check_perfect_recall(model, player, phi)
-    if not report.holds:
-        raise ValueError(
-            f"player {player!r} lacks perfect recall along the given ordering: "
-            f"prefix {report.violation.kappa.sequence!r} fails"
-        )
-    by_player = one_mixed_per_player(model, mixed_all)
-    if not validate_belief(model, nu):
-        raise ValueError("belief is not carried by Nature states")
-
-    info_last = model.info_of(kappa.last)
+    _require_recall(model, player, phi)
+    laws = _laws_by_atom(model, pushforward(model, nu, list(mixed_all)), kappa.sequence)
     cell = ordering_cell(model, phi, kappa)
-    atom_ids = [
-        i for i, atom in enumerate(info_last.atoms) if atom & cell == atom
-    ]
-    reps = {
-        i: (info_last.atoms[i] & -info_last.atoms[i]).bit_length() - 1
-        for i in atom_ids
-    }
-    carrier = tuple(
-        product(*[model.actions_of(b).labels for b in kappa.sequence])
+    return ConditionalKernel(
+        kappa,
+        tuple(
+            (i, *laws[i])
+            for i, atom in enumerate(model.info_of(kappa.last).atoms)
+            if atom & cell == atom
+        ),
     )
-
-    mass: dict[int, Fraction] = {i: Fraction(0) for i in atom_ids}
-    joint: dict[int, dict[tuple, Fraction]] = {i: {} for i in atom_ids}
-    infos = {b: model.info_of(b) for b in kappa.sequence}
-    for omega, profile, weight in _samples(model, nu, by_player):
-        h = _solve(model, profile, omega)
-        if (cell >> h.index) & 1 == 0:
-            continue
-        aid = info_last.atom_index(h.index)
-        rep = reps[aid]
-        u = tuple(
-            profile.strategy_of(b).action_at(infos[b].atom_index(rep))
-            for b in kappa.sequence
-        )
-        mass[aid] += weight
-        joint[aid][u] = joint[aid].get(u, Fraction(0)) + weight
-
-    entries = []
-    for aid in atom_ids:
-        if mass[aid] == 0:
-            entries.append((aid, RationalDistribution.uniform(carrier), False))
-        else:
-            weights = tuple(
-                joint[aid].get(u, Fraction(0)) / mass[aid] for u in carrier
-            )
-            entries.append((aid, RationalDistribution(carrier, weights), True))
-    return ConditionalKernel(kappa, tuple(entries))
 
 
 def kuhn_transform(
@@ -255,58 +255,60 @@ def kuhn_transform(
 ) -> BehavioralStrategy:
     """Realization-equivalent behavioral strategy for the focus player.
 
-    Each information atom of each agent sits inside exactly one prefix
-    cell ending at that agent (the cells are disjoint and measurable in
-    the agent's field under perfect recall).  The agent's kernel there is
-    the conditional law of its own action given the atom and given that
-    the predecessors played their actions at the atom's representative;
-    the conditioning event carries all the reached mass, so the division
-    only matters as a guard for unreached atoms, which become uniform.
+    The kernel of agent a at atom z is Q(z and a plays u) / Q(z) under the
+    pushforward Q, and uniform where Q(z) = 0.  Under perfect recall z lies
+    inside one prefix cell ending at a, and the predecessors' atoms and
+    actions are constant on z, so this is the disintegration along phi:
+    the conditional law of a's action given z and the predecessors' play.
     """
-    report = check_perfect_recall(model, player, phi)
-    if not report.holds:
-        raise ValueError(
-            f"player {player!r} lacks perfect recall along the given ordering: "
-            f"prefix {report.violation.kappa.sequence!r} fails"
-        )
-    mixed_list = list(mixed_all)
-    kernels_by_prefix: dict[tuple[str, ...], ConditionalKernel] = {}
-
-    def kernel_for(seq: tuple[str, ...]) -> ConditionalKernel:
-        if seq not in kernels_by_prefix:
-            kernels_by_prefix[seq] = conditional_kernel(
-                model, player, phi, Ordering(player, seq), nu, mixed_list
-            )
-        return kernels_by_prefix[seq]
-
+    _require_recall(model, player, phi)
+    q = pushforward(model, nu, list(mixed_all))
     agent_kernels = []
     for agent in model.agents_of(player):
-        info = model.info_of(agent)
         labels = model.actions_of(agent).labels
-        dists = []
-        for atom in info.atoms:
-            rep = (atom & -atom).bit_length() - 1
-            sequence = phi.at(rep).sequence
-            position = sequence.index(agent)
-            seq = sequence[: position + 1]
-            kern = kernel_for(seq)
-            law = kern.law(info.atom_index(rep))
-            rep_config = model.space.config(rep)
-            prefix_actions = tuple(rep_config.action(b) for b in seq[:-1])
-            numerators = [
-                law.weight(prefix_actions + (u,)) for u in labels
-            ]
-            denominator = sum(numerators, Fraction(0))
-            if denominator == 0:
-                dists.append(RationalDistribution.uniform(labels))
-            else:
-                dists.append(
-                    RationalDistribution(
-                        labels, tuple(n / denominator for n in numerators)
-                    )
-                )
-        agent_kernels.append((agent, tuple(dists)))
+        laws = _laws_by_atom(model, q, (agent,))
+        agent_kernels.append(
+            (agent, tuple(RationalDistribution(labels, law.weights) for law, _ in laws))
+        )
     return BehavioralStrategy(player, tuple(agent_kernels))
+
+
+def _solve_probability(
+    model: WModel,
+    beta: BehavioralStrategy,
+    others: Mapping[str, MixedStrategy],
+    configs: tuple[Configuration, ...],
+) -> Fraction:
+    """Probability that one profile drawn from ``beta`` and ``others`` has
+    every configuration of ``configs`` among its closed-loop solutions, that
+    is, prescribes each one's action at every atom it reaches."""
+    prescribed: dict[str, dict[int, str]] = {}
+    for agent in model.agent_ids:
+        info = model.info_of(agent)
+        at = prescribed[agent] = {}
+        for h in configs:
+            if at.setdefault(atom_of(info, h), h.action(agent)) != h.action(agent):
+                return Fraction(0)
+    p = Fraction(1)
+    for agent in model.agents_of(beta.player):
+        for atom, u in prescribed[agent].items():
+            p *= beta.kernel(agent, atom).weight(u)
+    for m in others.values():
+        if p == 0:
+            break
+        p *= sum(
+            (
+                w
+                for part, w in m.support
+                if all(
+                    s.choice[atom] == u
+                    for s in part.strategies
+                    for atom, u in prescribed[s.agent].items()
+                )
+            ),
+            Fraction(0),
+        )
+    return p
 
 
 def behavioral_pushforward(
@@ -317,16 +319,15 @@ def behavioral_pushforward(
 ) -> PushforwardDistribution:
     """Closed-loop law with one player behavioral and the rest mixed.
 
-    A pure plan profile solves to a configuration exactly when every
-    agent's plan prescribes that configuration's action at the atom the
-    configuration reaches, and playability makes the solution unique.  So
-    the law never needs the plan expansion: each configuration's mass is
-    the product of the kernel weights at its reached atoms, times the
-    total weight of opponent sub-profiles that prescribe it.  This stays
-    exact and cheap when a plan enumeration would blow up.  The mass of a
-    Nature block is the belief's weight times the expected number of
-    closed-loop solutions there; when it is not the belief's weight alone,
-    PlayabilityError names the state and the configurations with mass.
+    A configuration's mass is the belief's weight times the probability
+    that a drawn profile solves to it: the product of the kernel weights at
+    its reached atoms, times the total weight of opponent sub-profiles that
+    prescribe it.  This stays exact and cheap when a plan enumeration would
+    blow up.  It is the law only if every drawn profile has exactly one
+    closed-loop solution N.  So in each Nature block E[N] = 1 (the block
+    carries the belief's weight) and E[N(N-1)] = 0 (no two configurations
+    solve one drawn profile) are checked; otherwise PlayabilityError names
+    the state and the configurations with mass, or the first such pair.
     """
     if not validate_belief(model, nu):
         raise ValueError("belief is not carried by Nature states")
@@ -334,31 +335,12 @@ def behavioral_pushforward(
         raise ValueError(f"invalid behavioral strategy for player {beta.player!r}")
     others = one_mixed_per_player(model, mixed_others, beta.player)
 
-    own = model.agents_of(beta.player)
     acc: dict[int, Fraction] = {}
     for index in range(model.space.size):
         h = model.space.config(index)
         mass = nu.weight(h.nature)
-        if mass == 0:
-            continue
-        for agent in own:
-            atom = atom_of(model.info_of(agent), h)
-            mass *= beta.kernel(agent, atom).weight(h.action(agent))
-            if mass == 0:
-                break
-        if mass == 0:
-            continue
-        for m in others.values():
-            agreeing = Fraction(0)
-            for part, w in m.support:
-                if all(
-                    s.choice[atom_of(model.info_of(s.agent), h)] == h.action(s.agent)
-                    for s in part.strategies
-                ):
-                    agreeing += w
-            mass *= agreeing
-            if mass == 0:
-                break
+        if mass != 0:
+            mass *= _solve_probability(model, beta, others, (h,))
         if mass != 0:
             acc[index] = mass
 
@@ -367,6 +349,10 @@ def behavioral_pushforward(
         block = tuple(h for h in carrier if h.nature == omega)
         if sum((acc[h.index] for h in block), Fraction(0)) != nu.weight(omega):
             raise PlayabilityError(None, omega, block)
+        for k, h in enumerate(block):
+            for g in block[k + 1 :]:
+                if _solve_probability(model, beta, others, (h, g)) != 0:
+                    raise PlayabilityError(None, omega, (h, g))
     return PushforwardDistribution(
         model.space, RationalDistribution(carrier, tuple(acc.values()))
     )

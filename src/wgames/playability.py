@@ -40,9 +40,9 @@ DEFAULT_PROFILE_CAP = 10**7
 class PlayabilityError(ValueError):
     """A sampled profile has no or several closed-loop solutions.
 
-    ``profile`` is None when only a law's mass shows it: the mass at
-    ``omega`` is not the belief's weight, and ``solutions`` lists the
-    configurations there that received mass.
+    ``profile`` is None when only a law shows it: ``solutions`` then lists
+    the configurations at ``omega`` that received mass, or two that one
+    drawn profile solves to together.
     """
 
     def __init__(self, profile, omega, solutions):
@@ -51,8 +51,8 @@ class PlayabilityError(ValueError):
         self.solutions = solutions
         if profile is None:
             super().__init__(
-                f"closed-loop mass at {omega!r} is not the belief's weight; "
-                f"it falls on {list(solutions)!r}"
+                f"a drawn profile has no or several closed-loop solutions at "
+                f"{omega!r}; see {list(solutions)!r}"
             )
         else:
             super().__init__(

@@ -5,7 +5,9 @@ same models.  ``random_causal_model`` builds models that are playable by
 construction (each agent observes only Nature and strictly earlier agents,
 so the closed loop solves by forward substitution) without naming that
 construction order anywhere in the result; the analyses must rediscover
-it.  ``random_partition_model`` drops the discipline entirely and is only
+it.  ``random_state_ordered_model`` lets the play order depend on the
+Nature state and returns the matching non-constant perfect-recall ordering.
+``random_partition_model`` drops the discipline entirely and is only
 guaranteed to be a valid model.
 """
 
@@ -136,6 +138,70 @@ def random_causal_model(
         players=tuple(players),
         information=tuple(information),
     )
+
+
+def random_state_ordered_model(
+    rng: Random,
+    max_nature: int = 3,
+    max_focus: int = 3,
+    max_actions: int = 2,
+    recall: float = 0.8,
+):
+    """Playable model whose play order depends on the Nature state, with a
+    non-constant perfect-recall configuration-ordering of player ``P``.
+
+    Each Nature state draws its own order of all agents.  Every agent
+    observes Nature and, in each state, a random subset of the agents
+    before it in that state's order; a focus agent also observes, with
+    probability ``recall`` each, an earlier focus agent together with
+    everything that agent observed.  The ordering follows each state's
+    order.  Draws are repeated until perfect recall holds along it and it
+    is not constant; returns ``(model, phi)``.
+    """
+    from wgames import ConfigurationOrdering, Ordering, check_perfect_recall
+
+    while True:
+        n_focus = rng.randint(2, max_focus)
+        focus_ids = [f"p{k}" for k in range(1, n_focus + 1)]
+        ids = focus_ids + (["q1"] if rng.random() < 0.5 else [])
+        rng.shuffle(ids)
+        nature = FiniteSet("nature", tuple(f"w{k}" for k in range(rng.randint(2, max_nature))))
+        agents = tuple((a, _actions(rng, a, max_actions)) for a in ids)
+        space = _space_of(nature, agents)
+
+        orders = {}
+        watched = {}
+        for omega in nature.labels:
+            order = ids[:]
+            rng.shuffle(order)
+            orders[omega] = tuple(a for a in order if a in focus_ids)
+            for k, a in enumerate(order):
+                seen = {b for b in order[:k] if rng.random() < 0.5}
+                if a in focus_ids:
+                    for b in order[:k]:
+                        if b in focus_ids and rng.random() < recall:
+                            seen |= {b} | watched[omega, b]
+                watched[omega, a] = seen
+
+        def key(i, a):
+            h = space.config(i)
+            return h.nature, tuple(h.action(b) for b in ids if b in watched[h.nature, a])
+
+        model = WModel(
+            nature=nature,
+            agents=agents,
+            players=(("P", tuple(a for a in ids if a in focus_ids)),)
+            + ((("O", ("q1",)),) if "q1" in ids else ()),
+            information=tuple(
+                (a, partition_from_key(space, lambda i, a=a: key(i, a))) for a in ids
+            ),
+        )
+        phi = ConfigurationOrdering(
+            "P",
+            tuple(Ordering("P", orders[space.config(i).nature]) for i in range(space.size)),
+        )
+        if not phi.is_constant and check_perfect_recall(model, "P", phi).holds:
+            return model, phi
 
 
 def random_partition_model(

@@ -475,3 +475,53 @@ def test_nonpositive_search_budget_is_exit_2(runner, tmp_path, command, budget):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+
+
+def test_kuhn_verify_with_cancelling_solution_counts_is_exit_2(runner, tmp_path):
+    # B mixes copy and anti-copy: every sampled plan pair solves uniquely,
+    # but A's behavioral form has 0 or 2 solutions against either
+    model, nu, mix_a, _ = mutual_observation_inputs(tmp_path)
+    mix_b = write_json(
+        tmp_path,
+        "b-mixed.json",
+        {
+            "kind": "mixed",
+            "player": "B",
+            "support": [
+                {"weight": "1/2", "profile": {"b": ["0", "1"]}},
+                {"weight": "1/2", "profile": {"b": ["1", "0"]}},
+            ],
+        },
+    )
+    args = ["kuhn", model, "--player", "A", "--nu", nu]
+    args += ["--strategy", mix_a, "--strategy", mix_b, "--search", "--verify"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert "not solvable" in result.stderr
+
+
+def test_kuhn_on_unsolvable_support_is_exit_2(runner, tmp_path):
+    # A mixes in "a = copy b" and B copies a: that sample has two solutions
+    model, nu, _, copy_b = mutual_observation_inputs(tmp_path)
+    mix_a = write_json(
+        tmp_path,
+        "a-copy.json",
+        {
+            "kind": "mixed",
+            "player": "A",
+            "support": [
+                {"weight": "1/2", "profile": {"a": ["0", "0"]}},
+                {"weight": "1/2", "profile": {"a": ["0", "1"]}},
+            ],
+        },
+    )
+    order = write_json(tmp_path, "order.json", {"kind": "ordering", "player": "A", "sequence": ["a"]})
+    args = ["kuhn", model, "--player", "A", "--nu", nu]
+    args += ["--strategy", mix_a, "--strategy", copy_b, "--ordering", order]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    assert "not solvable" in result.stderr

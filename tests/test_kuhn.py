@@ -1,5 +1,7 @@
 """Pushforward laws and the mixed-to-behavioral transform."""
 
+import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +16,7 @@ from wgames import (
     RationalDistribution,
     behavioral_pushforward,
     behavioral_to_mixed,
+    conditional_kernel,
     constant_ordering,
     corpus_model,
     deterministic_mixed,
@@ -21,11 +24,13 @@ from wgames import (
     expected_utility,
     kuhn_transform,
     parse_model,
+    prefix_cells,
     pushforward,
     search_recall_ordering,
     transform_preserves_law,
     validate_belief,
 )
+from wgames.io import strategy_payload
 
 from generators import (
     oracle_mixed,
@@ -33,6 +38,7 @@ from generators import (
     random_belief,
     random_causal_model,
     random_mixed,
+    random_state_ordered_model,
     to_oracle,
 )
 import oracles
@@ -220,6 +226,51 @@ def test_transform_preserves_law_on_random_models():
         assert transform_preserves_law(model, "P", beta, nu, mixed)
         done += 1
     assert done == 25
+    # orderings that depend on the Nature state
+    for _ in range(25):
+        model, phi = random_state_ordered_model(rng)
+        nu = random_belief(rng, model)
+        mixed = [random_mixed(rng, model, p) for p in model.player_names]
+        beta = kuhn_transform(model, "P", phi, nu, mixed)
+        assert transform_preserves_law(model, "P", beta, nu, mixed)
+
+
+def sha256_json(payload):
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# (behavioral strategy, conditional kernels of every prefix that occurs) of
+# the seeded state-ordered inputs below, as sha256 of their JSON
+GOLDEN_STATE_ORDERED = [
+    ("f5d5454a96974ea496280ab21729439d4dd5a89ddec35903c192ef053fcfa5c1", "28028859e6e8aed6bbcc56686e65dbf26fa627591659a335e6eb19c51728bf6f"),
+    ("b86d684bfe7d85545fd8a76a9d8d0649647a303b5b7182e9cdc9ec0883e76c15", "703700cc788a8003d183fb218275a54f9ece223c726511d1c5746efcff1a3676"),
+    ("f4c1de358a159b25bbe9e254e834ab6767f160938470f83829511acdb172b65a", "eec5e0f353b936fcb71842bc0ba69fb171d6e0c20b73b2b8dbfbc5a4d785ec09"),
+    ("8c66838b81881c5d194eb91776c7c6dfdeb73b187ea5dc000205f2a64e274128", "f76e83767a3480c1170359ff2bcddd0a23535af0538ea3d390964212dd21d32e"),
+    ("ed13c333451e3887bb7b5038c759705546c717566407733910ee631371b00446", "1c6eb72ddb4483523fd92f06a5e79205be92a60227f05353503e4a5a7378de59"),
+    ("23c7082b86d8248daa55fe997def663bd8864da88c28a82e581e7a063e96bb87", "3494e99ee4d16efb97cbcdb0bfc335e7e6cb54aba5e022d1a26aaf25a38e475e"),
+    ("79a7457ae3f3fc59860f9b2588f3ec627de6aac345458171f18fd0cb07f8bcf3", "367019e47c0de468c4e2f4f975bfd620348239481274ea2bbbcb003a86bceedb"),
+    ("6f76ff325b0492d8fce19048a6b049f7c1ce7d9a96211139510d9e251fe07432", "171e16f5448c83bb6cbda48b3888cd74edbdb47e5403dc8a971a0793c39ba656"),
+]
+
+
+def test_transform_and_kernels_on_state_ordered_models_are_golden():
+    rng = Random(914)
+    digests = []
+    for _ in range(8):
+        model, phi = random_state_ordered_model(rng)
+        nu = random_belief(rng, model)
+        mixed = [random_mixed(rng, model, p) for p in model.player_names]
+        beta = kuhn_transform(model, "P", phi, nu, mixed)
+        kernels = []
+        for kappa, _ in prefix_cells(model, "P", phi):
+            kernel = conditional_kernel(model, "P", phi, kappa, nu, mixed)
+            assert kernel.kappa == kappa
+            for aid, law, reached in kernel.entries:
+                weights = [str(w) for w in law.weights]
+                kernels.append([kappa.sequence, aid, law.carrier, weights, reached])
+        digests.append((sha256_json(strategy_payload(beta)), sha256_json(kernels)))
+    assert digests == GOLDEN_STATE_ORDERED
 
 
 def test_behavioral_to_mixed_pushforward_consistency():
@@ -251,15 +302,27 @@ def test_factorized_behavioral_law_equals_plan_expansion():
         assert distributions_equal(factored, expanded)
 
 
+MUTUAL = """{"nature": {"states": ["*"]},
+    "agents": [{"id": "a", "actions": ["0", "1"]}, {"id": "b", "actions": ["0", "1"]}],
+    "players": {"A": ["a"], "B": ["b"]},
+    "information": {"a": {"observes": ["b"]}, "b": {"observes": ["a"]}}}"""
+
+
+def half_half(player, agent, first, second):
+    """Mixed strategy of a one-agent player over two plans, half and half."""
+    return MixedStrategy(
+        player,
+        tuple(
+            (PureStrategyProfile((PureStrategy(agent, plan),)), Fraction(1, 2))
+            for plan in (first, second)
+        ),
+    )
+
+
 def test_behavioral_pushforward_rejects_several_solutions():
     # a and b each observe the other; A copies b and B copies a, so the
     # closed loop has two solutions and the block mass is twice the belief
-    model = parse_model(
-        """{"nature": {"states": ["*"]},
-            "agents": [{"id": "a", "actions": ["0", "1"]}, {"id": "b", "actions": ["0", "1"]}],
-            "players": {"A": ["a"], "B": ["b"]},
-            "information": {"a": {"observes": ["b"]}, "b": {"observes": ["a"]}}}"""
-    )
+    model = parse_model(MUTUAL)
     labels = ("0", "1")
     copy_b = BehavioralStrategy(
         "A",
@@ -273,3 +336,37 @@ def test_behavioral_pushforward_rejects_several_solutions():
         {"nature": "*", "a": "0", "b": "0"},
         {"nature": "*", "a": "1", "b": "1"},
     ]
+
+
+def test_behavioral_pushforward_rejects_cancelling_solution_counts():
+    # A mixes the constants and B mixes copy and anti-copy: every sampled
+    # pair solves uniquely.  A's behavioral form plays "not b" or "copy b",
+    # which against B's copy have 0 and 2 solutions; the block mass is still
+    # the belief's, but (0, 0) and (1, 1) solve one sampled profile together
+    model = parse_model(MUTUAL)
+    nu = point_belief(model)
+    mix_a = half_half("A", "a", ("0", "0"), ("1", "1"))
+    mix_b = half_half("B", "b", ("0", "1"), ("1", "0"))
+    beta = kuhn_transform(model, "A", constant_ordering(model, "A", ("a",)), nu, [mix_a, mix_b])
+    with pytest.raises(PlayabilityError) as err:
+        behavioral_pushforward(model, nu, beta, [mix_b])
+    assert err.value.omega == "*"
+    assert [h.as_dict() for h in err.value.solutions] == [
+        {"nature": "*", "a": "0", "b": "0"},
+        {"nature": "*", "a": "1", "b": "1"},
+    ]
+
+
+def test_transform_fails_like_pushforward_on_unsolvable_support():
+    # A mixes in "a = copy b" and B copies a: that sample has two solutions
+    model = parse_model(MUTUAL)
+    nu = point_belief(model)
+    mixed = [
+        half_half("A", "a", ("0", "0"), ("0", "1")),
+        deterministic_mixed("B", PureStrategyProfile((PureStrategy("b", ("0", "1")),))),
+    ]
+    with pytest.raises(PlayabilityError) as direct:
+        pushforward(model, nu, mixed)
+    with pytest.raises(PlayabilityError) as transformed:
+        kuhn_transform(model, "A", constant_ordering(model, "A", ("a",)), nu, mixed)
+    assert str(transformed.value) == str(direct.value)
