@@ -35,7 +35,7 @@ from .io import (
     serialize_model,
     strategy_payload,
 )
-from .kuhn import kuhn_transform, pushforward, transform_preserves_law, validate_belief
+from .kuhn import behavioral_pushforward, kuhn_transform, pushforward, transform_preserves_law
 from .model import WModel
 from .necessity import build_witness, certify_nonequivalence, find_recall_violation, verify_certificate
 from .playability import PlayabilityError, check_playability, solution_map
@@ -50,9 +50,8 @@ from .strategies import (
     BehavioralStrategy,
     MixedStrategy,
     PureStrategyProfile,
-    behavioral_to_mixed,
     deterministic_mixed,
-    one_mixed_per_player,
+    one_strategy_per_player,
     restrict_profile,
 )
 
@@ -77,8 +76,8 @@ _FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
     type=int,
     default=1,
     show_default=True,
-    help="Accepted for compatibility; pushforward solves its samples in one thread, "
-    "because the solves are pure Python under the interpreter lock.",
+    help="Accepted for compatibility; laws are computed in one thread, "
+    "and the count does not change any result.",
 )
 @click.pass_context
 def main(ctx: click.Context, fmt: str, timing: bool, threads: int) -> None:
@@ -142,19 +141,17 @@ def _require_player(model: WModel, player: str) -> None:
         raise click.UsageError(f"unknown player {player!r}")
 
 
-def _as_mixed_strategies(model: WModel, loaded: list) -> list[MixedStrategy]:
-    """Normalize CLI strategy inputs to one mixed strategy per player.
+def _player_strategies(model: WModel, loaded: list) -> list:
+    """Normalize CLI strategy inputs to one strategy per player.
 
     Pure profiles are split along player lines and lifted to point
-    masses; behavioral strategies are expanded to their mixed form.  The
+    masses; mixed and behavioral strategies are kept as they are.  The
     result must then hold exactly one valid strategy per player.
     """
-    out: list[MixedStrategy] = []
+    out: list = []
     for strategy in loaded:
-        if isinstance(strategy, MixedStrategy):
+        if isinstance(strategy, (MixedStrategy, BehavioralStrategy)):
             out.append(strategy)
-        elif isinstance(strategy, BehavioralStrategy):
-            out.append(behavioral_to_mixed(model, strategy))
         elif isinstance(strategy, PureStrategyProfile):
             players = {model.player_of(a) for a in strategy.agents}
             for name in model.player_names:
@@ -169,10 +166,21 @@ def _as_mixed_strategies(model: WModel, loaded: list) -> list[MixedStrategy]:
         else:
             raise click.UsageError("unsupported strategy input")
     try:
-        one_mixed_per_player(model, out)
+        one_strategy_per_player(model, out)
     except ValueError as err:
         raise click.UsageError(str(err))
     return out
+
+
+def _law(ctx: click.Context, model: WModel, nu, strategies: list):
+    """Closed-loop law; behavioral strategies are never expanded to plans."""
+    beta = next((s for s in strategies if isinstance(s, BehavioralStrategy)), None)
+    try:
+        if beta is None:
+            return pushforward(model, nu, strategies, threads=ctx.obj["threads"])
+        return behavioral_pushforward(model, nu, beta, [s for s in strategies if s is not beta])
+    except PlayabilityError as err:
+        raise click.UsageError(f"profiles in the support are not solvable: {err}")
 
 
 def _one_of_ordering_or_search(ordering, search: bool) -> None:
@@ -314,11 +322,7 @@ def pushforward_cmd(ctx: click.Context, model_file: Path, nu_file: Path, strateg
     model = _load_model(model_file)
     nu = _load_belief(nu_file, model)
     loaded = [_load_strategy(f, model) for f in strategy_files]
-    mixed = _as_mixed_strategies(model, loaded)
-    try:
-        law = pushforward(model, nu, mixed, threads=ctx.obj["threads"])
-    except PlayabilityError as err:
-        raise click.UsageError(f"profiles in the support are not solvable: {err}")
+    law = _law(ctx, model, nu, _player_strategies(model, loaded))
     details = {"belief": belief_payload(nu), "law": pushforward_payload(law)}
     _emit(ctx, "pushforward", model, "computed", details, 0)
 
@@ -339,7 +343,7 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
     _require_player(model, player)
     nu = _load_belief(nu_file, model)
     loaded = [_load_strategy(f, model) for f in strategy_files]
-    mixed = _as_mixed_strategies(model, loaded)
+    strategies = _player_strategies(model, loaded)
     _one_of_ordering_or_search(ordering_file, search)
     if ordering_file is not None:
         phi = _load_ordering(ordering_file, model, player)
@@ -357,10 +361,8 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
         if result.outcome == "unknown":
             _emit(ctx, "kuhn", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
         phi = result.ordering
-    try:
-        beta = kuhn_transform(model, player, phi, nu, mixed)
-    except PlayabilityError as err:
-        raise click.UsageError(f"profiles in the support are not solvable: {err}")
+    law = _law(ctx, model, nu, strategies)
+    beta = kuhn_transform(model, player, phi, nu, strategies, law=law)
     details = {
         "player": player,
         "ordering": ordering_payload(phi, model),
@@ -368,7 +370,7 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
     }
     if verify_flag:
         try:
-            preserved = transform_preserves_law(model, player, beta, nu, mixed)
+            preserved = transform_preserves_law(model, player, beta, nu, strategies, law=law)
         except PlayabilityError as err:
             raise click.UsageError(f"profiles in the support are not solvable: {err}")
         details["verified"] = preserved

@@ -606,8 +606,8 @@ def playability_witness_payload(model: WModel, witness) -> dict:
 
 def pushforward_payload(q) -> list[dict]:
     return [
-        {"configuration": config_payload(h), "weight": format_fraction(q.weight(h))}
-        for h in q.support
+        {"configuration": config_payload(h), "weight": format_fraction(w)}
+        for h, w in zip(q.support, q.dist.weights)
     ]
 
 

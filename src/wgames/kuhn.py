@@ -1,33 +1,36 @@
-"""Pushforward laws and the mixed-to-behavioral strategy transform.
+"""Closed-loop laws and the mixed-to-behavioral strategy transform.
 
-The pushforward is the exact distribution over configurations induced by a
-belief on Nature and one mixed strategy per player, computed by enumerating
-the finitely many (Nature state, plan combination) samples and solving the
-closed-loop equations at each; it is the one function here that solves
-samples.  The transform reads the focus player's behavioral kernels off
-that one law: the kernel of an agent at one of its information atoms is the
-conditional law of the agent's action given the atom.  That is the
-disintegration along a perfect-recall configuration-ordering, because
+One function computes every law, from a belief on Nature and one mixed or
+behavioral strategy per player, without solving any drawn profile: the
+mass of a configuration is the belief's weight of its Nature state times,
+per player, the probability that the player's draw prescribes the
+configuration's actions at the atoms it reaches.  Checks on each Nature
+block make sure that every drawn profile has exactly one closed-loop
+solution, which makes that product the law.  The transform reads the
+focus player's kernels off that one law: the kernel of an agent at one of
+its atoms is the conditional law of its action given the atom.  That is
+the disintegration along a perfect-recall configuration-ordering, because
 perfect recall puts each atom inside one prefix cell on which the
-predecessors' atoms and actions are constant: conditioning on their play
-as well changes nothing.  All weights are exact rationals; distribution
-equality is literal equality, never tolerance.
+predecessors' atoms and actions are constant.  All weights are exact
+rationals; distribution equality is literal equality, never tolerance.
 
-Atoms that no sample reaches carry no constraint; they receive the uniform
-kernel, which is a total, canonical choice that leaves every pushforward
-unchanged.
+Atoms that no drawn profile reaches carry no constraint; they receive the
+uniform kernel, which is a total, canonical choice that leaves every
+pushforward unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Optional
 
-from .fields import Configuration, ConfigurationSpace, SpaceMismatch, atom_of
+from .fields import Configuration, ConfigurationSpace, SpaceMismatch, iter_bits
 from .model import WModel
-from .playability import PlayabilityError, closed_loop_solutions
+from .playability import PlayabilityError, closed_loop_solutions, strategy_mask
 from .recall import (
     ConfigurationOrdering,
     Ordering,
@@ -39,8 +42,7 @@ from .strategies import (
     PureStrategyProfile,
     RationalDistribution,
     BehavioralStrategy,
-    one_mixed_per_player,
-    validate_behavioral,
+    one_strategy_per_player,
 )
 
 
@@ -75,29 +77,111 @@ def validate_belief(model: WModel, nu: RationalDistribution) -> bool:
     return all(w in model.nature.labels for w in nu.carrier)
 
 
-def _samples(
+def _first_pair(
+    model: WModel, block: list[int], together: Callable[[int, int], bool]
+) -> Optional[tuple[int, int]]:
+    """First pair i < j of the ascending ``block`` with ``together(i, j)``.
+
+    No drawn profile solves at two configurations that give an agent one
+    atom and two actions.  So while an agent has one atom and several
+    actions on a group, the group is split by that action; only groups
+    that cannot be split are searched pair by pair.
+    """
+    infos = [model.info_of(a) for a in model.agent_ids]
+    digits = model.space.coordinates
+    keys = {i: [(f.atom_index(i), d) for f, d in zip(infos, digits(i)[1:])] for i in block}
+    found = []
+    groups = [(block, range(len(infos)))]
+    while groups:
+        group, live = groups.pop()
+        live = [k for k in live if len({keys[i][k][1] for i in group}) > 1]
+        split = next((k for k in live if len({keys[i][k][0] for i in group}) == 1), None)
+        if split is None:
+            pairs = ((i, j) for x, i in enumerate(group) for j in group[x + 1 :])
+            found.append(next((pair for pair in pairs if together(*pair)), None))
+            continue
+        parts: dict[int, list[int]] = {}
+        for i in group:
+            parts.setdefault(keys[i][split][1], []).append(i)
+        groups += [(part, live) for part in parts.values()]
+    return min(filter(None, found), default=None)
+
+
+def _law(
     model: WModel,
     nu: RationalDistribution,
-    by_player: Mapping[str, MixedStrategy],
-) -> Iterator[tuple[str, PureStrategyProfile, Fraction]]:
-    """Weighted (Nature state, full plan profile) samples, canonical order."""
-    belief = [(w, nu.weight(w)) for w in model.nature.labels if nu.weight(w) != 0]
-    supports = [by_player[p].support for p in model.player_names]
-    for combo in product(*supports):
-        profile = combo[0][0]
-        weight = combo[0][1]
-        for part, w in combo[1:]:
-            profile = profile.merged_with(part)
-            weight *= w
-        for omega, wn in belief:
-            yield omega, profile, wn * weight
+    strategies: Iterable[MixedStrategy | BehavioralStrategy],
+) -> PushforwardDistribution:
+    """Law of ``nu`` and one mixed or behavioral strategy per player.
+
+    The product formula puts nu(omega) E[N] on a Nature block, for N the
+    number of closed-loop solutions of a drawn profile.  It is the law when
+    each block carries nu(omega) (E[N] = 1) and no drawn profile solves at
+    two configurations (E[N(N-1)] = 0), which force N = 1.  Otherwise
+    PlayabilityError names the state and the configurations with mass, or
+    the first pair solved together, or, when every player is mixed, the
+    first sample without exactly one solution.
+    """
+    if not validate_belief(model, nu):
+        raise ValueError("belief is not carried by Nature states")
+    by_player = one_strategy_per_player(model, strategies)
+    space = model.space
+    belief = [nu.weight(w) for w in model.nature.labels]
+    reach = reduce(or_, (space.cylinder_mask(0, d) for d, w in enumerate(belief) if w), 0)
+    kernels = []  # (information, coordinate, weights per atom) per behavioral agent
+    plans = []  # (agreement mask, weight) per plan, per mixed player
+    for s in by_player.values():
+        if isinstance(s, BehavioralStrategy):
+            kernels += [
+                (model.info_of(a), space.agent_pos(a) + 1, [k.weights for k in ks])
+                for a, ks in s.kernels
+            ]
+        else:
+            plans.append(
+                [(reduce(and_, map(partial(strategy_mask, model), p.strategies)), w) for p, w in s.support]
+            )
+            reach &= reduce(or_, (m for m, _ in plans[-1]))
+    masses: dict[int, Fraction] = {}
+    for i in iter_bits(reach):
+        w = belief[space.digit(i, 0)]
+        for info, coord, rows in kernels:
+            w *= rows[info.atom_index(i)][space.digit(i, coord)]
+        for masks in plans:
+            w *= sum(p for m, p in masks if m >> i & 1)
+        if w != 0:
+            masses[i] = w
+
+    def together(i: int, j: int) -> bool:
+        both = 1 << i | 1 << j
+        return all(
+            info.atom_index(i) != info.atom_index(j) or space.digit(i, c) == space.digit(j, c)
+            for info, c, _ in kernels
+        ) and all(any(m & both == both for m, _ in masks) for masks in plans)
+
+    for d, omega in enumerate(model.nature.labels):
+        block = [i for i in masses if space.digit(i, 0) == d]
+        mass = sum((masses[i] for i in block), Fraction(0))
+        bad = block if mass != belief[d] else _first_pair(model, block, together)
+        if bad is not None:
+            if all(isinstance(s, MixedStrategy) for s in by_player.values()):
+                _walk_samples(model, nu, by_player)
+            raise PlayabilityError(None, omega, tuple(map(space.config, bad)))
+    carrier = tuple(map(space.config, masses))
+    return PushforwardDistribution(space, RationalDistribution(carrier, tuple(masses.values())))
 
 
-def _solve(model: WModel, profile: PureStrategyProfile, omega: str) -> Configuration:
-    solutions = closed_loop_solutions(model, profile, omega)
-    if len(solutions) != 1:
-        raise PlayabilityError(profile, omega, solutions)
-    return solutions[0]
+def _walk_samples(
+    model: WModel, nu: RationalDistribution, by_player: Mapping[str, MixedStrategy]
+) -> None:
+    """Raise PlayabilityError for the first (plan combination, Nature
+    state) sample, in canonical order, without exactly one solution."""
+    belief = [w for w in model.nature.labels if nu.weight(w) != 0]
+    for combo in product(*(by_player[p].support for p in model.player_names)):
+        profile = PureStrategyProfile(tuple(s for plan, _ in combo for s in plan.strategies))
+        for omega in belief:
+            solutions = closed_loop_solutions(model, profile, omega)
+            if len(solutions) != 1:
+                raise PlayabilityError(profile, omega, solutions)
 
 
 def pushforward(
@@ -108,30 +192,13 @@ def pushforward(
 ) -> PushforwardDistribution:
     """Law of the closed-loop configuration under ``nu`` and the plans.
 
-    Each sample is solved exactly; a profile with zero or several solutions
-    raises PlayabilityError naming the profile and the Nature state.  A
-    ``threads`` count of at least 1 is accepted, but the samples are solved
-    in one thread: the solves are pure Python and would only contend for
-    the interpreter lock.
+    A profile with zero or several solutions raises PlayabilityError
+    naming the profile and the Nature state.  ``threads`` must be at least
+    1 and changes nothing.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if not validate_belief(model, nu):
-        raise ValueError("belief is not carried by Nature states")
-    by_player = one_mixed_per_player(model, mixed_all)
-    acc: dict[int, Fraction] = {}
-    for omega, profile, weight in _samples(model, nu, by_player):
-        h = _solve(model, profile, omega)
-        acc[h.index] = acc.get(h.index, Fraction(0)) + weight
-    carrier = []
-    weights = []
-    for index in sorted(acc):
-        if acc[index] != 0:
-            carrier.append(model.space.config(index))
-            weights.append(acc[index])
-    return PushforwardDistribution(
-        model.space, RationalDistribution(tuple(carrier), tuple(weights))
-    )
+    return _law(model, nu, mixed_all)
 
 
 def distributions_equal(q1: PushforwardDistribution, q2: PushforwardDistribution) -> bool:
@@ -234,7 +301,7 @@ def conditional_kernel(
     actions it shows: this is the law of the plan components too.
     """
     _require_recall(model, player, phi)
-    laws = _laws_by_atom(model, pushforward(model, nu, list(mixed_all)), kappa.sequence)
+    laws = _laws_by_atom(model, _law(model, nu, mixed_all), kappa.sequence)
     cell = ordering_cell(model, phi, kappa)
     return ConditionalKernel(
         kappa,
@@ -251,111 +318,43 @@ def kuhn_transform(
     player: str,
     phi: ConfigurationOrdering,
     nu: RationalDistribution,
-    mixed_all: Iterable[MixedStrategy],
+    mixed_all: Iterable[MixedStrategy | BehavioralStrategy],
+    law: Optional[PushforwardDistribution] = None,
 ) -> BehavioralStrategy:
     """Realization-equivalent behavioral strategy for the focus player.
 
     The kernel of agent a at atom z is Q(z and a plays u) / Q(z) under the
-    pushforward Q, and uniform where Q(z) = 0.  Under perfect recall z lies
-    inside one prefix cell ending at a, and the predecessors' atoms and
-    actions are constant on z, so this is the disintegration along phi:
-    the conditional law of a's action given z and the predecessors' play.
+    pushforward Q of ``nu`` and ``mixed_all`` (``law``, when the caller has
+    it), and uniform where Q(z) = 0.  Under perfect recall z lies inside
+    one prefix cell ending at a, and the predecessors' atoms and actions
+    are constant on z, so this is the disintegration along phi: the
+    conditional law of a's action given z and the predecessors' play.
     """
     _require_recall(model, player, phi)
-    q = pushforward(model, nu, list(mixed_all))
+    q = law if law is not None else _law(model, nu, mixed_all)
     agent_kernels = []
     for agent in model.agents_of(player):
         labels = model.actions_of(agent).labels
         laws = _laws_by_atom(model, q, (agent,))
         agent_kernels.append(
-            (agent, tuple(RationalDistribution(labels, law.weights) for law, _ in laws))
+            (agent, tuple(RationalDistribution(labels, dist.weights) for dist, _ in laws))
         )
     return BehavioralStrategy(player, tuple(agent_kernels))
-
-
-def _solve_probability(
-    model: WModel,
-    beta: BehavioralStrategy,
-    others: Mapping[str, MixedStrategy],
-    configs: tuple[Configuration, ...],
-) -> Fraction:
-    """Probability that one profile drawn from ``beta`` and ``others`` has
-    every configuration of ``configs`` among its closed-loop solutions, that
-    is, prescribes each one's action at every atom it reaches."""
-    prescribed: dict[str, dict[int, str]] = {}
-    for agent in model.agent_ids:
-        info = model.info_of(agent)
-        at = prescribed[agent] = {}
-        for h in configs:
-            if at.setdefault(atom_of(info, h), h.action(agent)) != h.action(agent):
-                return Fraction(0)
-    p = Fraction(1)
-    for agent in model.agents_of(beta.player):
-        for atom, u in prescribed[agent].items():
-            p *= beta.kernel(agent, atom).weight(u)
-    for m in others.values():
-        if p == 0:
-            break
-        p *= sum(
-            (
-                w
-                for part, w in m.support
-                if all(
-                    s.choice[atom] == u
-                    for s in part.strategies
-                    for atom, u in prescribed[s.agent].items()
-                )
-            ),
-            Fraction(0),
-        )
-    return p
 
 
 def behavioral_pushforward(
     model: WModel,
     nu: RationalDistribution,
     beta: BehavioralStrategy,
-    mixed_others: Iterable[MixedStrategy],
+    mixed_others: Iterable[MixedStrategy | BehavioralStrategy],
 ) -> PushforwardDistribution:
-    """Closed-loop law with one player behavioral and the rest mixed.
-
-    A configuration's mass is the belief's weight times the probability
-    that a drawn profile solves to it: the product of the kernel weights at
-    its reached atoms, times the total weight of opponent sub-profiles that
-    prescribe it.  This stays exact and cheap when a plan enumeration would
-    blow up.  It is the law only if every drawn profile has exactly one
-    closed-loop solution N.  So in each Nature block E[N] = 1 (the block
-    carries the belief's weight) and E[N(N-1)] = 0 (no two configurations
-    solve one drawn profile) are checked; otherwise PlayabilityError names
-    the state and the configurations with mass, or the first such pair.
+    """Closed-loop law with ``beta`` for its player and one mixed or
+    behavioral strategy for every other player.  No plans are enumerated;
+    if a drawn profile has no or several closed-loop solutions,
+    PlayabilityError names the Nature state and the configurations with
+    mass, or the first pair solved together.
     """
-    if not validate_belief(model, nu):
-        raise ValueError("belief is not carried by Nature states")
-    if not validate_behavioral(model, beta):
-        raise ValueError(f"invalid behavioral strategy for player {beta.player!r}")
-    others = one_mixed_per_player(model, mixed_others, beta.player)
-
-    acc: dict[int, Fraction] = {}
-    for index in range(model.space.size):
-        h = model.space.config(index)
-        mass = nu.weight(h.nature)
-        if mass != 0:
-            mass *= _solve_probability(model, beta, others, (h,))
-        if mass != 0:
-            acc[index] = mass
-
-    carrier = tuple(model.space.config(i) for i in acc)
-    for omega in model.nature.labels:
-        block = tuple(h for h in carrier if h.nature == omega)
-        if sum((acc[h.index] for h in block), Fraction(0)) != nu.weight(omega):
-            raise PlayabilityError(None, omega, block)
-        for k, h in enumerate(block):
-            for g in block[k + 1 :]:
-                if _solve_probability(model, beta, others, (h, g)) != 0:
-                    raise PlayabilityError(None, omega, (h, g))
-    return PushforwardDistribution(
-        model.space, RationalDistribution(carrier, tuple(acc.values()))
-    )
+    return _law(model, nu, (beta, *mixed_others))
 
 
 def transform_preserves_law(
@@ -363,13 +362,12 @@ def transform_preserves_law(
     player: str,
     beta: BehavioralStrategy,
     nu: RationalDistribution,
-    mixed_all: Iterable[MixedStrategy],
+    mixed_all: Iterable[MixedStrategy | BehavioralStrategy],
+    law: Optional[PushforwardDistribution] = None,
 ) -> bool:
-    """Check that swapping the player's mixed strategy for ``beta`` leaves
-    the pushforward unchanged."""
-    mixed_list = list(mixed_all)
-    original = pushforward(model, nu, mixed_list)
-    replaced = behavioral_pushforward(
-        model, nu, beta, [m for m in mixed_list if m.player != player]
-    )
-    return distributions_equal(original, replaced)
+    """Check that swapping the player's strategy for ``beta`` leaves the
+    pushforward unchanged; ``law``, when given, is that pushforward."""
+    strategies = list(mixed_all)
+    original = law if law is not None else _law(model, nu, strategies)
+    others = [s for s in strategies if s.player != player]
+    return distributions_equal(original, behavioral_pushforward(model, nu, beta, others))

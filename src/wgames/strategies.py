@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .fields import Partition
 from .model import WModel
@@ -188,21 +188,21 @@ def validate_mixed(model: WModel, mixed: MixedStrategy) -> bool:
     return True
 
 
-def one_mixed_per_player(
-    model: WModel, mixed: Iterable[MixedStrategy], behavioral: Optional[str] = None
-) -> dict[str, MixedStrategy]:
-    """Valid mixed strategies by player, one for every player but the
-    ``behavioral`` one (whose kernels are given apart); raises ValueError."""
-    by_player: dict[str, MixedStrategy] = {}
-    for m in mixed:
-        if m.player == behavioral:
-            raise ValueError(f"player {m.player!r} is already covered by the kernels")
-        if m.player in by_player:
-            raise ValueError(f"two mixed strategies given for player {m.player!r}")
-        if not validate_mixed(model, m):
-            raise ValueError(f"invalid mixed strategy for player {m.player!r}")
-        by_player[m.player] = m
-    missing = [p for p in model.player_names if p != behavioral and p not in by_player]
+def one_strategy_per_player(
+    model: WModel, strategies: Iterable[MixedStrategy | BehavioralStrategy]
+) -> dict[str, MixedStrategy | BehavioralStrategy]:
+    """Valid mixed or behavioral strategies by player, exactly one for
+    every player; raises ValueError."""
+    by_player: dict[str, MixedStrategy | BehavioralStrategy] = {}
+    for s in strategies:
+        if s.player in by_player:
+            raise ValueError(f"two strategies given for player {s.player!r}")
+        mixed = isinstance(s, MixedStrategy)
+        if not (validate_mixed(model, s) if mixed else validate_behavioral(model, s)):
+            kind = "mixed" if mixed else "behavioral"
+            raise ValueError(f"invalid {kind} strategy for player {s.player!r}")
+        by_player[s.player] = s
+    missing = [p for p in model.player_names if p not in by_player]
     if missing:
         raise ValueError(f"no strategy given for players {missing!r}")
     return by_player

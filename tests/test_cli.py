@@ -2,12 +2,24 @@
 
 import hashlib
 import json
+from fractions import Fraction
+from random import Random
 
 import pytest
 from click.testing import CliRunner
 
-from wgames import corpus_model, corpus_names, serialize_model
+from wgames import (
+    behavioral_to_mixed,
+    corpus_model,
+    corpus_names,
+    search_recall_ordering,
+    serialize_model,
+    serialize_ordering,
+    serialize_strategy,
+)
 from wgames.cli import main
+
+from generators import random_behavioral, random_belief, random_mixed
 
 
 @pytest.fixture()
@@ -525,3 +537,93 @@ def test_kuhn_on_unsolvable_support_is_exit_2(runner, tmp_path):
     assert result.stdout == ""
     assert "Traceback" not in result.output
     assert "not solvable" in result.stderr
+
+
+def test_full_support_behavioral_on_sequential_6_is_not_expanded(runner, tmp_path):
+    # t_j sees Nature and t_1 .. t_(j-1); with every kernel weight positive
+    # the mixed form would hold 2^126 plans
+    model = corpus_model("sequential-6")
+    agents = model.agents_of("dm")
+    rng = Random(6)
+    kernels = {}
+    for a in agents:
+        rows = []
+        for _ in model.info_of(a).atoms:
+            k = rng.randint(1, 15)
+            rows.append({"0": Fraction(k, 16), "1": Fraction(16 - k, 16)})
+        kernels[a] = rows
+    payload = {a: [{u: str(w) for u, w in row.items()} for row in rows] for a, rows in kernels.items()}
+    beta = write_json(tmp_path, "beta.json", {"kind": "behavioral", "player": "dm", "kernels": payload})
+    nu = write_json(tmp_path, "nu.json", {"w0": "1/3", "w1": "2/3"})
+    order = write_json(tmp_path, "order.json", {"kind": "ordering", "player": "dm", "sequence": list(agents)})
+    model_file = write_model(tmp_path, "sequential-6")
+
+    result = runner.invoke(
+        main, ["--format", "structured", "pushforward", model_file, "--nu", nu, "--strategy", beta]
+    )
+    assert result.exit_code == 0
+    law = {
+        tuple(row["configuration"].values()): Fraction(row["weight"])
+        for row in json.loads(result.stdout)["details"]["law"]
+    }
+    want = {}
+    for h in model.space.configs():
+        w = {"w0": Fraction(1, 3), "w1": Fraction(2, 3)}[h.nature]
+        for a in agents:
+            w *= kernels[a][model.info_of(a).atom_index(h.index)][h.action(a)]
+        want[tuple(h.as_dict().values())] = w
+    assert law == want
+
+    result = runner.invoke(
+        main,
+        ["--format", "structured", "kuhn", model_file, "--player", "dm", "--nu", nu,
+         "--strategy", beta, "--ordering", order, "--verify"],
+    )
+    assert result.exit_code == 0
+    details = json.loads(result.stdout)["details"]
+    assert details["verified"] is True
+    got = {
+        a: [{u: Fraction(w) for u, w in row.items()} for row in rows]
+        for a, rows in details["behavioral"]["kernels"].items()
+    }
+    assert got == kernels
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_behavioral_file_reports_like_its_mixed_expansion(runner, tmp_path, name):
+    model = corpus_model(name)
+    player = model.player_names[0]
+    rng = Random(f"behavioral-file/{name}")
+    beta = random_behavioral(rng, model, player)
+    nu = {w: str(p) for w, p in random_belief(rng, model).as_map().items()}
+    others = []
+    for p in model.player_names[1:]:
+        (tmp_path / f"{p}.json").write_text(serialize_strategy(random_mixed(rng, model, p)))
+        others += ["--strategy", str(tmp_path / f"{p}.json")]
+    found = search_recall_ordering(model, player)
+    order = str(tmp_path / "order.json")
+    if found.outcome == "found":
+        (tmp_path / "order.json").write_text(serialize_ordering(found.ordering, model))
+    else:
+        sequence = list(model.agents_of(player))
+        write_json(tmp_path, "order.json", {"kind": "ordering", "player": player, "sequence": sequence})
+    model_file = write_model(tmp_path, name)
+    nu_file = write_json(tmp_path, "nu.json", nu)
+    forms = {
+        "behavioral": (tmp_path / "beta.json", serialize_strategy(beta)),
+        "expanded": (tmp_path / "mixed.json", serialize_strategy(behavioral_to_mixed(model, beta))),
+    }
+    for path, text in forms.values():
+        path.write_text(text)
+    for fmt in ("human", "structured"):
+        for command in (
+            ["pushforward", model_file, "--nu", nu_file],
+            ["kuhn", model_file, "--player", player, "--nu", nu_file, "--ordering", order, "--verify"],
+        ):
+            runs = [
+                runner.invoke(main, ["--format", fmt, *command, "--strategy", str(path), *others])
+                for path, _ in forms.values()
+            ]
+            assert "Traceback" not in runs[0].output
+            assert runs[0].exit_code == runs[1].exit_code
+            assert runs[0].stdout == runs[1].stdout

@@ -3,9 +3,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgames import (
     BehavioralStrategy,
@@ -31,13 +33,16 @@ from wgames import (
     validate_belief,
 )
 from wgames.io import strategy_payload
+from wgames.kuhn import _first_pair
 
 from generators import (
+    config_tuple,
     oracle_mixed,
     random_behavioral,
     random_belief,
     random_causal_model,
     random_mixed,
+    random_partition_model,
     random_state_ordered_model,
     to_oracle,
 )
@@ -370,3 +375,115 @@ def test_transform_fails_like_pushforward_on_unsolvable_support():
     with pytest.raises(PlayabilityError) as transformed:
         kuhn_transform(model, "A", constant_ordering(model, "A", ("a",)), nu, mixed)
     assert str(transformed.value) == str(direct.value)
+
+
+def test_pair_sharing_a_kernel_atom_with_two_actions_is_never_solved_together():
+    # a observes b; b observes whether a and b agree.  A mixes "copy b" and
+    # "not b", B's kernel depends on agreement: every drawn profile solves
+    # uniquely, although (0,0) and (1,1) both carry mass, A's "copy b" plan
+    # agrees with both, and no agent has one atom on the whole block
+    def config(a, b):
+        return {"nature": "*", "a": a, "b": b}
+
+    model = parse_model(json.dumps({
+        "nature": {"states": ["*"]},
+        "agents": [{"id": "a", "actions": ["0", "1"]}, {"id": "b", "actions": ["0", "1"]}],
+        "players": {"A": ["a"], "B": ["b"]},
+        "information": {
+            "a": {"observes": ["b"]},
+            "b": {"atoms": [[config("0", "0"), config("1", "1")], [config("0", "1"), config("1", "0")]]},
+        },
+    }))
+    nu = point_belief(model)
+    mix_a = MixedStrategy(
+        "A",
+        (
+            (PureStrategyProfile((PureStrategy("a", ("0", "1")),)), Fraction(5, 6)),
+            (PureStrategyProfile((PureStrategy("a", ("1", "0")),)), Fraction(1, 6)),
+        ),
+    )
+    labels = ("0", "1")
+    beta = BehavioralStrategy(
+        "B",
+        (("b", (
+            RationalDistribution(labels, (Fraction(5, 6), Fraction(1, 6))),
+            RationalDistribution(labels, (Fraction(1, 6), Fraction(5, 6))),
+        )),),
+    )
+    q = behavioral_pushforward(model, nu, beta, [mix_a])
+    assert [(h.action("a"), h.action("b"), w) for h, w in zip(q.support, q.dist.weights)] == [
+        ("0", "0", Fraction(25, 36)),
+        ("0", "1", Fraction(5, 36)),
+        ("1", "0", Fraction(1, 36)),
+        ("1", "1", Fraction(5, 36)),
+    ]
+
+
+LAW_EXAMPLES = 300
+
+
+@settings(max_examples=LAW_EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(st.integers(min_value=0, max_value=2**30))
+def test_law_is_the_definitional_law_or_raises(seed):
+    # each player is mixed or behavioral (point kernels put weight 0 on the
+    # other actions); partition models need not be playable
+    rng = Random(seed)
+    if rng.random() < 0.5:
+        model = random_causal_model(rng, max_nature=2, max_focus=2, max_actions=2)
+    else:
+        model = random_partition_model(rng, max_atoms=3)
+    nu = random_belief(rng, model)
+    strategies = [
+        random_behavioral(rng, model, p) if rng.random() < 0.5 else random_mixed(rng, model, p)
+        for p in model.player_names
+    ]
+
+    oracle = to_oracle(model)
+    expanded = {}
+    for s in strategies:
+        if isinstance(s, MixedStrategy):
+            expanded[s.player] = oracle_mixed(model, oracle, s)
+            continue
+        spread = {
+            a: {atom: s.kernel(a, k).as_map() for k, atom in enumerate(oracle["info"][a])}
+            for a in model.agents_of(s.player)
+        }
+        expanded[s.player] = list(oracles.behavioral_plans(oracle, list(model.agents_of(s.player)), spread))
+    # every pair of configurations that one drawn profile solves at together
+    solved = {w: set() for w in model.nature.labels}
+    together = {w: set() for w in model.nature.labels}
+    for omega in model.nature.labels:
+        if nu.weight(omega) == 0:
+            continue
+        for combo in product(*expanded.values()):
+            plans = {a: plan for sub, _ in combo for a, plan in sub.items()}
+            sols = oracles.solutions(oracle, plans, omega)
+            solved[omega].update(sols)
+            together[omega].update((h, g) for h in sols for g in sols if h != g)
+    try:
+        want = oracles.pushforward(oracle, {w: nu.weight(w) for w in model.nature.labels}, expanded)
+    except ValueError:
+        want = None
+
+    behavioral = [s for s in strategies if isinstance(s, BehavioralStrategy)]
+    if behavioral:
+        others = [s for s in strategies if s is not behavioral[0]]
+        law = lambda: behavioral_pushforward(model, nu, behavioral[0], others)
+    else:
+        law = lambda: pushforward(model, nu, strategies)
+    if want is None:
+        with pytest.raises(PlayabilityError) as err:
+            law()
+        # with only mixed players, the first unsolvable sample is named
+        assert (err.value.profile is None) == bool(behavioral)
+    else:
+        q = law()
+        assert {config_tuple(model, h.index): w for h, w in zip(q.support, q.dist.weights)} == want
+
+    # splitting a block before the pairwise search loses no pair
+    index = {config_tuple(model, i): i for i in range(model.space.size)}
+    for omega in model.nature.labels:
+        block = sorted(index[h] for h in solved[omega])
+        pairs = {(index[h], index[g]) for h, g in together[omega]}
+        found = _first_pair(model, block, lambda i, j: (i, j) in pairs)
+        assert found == min((p for p in pairs if p[0] < p[1]), default=None)
