@@ -217,6 +217,11 @@ class Partition:
                 index[i] = aid
         object.__setattr__(self, "_index", tuple(index))
 
+    @property
+    def atom_ids(self) -> tuple[int, ...]:
+        """Atom id of every configuration index; -1 off the support."""
+        return self._index  # type: ignore[attr-defined]
+
     def atom_index(self, config_index: int) -> int:
         aid = self._index[config_index]  # type: ignore[attr-defined]
         if aid < 0:

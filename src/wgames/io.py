@@ -3,6 +3,10 @@
 Everything on the wire is exact: rationals travel as "p/q" strings and
 configurations as explicit coordinate objects.  Serialization is canonical
 (declared orders everywhere), so equal objects produce identical bytes.
+Every JSON text this module writes has the layout of ``json.dumps(payload,
+indent=2)`` plus a newline, with non-ASCII characters escaped; the model
+text is assembled in pieces (see :func:`serialize_model`) but keeps that
+layout byte for byte, so the model digest never drifts.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import product
+from typing import Iterator, Optional, Union
 
 from .fields import (
     Configuration,
@@ -99,6 +104,14 @@ def parse_fraction(value, path: str) -> Fraction:
     if not _RATIONAL.match(text):
         raise ModelFormatError(path, f"not a rational: {text!r}")
     return Fraction(text)
+
+
+def _weight(value, path: str) -> Fraction:
+    """A probability weight: a rational that is not negative."""
+    weight = parse_fraction(value, path)
+    if weight < 0:
+        raise ModelFormatError(path, f"negative weight {format_fraction(weight)}")
+    return weight
 
 
 def format_fraction(value: Fraction) -> str:
@@ -278,30 +291,65 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
     return Partition(space, tuple(masks))
 
 
-def serialize_model(model: WModel) -> str:
-    """Canonical JSON for a model; information always as explicit atoms."""
-    payload = {
-        "nature": {"states": list(model.nature.labels)},
-        "agents": [
-            {"id": a, "actions": list(acts.labels)} for a, acts in model.agents
-        ],
-        "players": {name: list(members) for name, members in model.players},
-        "information": {
-            agent: {
-                "atoms": [
-                    mask_payload(model.space, atom) for atom in part.atoms
-                ]
-            }
-            for agent, part in model.information
+def _model_chunks(model: WModel) -> Iterator[str]:
+    """The canonical text of a model, piece by piece.
+
+    The head (nature, agents, players) goes through ``json.dumps``.  Each
+    configuration object is formatted once, from one line per coordinate
+    value whose strings ``json.dumps`` escapes, and then joined into the
+    atoms of every agent, one chunk per agent.  The pieces add up to what
+    ``json.dumps(payload, indent=2)`` writes for the full payload.
+    """
+    head = json.dumps(
+        {
+            "nature": {"states": list(model.nature.labels)},
+            "agents": [
+                {"id": a, "actions": list(acts.labels)} for a, acts in model.agents
+            ],
+            "players": {name: list(members) for name, members in model.players},
         },
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        indent=2,
+    )
+    # reopen the head object: drop its closing "\n}"
+    yield head[:-2] + ',\n  "information": {'
+    space = model.space
+    lines = [
+        [f"            {json.dumps(key)}: {json.dumps(label)}" for label in labels]
+        for key, labels in zip(("nature", *space.agents), space.labels)
+    ]
+    # product() runs the last coordinate fastest: canonical index order
+    configs = [
+        "          {\n" + ",\n".join(coords) + "\n          }"
+        for coords in product(*lines)
+    ]
+    for n, (agent, part) in enumerate(model.information):
+        atoms: list[list[str]] = [[] for _ in part.atoms]
+        for text, aid in zip(configs, part.atom_ids):
+            atoms[aid].append(text)
+        body = ",\n".join("        [\n" + ",\n".join(a) + "\n        ]" for a in atoms)
+        sep = ",\n" if n else "\n"
+        yield f'{sep}    {json.dumps(agent)}: {{\n      "atoms": [\n{body}\n      ]\n    }}'
+    yield "\n  }\n}\n"
+
+
+def serialize_model(model: WModel) -> str:
+    """Canonical JSON for a model; information always as explicit atoms.
+
+    The text is exactly ``json.dumps(payload, indent=2) + "\\n"`` of the
+    payload {"nature": {"states"}, "agents": [{"id", "actions"}],
+    "players", "information": {agent: {"atoms": [[configuration]]}}}, in
+    declared orders, with atoms and their configurations ascending.
+    """
+    return "".join(_model_chunks(model))
 
 
 def model_digest(model: WModel) -> str:
-    """Short content hash of the canonical serialization."""
-    blob = serialize_model(model).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Short content hash of the canonical serialization, fed in chunks
+    so the whole text is never held."""
+    digest = hashlib.sha256()
+    for chunk in _model_chunks(model):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 # ── strategies ──────────────────────────────────────────────────────────
@@ -411,7 +459,7 @@ def parse_strategy(text: str, model: WModel) -> Strategy:
                             row_path, f"unknown action {action!r} for agent {agent!r}"
                         )
                 weights = tuple(
-                    parse_fraction(obj[u], f"{row_path}.{u}") if u in obj else Fraction(0)
+                    _weight(obj[u], f"{row_path}.{u}") if u in obj else Fraction(0)
                     for u in labels
                 )
                 if sum(weights, Fraction(0)) != 1:
@@ -479,7 +527,7 @@ def parse_belief(text: str, model: WModel) -> RationalDistribution:
     carrier = tuple(w for w in labels if w in obj)
     if not carrier:
         raise ModelFormatError("$", "belief must name at least one state")
-    weights = tuple(parse_fraction(obj[w], f"$.{w}") for w in carrier)
+    weights = tuple(_weight(obj[w], f"$.{w}") for w in carrier)
     if sum(weights, Fraction(0)) != 1:
         raise ModelFormatError(
             "$", f"weights sum to {format_fraction(sum(weights, Fraction(0)))}"
@@ -539,25 +587,7 @@ def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
 
 
 def serialize_ordering(phi: ConfigurationOrdering, model: WModel) -> str:
-    if phi.is_constant:
-        payload = {
-            "kind": "ordering",
-            "player": phi.player,
-            "sequence": list(phi.orderings[0].sequence),
-        }
-    else:
-        payload = {
-            "kind": "ordering",
-            "player": phi.player,
-            "assignments": [
-                {
-                    "configuration": config_payload(model.space.config(i)),
-                    "sequence": list(phi.at(i).sequence),
-                }
-                for i in range(model.space.size)
-            ],
-        }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(ordering_payload(phi, model), indent=2) + "\n"
 
 
 # ── report payloads ─────────────────────────────────────────────────────
@@ -568,8 +598,25 @@ def belief_payload(nu: RationalDistribution) -> dict:
 
 
 def ordering_payload(phi: ConfigurationOrdering, model: WModel) -> dict:
-    """Ordering as the same object ``parse_ordering`` accepts."""
-    return json.loads(serialize_ordering(phi, model))
+    """Ordering as the same object ``parse_ordering`` accepts: a constant
+    ``sequence``, or one assignment per configuration."""
+    if phi.is_constant:
+        return {
+            "kind": "ordering",
+            "player": phi.player,
+            "sequence": list(phi.orderings[0].sequence),
+        }
+    return {
+        "kind": "ordering",
+        "player": phi.player,
+        "assignments": [
+            {
+                "configuration": config_payload(model.space.config(i)),
+                "sequence": list(phi.at(i).sequence),
+            }
+            for i in range(model.space.size)
+        ],
+    }
 
 
 def field_violation_payload(model: WModel, violation) -> dict:

@@ -116,14 +116,21 @@ class NonEquivalenceCertificate:
 # ── violation scan ──────────────────────────────────────────────────────
 
 
-def _predecessor_record(
-    model: WModel, preds: tuple[str, ...], index: int
-) -> tuple[tuple[int, str], ...]:
-    """Per predecessor: (information atom id, own action) at the config."""
-    h = model.space.config(index)
-    return tuple(
-        (model.info_of(a).atom_index(index), h.action(a)) for a in preds
-    )
+def _predecessor_records(
+    model: WModel, preds: tuple[str, ...], indices: Iterable[int]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Per configuration index, per predecessor: (information atom id, own
+    action digit).  Digits and action labels are in bijection per agent,
+    so records compare as the labelled ones would."""
+    space = model.space
+    columns = []
+    for a in preds:
+        coord = space.agent_pos(a) + 1
+        columns.append((model.info_of(a).atom_ids, space.strides[coord], space.sizes[coord]))
+    return [
+        tuple((ids[i], i // stride % size) for ids, stride, size in columns)
+        for i in indices
+    ]
 
 
 def find_recall_violation(
@@ -149,24 +156,22 @@ def find_recall_violation(
             members = list(iter_bits(cell & atom))
             if len(members) < 2:
                 continue
-            records = [_predecessor_record(model, preds, i) for i in members]
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    if records[x] == records[y]:
-                        continue
-                    actions_differ = any(
-                        rx[1] != ry[1]
-                        for rx, ry in zip(records[x], records[y])
+            # The first differing pair in (x, y) order always has x = 0:
+            # a pair that differs in actions or records has a member that
+            # differs from the first configuration in the same way.
+            first, *rest = _predecessor_records(model, preds, members)
+            for y, record in enumerate(rest, 1):
+                if record == first:
+                    continue
+                if any(rx[1] != ry[1] for rx, ry in zip(first, record)):
+                    return RecallViolation(
+                        kappa,
+                        space.config(members[0]),
+                        space.config(members[y]),
+                        CASE_ACTION,
                     )
-                    if actions_differ:
-                        return RecallViolation(
-                            kappa,
-                            space.config(members[x]),
-                            space.config(members[y]),
-                            CASE_ACTION,
-                        )
-                    if first_atom_pair is None:
-                        first_atom_pair = (members[x], members[y])
+                if first_atom_pair is None:
+                    first_atom_pair = (members[0], members[y])
         if first_atom_pair is not None:
             return RecallViolation(
                 kappa,
@@ -194,8 +199,7 @@ def _check_violation(model: WModel, player: str, v: RecallViolation) -> None:
     if last.atom_index(v.h_plus.index) != last.atom_index(v.h_minus.index):
         raise ValueError("the final agent distinguishes the pair")
     preds = v.ordering.sequence[:-1]
-    plus = _predecessor_record(model, preds, v.h_plus.index)
-    minus = _predecessor_record(model, preds, v.h_minus.index)
+    plus, minus = _predecessor_records(model, preds, (v.h_plus.index, v.h_minus.index))
     actions_differ = any(p[1] != m[1] for p, m in zip(plus, minus))
     if v.case == CASE_ACTION and not actions_differ:
         raise ValueError("case tag claims an action difference; none found")

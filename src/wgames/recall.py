@@ -86,10 +86,12 @@ class ConfigurationOrdering:
         if not self.orderings:
             raise ValueError("need one ordering per configuration")
         base = self.orderings[0]
-        for rho in self.orderings:
+        agents, n = base.range, len(base)
+        # builders share one Ordering object per sequence: check each once
+        for rho in {id(rho): rho for rho in self.orderings}.values():
             if rho.player != self.player:
                 raise ValueError("ordering assigned to a different player")
-            if rho.range != base.range or len(rho) != len(base):
+            if len(rho) != n or rho.range != agents:
                 raise ValueError("orderings must all cover the same agents")
 
     def at(self, index: int) -> Ordering:
@@ -98,7 +100,7 @@ class ConfigurationOrdering:
     @property
     def is_constant(self) -> bool:
         first = self.orderings[0]
-        return all(rho == first for rho in self.orderings)
+        return all(rho is first or rho == first for rho in self.orderings)
 
 
 def constant_ordering(

@@ -427,7 +427,9 @@ def test_validate_space_over_the_cap_is_exit_2(runner, tmp_path):
 
 # (exit code, sha256 of stdout) of ``--format structured`` reports, with the
 # first player of each model and, for causality, the constant ordering of
-# its agents in declared order.
+# its agents in declared order.  ``pushforward`` and ``kuhn --search
+# --verify`` take the uniform belief and the profile that plays every
+# agent's first action at every atom; ``export`` is ``examples export``.
 GOLDEN_REPORTS = {
     ("alice-bob-simultaneous", "recall"): (1, "40a650f9fe1ba071ede46cb79c74e8dbc845bbf6e25873c530c0372cda02f899"),
     ("alice-bob-simultaneous", "necessity"): (1, "ed8f980ebb5b4b601526e39945af4e4612db8f7b181b061c9822733a0db532fc"),
@@ -453,27 +455,131 @@ GOLDEN_REPORTS = {
     ("witsenhausen-noncausal", "recall"): (1, "8e692ba3a89881e7d526910c0319b81b88e0d76f80d19b3e5a3762145f70d990"),
     ("witsenhausen-noncausal", "necessity"): (3, "b3d1e88e8eb0eceaaf64de09ea223a30662e81fa796f5e8f2c313f7bece4cca5"),
     ("witsenhausen-noncausal", "causality"): (1, "1db767d200350bf17d40bf2e6641f76a4ca4954b4fbabc608e49035aae9c1a4b"),
+    ("alice-bob-simultaneous", "validate"): (0, "07afc9e02ff62fe0617908af5d45e4f73835e603046baa1cefb41d8eec301fa1"),
+    ("alice-bob-simultaneous", "playability"): (0, "aa9587238c6bc7c966dd48620355947e4c75310f97304a62b8842428c64dd740"),
+    ("alice-bob-simultaneous", "pushforward"): (0, "49264b47fcf581029fad55cebd458defbd48dfa6d6bdf474e2f086ec4d5b162a"),
+    ("alice-bob-simultaneous", "kuhn"): (1, "94df6f05c99c0d563d7333ac92c932d1cc10c133dd14d0b6e565322da45c8a95"),
+    ("alice-bob-simultaneous", "export"): (0, "58458575ec56917922b79af90805ca959ce6b8c3a6eab01fdcce44b103b07d35"),
+    ("alice-bob-ordered", "validate"): (0, "6f3e9d83daa425c8abd4884a33c34e5471da6596100f45dd386e0ecb02d3ea23"),
+    ("alice-bob-ordered", "playability"): (0, "ee15b1e363ea4cb8d02ca692ae0cfe851cae5291d71b27b8f51de04bc6e46a60"),
+    ("alice-bob-ordered", "pushforward"): (0, "b1db98e8286b1928ea8daaa52d99f89a086579e632bfbf95168bff6ca267c9e3"),
+    ("alice-bob-ordered", "kuhn"): (0, "07b30689a4ebf4f8cba3072b62f2e59d13728f7df6403f761789f798b4afc192"),
+    ("alice-bob-ordered", "export"): (0, "55f328cb1b65c5dada3454aa2b98b280911f0f9827fba4b826003635b1d88863"),
+    ("alice-bob-nature", "validate"): (0, "f5c1717900dba9da8e96158ed12fe23d18c93925ebdcbfd1328b02478ee8d9c6"),
+    ("alice-bob-nature", "playability"): (0, "eda94c21a7a41cfedd4c607e6fc08b813bedbd353ed4e7f47ea4a053bf9364d9"),
+    ("alice-bob-nature", "pushforward"): (0, "793dfa2ece7a50dbf4fd7879324c2ae6920ec7038aa90605c5f75f4e537c3f48"),
+    ("alice-bob-nature", "kuhn"): (0, "ae2a063f8356d99c750ce758477692df7ba7b5e0a3dae4e0af7abd773de05010"),
+    ("alice-bob-nature", "export"): (0, "0ac045a5938b349b62bcb48107dcb62f17d66fc4182c5e3cad1ca6814e9f711e"),
+    ("sequential-3", "validate"): (0, "a20526bca094f0e692a7e9d7c07f191449a1a5983ac0e453b96f9770d0533763"),
+    ("sequential-3", "playability"): (0, "2d5352917bde469e3a7a51a5d1ccd3d27b468e3c3b45c7030428bb69b5550945"),
+    ("sequential-3", "pushforward"): (0, "4e095421895999fe6534048ab3f929771e4400d5cb79079154a66378bab5023e"),
+    ("sequential-3", "kuhn"): (0, "6f92e0a73d2aaa17686c2b5102ebf6a115d40e8dc10d3773a5860b04ac35b997"),
+    ("sequential-3", "export"): (0, "f53439e10f4cbdba4abdd1aaf24063d11e4bb524ff6e8880da3a9cb932c538ea"),
+    ("principal-agent-hidden-type", "validate"): (0, "6a3700193378eeb8405bd9f69404a33ae2cc07289c9a54b44d3645013fa05780"),
+    ("principal-agent-hidden-type", "playability"): (0, "1a3893815651c5b901a1f7e75c451670fe821f7bc3d2216a984eb14b11be2bc9"),
+    ("principal-agent-hidden-type", "pushforward"): (0, "58a7ca553b01b776688b94086de5356b34d79f044f8e8c900cc7e6bfca311cff"),
+    ("principal-agent-hidden-type", "kuhn"): (0, "7d3c3a9ee39e760ef46c225f09916046d9d1967b2cad3c940ecd73a0a8dce9d1"),
+    ("principal-agent-hidden-type", "export"): (0, "2e227e3c20c2ef2ca56be0fac46f3c9d721743f089f68b16330de9ab0442026f"),
+    ("principal-agent-hidden-action", "validate"): (0, "ea900b24bd0f5fd053e91b53346a4aa2cd2eaaf820ac57321b26868b1a1dbfc4"),
+    ("principal-agent-hidden-action", "playability"): (0, "e2be472295316c4d9e39edbe8c74795dadd89e59efc7765a87ce96820650f7a6"),
+    ("principal-agent-hidden-action", "pushforward"): (0, "7ea418d6ce9b82636c34f38f074583e8bb56e285f533124e252b851262ba85d3"),
+    ("principal-agent-hidden-action", "kuhn"): (0, "2acae33c9c9775cd04b14c32e5b3038c59b1d13c024a59441a5c84fb0e9ace14"),
+    ("principal-agent-hidden-action", "export"): (0, "37c3998d892fb09c65b2e632bcd885c444db086e50e981608a85ce9b331289ec"),
+    ("stackelberg", "validate"): (0, "81e7062c0402d53241a9b0b7f484cb5937fb5747de04736b4d0bd600528d9f1a"),
+    ("stackelberg", "playability"): (0, "903c1bb3a2318f12387762b8abd271502fa75ef4ffbc51ac71ba2eb3751a6027"),
+    ("stackelberg", "pushforward"): (0, "e1a3dfd7411aa9bbaab9a7720366b8c4ec8c0c776225251283de6f8b47e4a938"),
+    ("stackelberg", "kuhn"): (0, "fa902cef24fae0cca48cc2be201807ae5e710c932e3e2dfcf8b135fa4532ca2e"),
+    ("stackelberg", "export"): (0, "ca00128d899741e938e9d7e99155014077789debbba1a9f53d84dab53abeecf9"),
+    ("witsenhausen-noncausal", "validate"): (0, "dc76f42d6cc6e28c1e7c27fbe5e39251a202573ccbb8820c9ff239c49501a20b"),
+    ("witsenhausen-noncausal", "playability"): (0, "6aa5b9dec584d465148cf1d12ba75f3e72c0d20f07336067e46999b9ce36102b"),
+    ("witsenhausen-noncausal", "pushforward"): (0, "362d3f9461fb6dd4fac0ee0bb705e4f3ee0cee9ff408df2dc3d86d17635dd68e"),
+    ("witsenhausen-noncausal", "kuhn"): (1, "1564b2f1770f693e0fbb76bff7fdb92283294392779c1dc7ec4d19f4dd887732"),
+    ("witsenhausen-noncausal", "export"): (0, "d77ef21ec3ed280941ad04d0a488a3db7352e3028f2f1cf8b9a439bd4d4f987f"),
 }
 
 
-@pytest.mark.parametrize("name", corpus_names())
-@pytest.mark.parametrize("command", ["recall", "necessity", "causality"])
-def test_corpus_reports_are_golden(runner, tmp_path, name, command):
-    model = write_model(tmp_path, name)
-    player = corpus_model(name).player_names[0]
+def golden_args(tmp_path, name, command):
+    """CLI arguments of one golden run on the corpus model ``name``."""
+    if command == "export":
+        return ["examples", "export", name]
+    model = corpus_model(name)
+    path = write_model(tmp_path, name)
+    player = model.player_names[0]
+    if command == "validate":
+        return ["--format", "structured", "validate", path]
+    if command == "playability":
+        return ["--format", "structured", "playability", path, "--witness"]
+    if command in ("recall", "necessity"):
+        return ["--format", "structured", command, path, "--player", player, "--search"]
     if command == "causality":
-        sequence = list(corpus_model(name).agents_of(player))
+        sequence = list(model.agents_of(player))
         order = write_json(
             tmp_path, "order.json", {"kind": "ordering", "player": player, "sequence": sequence}
         )
-        extra = ["--ordering", order]
-    else:
-        extra = ["--search"]
-    result = runner.invoke(
-        main, ["--format", "structured", command, model, "--player", player, *extra]
+        return ["--format", "structured", command, path, "--player", player, "--ordering", order]
+    states = model.nature.labels
+    nu = write_json(tmp_path, "nu.json", {w: str(Fraction(1, len(states))) for w in states})
+    first = {
+        a: [model.actions_of(a).labels[0]] * len(model.info_of(a)) for a in model.agent_ids
+    }
+    profile = write_json(
+        tmp_path, "profile.json", {"kind": "pure-profile", "strategies": first}
     )
+    args = ["--format", "structured", command, path, "--nu", nu, "--strategy", profile]
+    if command == "kuhn":
+        args += ["--player", player, "--search", "--verify"]
+    return args
+
+
+@pytest.mark.parametrize("name", corpus_names())
+@pytest.mark.parametrize(
+    "command",
+    [
+        "recall",
+        "necessity",
+        "causality",
+        "validate",
+        "playability",
+        "pushforward",
+        "kuhn",
+        "export",
+    ],
+)
+def test_corpus_reports_are_golden(runner, tmp_path, name, command):
+    result = runner.invoke(main, golden_args(tmp_path, name, command))
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert (result.exit_code, digest) == GOLDEN_REPORTS[(name, command)]
+
+
+def test_negative_weights_are_exit_2(runner, tmp_path):
+    model = write_model(tmp_path, "alice-bob-nature")
+    profile = write_json(
+        tmp_path,
+        "profile.json",
+        {"kind": "pure-profile", "strategies": {"alice": ["T"] * 4, "bob": ["L"] * 2}},
+    )
+    kernels = write_json(
+        tmp_path,
+        "kernels.json",
+        {
+            "kind": "behavioral",
+            "player": "team",
+            "kernels": {
+                "alice": [{"T": "3/2", "B": "-1/2"}, {"T": "1"}, {"T": "1"}, {"T": "1"}],
+                "bob": [{"L": "1"}, {"L": "1"}],
+            },
+        },
+    )
+    uniform = write_json(tmp_path, "nu.json", {"heads": "1/2", "tails": "1/2"})
+    negative = write_json(tmp_path, "neg-nu.json", {"heads": "3/2", "tails": "-1/2"})
+    for nu, strategy, path in (
+        (negative, profile, "$.tails"),
+        (uniform, kernels, "$.kernels.alice[0].B"),
+    ):
+        result = runner.invoke(main, ["pushforward", model, "--nu", nu, "--strategy", strategy])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert f"{path}: negative weight -1/2" in result.stderr
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -1,5 +1,6 @@
 """Wire formats: parse/serialize round-trips and addressed diagnostics."""
 
+import hashlib
 import json
 from fractions import Fraction
 from random import Random
@@ -19,14 +20,89 @@ from wgames import (
     parse_ordering,
     parse_report,
     parse_strategy,
+    sequential_model,
     serialize_belief,
     serialize_model,
     serialize_ordering,
     serialize_strategy,
 )
+from wgames.io import mask_payload
 from wgames.recall import ConfigurationOrdering, Ordering
 
-from generators import random_belief, random_causal_model, random_mixed, random_profile
+from generators import (
+    random_belief,
+    random_causal_model,
+    random_mixed,
+    random_profile,
+    random_state_ordered_model,
+)
+
+
+def reference_serialize_model(model):
+    """The canonical model text as one ``json.dumps`` of the full payload."""
+    payload = {
+        "nature": {"states": list(model.nature.labels)},
+        "agents": [
+            {"id": a, "actions": list(acts.labels)} for a, acts in model.agents
+        ],
+        "players": {name: list(members) for name, members in model.players},
+        "information": {
+            agent: {
+                "atoms": [mask_payload(model.space, atom) for atom in part.atoms]
+            }
+            for agent, part in model.information
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def odd_label_model():
+    """Labels holding a quote, a backslash, non-ASCII and astral-plane
+    text, and the empty string."""
+    payload = {
+        "nature": {"states": ['say "hi"', "back\\slash", ""]},
+        "agents": [
+            {"id": "\u00e9t\u00e9", "actions": ["", "\U0001F600"]},
+            {"id": 'q"\\', "actions": ["\u65e5\u672c", "x", "\U0001D11E"]},
+        ],
+        "players": {"P\u00e9": ["\u00e9t\u00e9"], "\U0001D11E": ['q"\\']},
+        "information": {
+            "\u00e9t\u00e9": {"observes": ["nature"]},
+            'q"\\': {"observes": ["\u00e9t\u00e9"]},
+        },
+    }
+    return parse_model(json.dumps(payload))
+
+
+def _serializer_models():
+    yield from (corpus_model(name) for name in corpus_names())
+    yield from (sequential_model(k) for k in range(1, 10))
+    rng = Random(2104)
+    for _ in range(100):
+        yield random_causal_model(rng)
+        yield random_state_ordered_model(rng)[0]
+    yield odd_label_model()
+
+
+def test_serialize_model_matches_one_json_dump():
+    count = 0
+    for model in _serializer_models():
+        text = serialize_model(model)
+        assert text == reference_serialize_model(model)
+        assert model_digest(model) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        count += 1
+    assert count == 218
+
+
+def test_odd_labels_round_trip():
+    model = odd_label_model()
+    text = serialize_model(model)
+    assert "\\ud83d\\ude00" in text and '\\"' in text
+    assert parse_model(text) == model
+
+
+def test_sequential_12_digest_is_pinned():
+    assert model_digest(sequential_model(12)) == "66c3dd1123ec097f"
 
 
 def test_corpus_round_trips_to_identity():
@@ -243,6 +319,25 @@ def test_behavioral_kernel_rows_must_normalize():
     with pytest.raises(ModelFormatError) as err:
         parse_strategy(json.dumps(payload), model)
     assert str(err.value) == "$.kernels.alice[1]: weights sum to 1/2"
+
+
+def test_negative_weights_are_addressed():
+    model = corpus_model("alice-bob-nature")
+    with pytest.raises(ModelFormatError) as err:
+        parse_belief('{"heads": "3/2", "tails": "-1/2"}', model)
+    assert str(err.value) == "$.tails: negative weight -1/2"
+
+    payload = {
+        "kind": "behavioral",
+        "player": "team",
+        "kernels": {
+            "alice": [{"T": "1"}, {"T": "3/2", "B": "-1/2"}, {"T": "1"}, {"T": "1"}],
+            "bob": [{"L": "1"}, {"L": "1"}],
+        },
+    }
+    with pytest.raises(ModelFormatError) as err:
+        parse_strategy(json.dumps(payload), model)
+    assert str(err.value) == "$.kernels.alice[1].B: negative weight -1/2"
 
 
 def test_belief_round_trip_and_errors():

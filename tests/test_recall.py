@@ -62,6 +62,24 @@ def test_ordering_shapes():
         Ordering("team", ("bob", "bob"))
 
 
+def test_shared_ordering_objects_do_not_hide_a_bad_last_entry():
+    # builders reuse one Ordering object per sequence; the distinct last
+    # object must still be checked
+    n = corpus_model("alice-bob-nature").space.size
+    shared = Ordering("team", ("bob", "alice"))
+    for last in (
+        Ordering("team", ("bob",)),
+        Ordering("team", ("bob", "carol")),
+        Ordering("other", ("bob", "alice")),
+    ):
+        with pytest.raises(ValueError):
+            ConfigurationOrdering("team", (shared,) * (n - 1) + (last,))
+    equal = tuple(Ordering("team", ("bob", "alice")) for _ in range(n))
+    assert ConfigurationOrdering("team", equal).is_constant
+    mixed = (shared,) * (n - 1) + (Ordering("team", ("alice", "bob")),)
+    assert not ConfigurationOrdering("team", mixed).is_constant
+
+
 def test_enumerate_orderings_is_canonical():
     model = corpus_model("witsenhausen-noncausal")
     seqs = [k.sequence for k in enumerate_orderings(model, "system", 2)]
