@@ -101,6 +101,8 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as err:
         raise click.UsageError(f"{path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise click.UsageError(f"{path}: not UTF-8 text (byte {err.start})")
 
 
 def _load_model(path: Path) -> WModel:

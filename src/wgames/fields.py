@@ -1,13 +1,15 @@
 """Finite configuration spaces and partition (sigma-field) algebra.
 
 The hybrid space of a finite game in product form is the cartesian product
-of one Nature axis and one action axis per agent.  Every sigma-field over
-that finite space is represented by the partition of its atoms, and every
-subset of the space by a bitmask over the canonical enumeration (Nature
-most significant, then agents in declared order).  All predicates the
-analysis needs (refinement, join, trace, membership) become cheap bitmask
-arithmetic.  ``ConfigurationSpace`` owns that index encoding: no other
-module turns an index into digits or digits into an index.
+of one Nature axis and one action axis per agent.  Every subset of that
+space is a bitmask over the canonical enumeration (Nature most
+significant, then agents in declared order), and every sigma-field over it
+is the partition of its atoms.  A partition is read two ways: as one atom
+id per configuration (``Partition.atom_ids``), which joins, refinement
+tests and cut checks scan once, and as one bitmask per atom, which
+intersections and membership tests combine.  ``ConfigurationSpace`` owns
+the index encoding: no other module turns an index into digits or digits
+into an index.
 """
 
 from __future__ import annotations
@@ -27,11 +29,21 @@ class SpaceTooLarge(ValueError):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of ``mask``, ascending, in time linear in
+    its width: the binary string is scanned once."""
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
+
+
+def mask_of(indices: Sequence[int]) -> int:
+    """Bitmask of the configuration ``indices``, built in one pass."""
+    octets = bytearray(max(indices, default=0) // 8 + 1)
+    for i in indices:
+        octets[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(octets, "little")
 
 
 @dataclass(frozen=True)
@@ -191,6 +203,8 @@ class Partition:
     ``atoms`` are disjoint nonempty bitmasks whose union is ``support``
     (the full space unless the partition is a trace on a subset).  Atoms
     are kept in canonical order: ascending lowest configuration index.
+    ``atom_ids`` labels every configuration with its atom's position in
+    that order (-1 off the support): one label array plus one mask per atom.
     """
 
     space: ConfigurationSpace
@@ -235,14 +249,24 @@ class Partition:
 def partition_from_key(
     space: ConfigurationSpace, key: Callable[[int], object], support: int = -1
 ) -> Partition:
-    """Group configurations with equal ``key`` into atoms."""
+    """Group configurations with equal ``key`` into atoms, in canonical
+    order since members are visited ascending; each mask is built once."""
     if support == -1:
         support = space.full_mask
-    classes: dict[object, int] = {}
+    groups: dict[object, list[int]] = {}
     for i in iter_bits(support):
-        k = key(i)
-        classes[k] = classes.get(k, 0) | (1 << i)
-    return Partition(space, tuple(classes.values()), support)
+        groups.setdefault(key(i), []).append(i)
+    index = [-1] * space.size
+    for aid, members in enumerate(groups.values()):
+        for i in members:
+            index[i] = aid
+    part = object.__new__(Partition)
+    set_ = object.__setattr__
+    set_(part, "space", space)
+    set_(part, "atoms", tuple(map(mask_of, groups.values())))
+    set_(part, "support", support)
+    set_(part, "_index", tuple(index))
+    return part
 
 
 def trivial_partition(space: ConfigurationSpace) -> Partition:
@@ -294,23 +318,18 @@ def _require_same_space(p: Partition, q: Partition) -> None:
 
 
 def partition_refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every atom of ``fine`` lies inside one atom of ``coarse``."""
+    """True iff every atom of ``fine`` lies inside one atom of ``coarse``:
+    no fine label pairs with two coarse labels."""
     _require_same_space(fine, coarse)
-    for atom in fine.atoms:
-        first = (atom & -atom).bit_length() - 1
-        if atom & ~coarse.atoms[coarse.atom_index(first)]:
-            return False
-    return True
+    fine_ids = fine.atom_ids
+    return len(set(zip(fine_ids, coarse.atom_ids))) == len(set(fine_ids))
 
 
 def partition_join(p: Partition, q: Partition) -> Partition:
     """Common refinement (the coarsest partition refining both)."""
     _require_same_space(p, q)
-    return partition_from_key(
-        p.space,
-        lambda i: (p.atom_index(i), q.atom_index(i)),
-        p.support,
-    )
+    p_ids, q_ids = p.atom_ids, q.atom_ids
+    return partition_from_key(p.space, lambda i: (p_ids[i], q_ids[i]), p.support)
 
 
 def trace_partition(p: Partition, subset: int) -> Partition:

@@ -103,7 +103,10 @@ def parse_fraction(value, path: str) -> Fraction:
     text = _as_string(value, path)
     if not _RATIONAL.match(text):
         raise ModelFormatError(path, f"not a rational: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # an integer longer than Python converts from a string
+        raise ModelFormatError(path, f"rational of {len(text)} characters has too many digits")
 
 
 def _weight(value, path: str) -> Fraction:
@@ -123,6 +126,8 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelFormatError("$", f"invalid JSON: {err.msg} (line {err.lineno})")
+    except RecursionError:
+        raise ModelFormatError("$", "JSON nested too deeply to parse")
 
 
 # ── configurations on the wire ──────────────────────────────────────────

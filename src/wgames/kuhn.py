@@ -87,11 +87,9 @@ def _first_pair(
     actions on a group, the group is split by that action; only groups
     that cannot be split are searched pair by pair.
     """
-    infos = [model.info_of(a) for a in model.agent_ids]
-    digits = model.space.coordinates
-    keys = {i: [(f.atom_index(i), d) for f, d in zip(infos, digits(i)[1:])] for i in block}
+    keys = dict(zip(block, model.choice_records(model.agent_ids, block)))
     found = []
-    groups = [(block, range(len(infos)))]
+    groups = [(block, range(len(model.agents)))]
     while groups:
         group, live = groups.pop()
         live = [k for k in live if len({keys[i][k][1] for i in group}) > 1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .fields import (
     ConfigurationSpace,
@@ -72,6 +73,20 @@ class WModel:
             if a == agent:
                 return part
         raise ValueError(f"unknown agent {agent!r}")
+
+    def choice_records(
+        self, agents: Sequence[str], indices: Sequence[int]
+    ) -> list[tuple[tuple[int, int], ...]]:
+        """Per configuration index, per agent in ``agents``: (information
+        atom id, action digit), what the agent knew and did there.  Digits
+        and labels are in bijection, so records compare as labels would."""
+        space = self.space
+        columns = []
+        for a in agents:
+            ids, coord = self.info_of(a).atom_ids, space.agent_pos(a) + 1
+            stride, size = space.strides[coord], space.sizes[coord]
+            columns.append([(ids[i], i // stride % size) for i in indices])
+        return list(zip(*columns)) if columns else [()] * len(indices)
 
     @property
     def player_names(self) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
-from .fields import Configuration, iter_bits
+from .fields import Configuration, iter_bits, mask_of
 from .kuhn import PushforwardDistribution, distributions_equal, pushforward
 from .model import WModel
 from .playability import (
@@ -116,23 +116,6 @@ class NonEquivalenceCertificate:
 # ── violation scan ──────────────────────────────────────────────────────
 
 
-def _predecessor_records(
-    model: WModel, preds: tuple[str, ...], indices: Iterable[int]
-) -> list[tuple[tuple[int, int], ...]]:
-    """Per configuration index, per predecessor: (information atom id, own
-    action digit).  Digits and action labels are in bijection per agent,
-    so records compare as the labelled ones would."""
-    space = model.space
-    columns = []
-    for a in preds:
-        coord = space.agent_pos(a) + 1
-        columns.append((model.info_of(a).atom_ids, space.strides[coord], space.sizes[coord]))
-    return [
-        tuple((ids[i], i // stride % size) for ids, stride, size in columns)
-        for i in indices
-    ]
-
-
 def find_recall_violation(
     model: WModel, player: str, phi: ConfigurationOrdering
 ) -> Optional[RecallViolation]:
@@ -159,7 +142,7 @@ def find_recall_violation(
             # The first differing pair in (x, y) order always has x = 0:
             # a pair that differs in actions or records has a member that
             # differs from the first configuration in the same way.
-            first, *rest = _predecessor_records(model, preds, members)
+            first, *rest = model.choice_records(preds, members)
             for y, record in enumerate(rest, 1):
                 if record == first:
                     continue
@@ -199,7 +182,7 @@ def _check_violation(model: WModel, player: str, v: RecallViolation) -> None:
     if last.atom_index(v.h_plus.index) != last.atom_index(v.h_minus.index):
         raise ValueError("the final agent distinguishes the pair")
     preds = v.ordering.sequence[:-1]
-    plus, minus = _predecessor_records(model, preds, (v.h_plus.index, v.h_minus.index))
+    plus, minus = model.choice_records(preds, (v.h_plus.index, v.h_minus.index))
     actions_differ = any(p[1] != m[1] for p, m in zip(plus, minus))
     if v.case == CASE_ACTION and not actions_differ:
         raise ValueError("case tag claims an action difference; none found")
@@ -284,12 +267,8 @@ def build_witness(
     # Actions agree everywhere upstream, so some predecessor's atom must
     # differ; the plans below react to that atom instead of to an action.
     preds = kappa.sequence[:-1]
-    b = next(
-        a
-        for a in preds
-        if model.info_of(a).atom_index(h_plus.index)
-        != model.info_of(a).atom_index(h_minus.index)
-    )
+    records = zip(preds, *model.choice_records(preds, (h_plus.index, h_minus.index)))
+    b = next(a for a, plus, minus in records if plus[0] != minus[0])
     u_bar = _first_other_action(model, b, h_plus.action(b))
     zb = model.info_of(b).atom_index(h_plus.index)
     zc = model.info_of(c).atom_index(h_plus.index)
@@ -336,18 +315,15 @@ def forced_support(
     if target.space != model.space:
         raise ValueError("target law built on a different space")
     agents = model.agents_of(player)
-    seen: dict[tuple[str, int], set[str]] = {}
-    for h in target.support:
-        for a in agents:
-            z = model.info_of(a).atom_index(h.index)
-            seen.setdefault((a, z), set()).add(h.action(a))
+    seen: dict[tuple[str, int], set[int]] = {}
+    for record in model.choice_records(agents, [h.index for h in target.support]):
+        for a, (z, digit) in zip(agents, record):
+            seen.setdefault((a, z), set()).add(digit)
     ordered: dict[tuple[str, int], tuple[str, ...]] = {}
     for a in agents:
         labels = model.actions_of(a).labels
         for z in sorted(z for (b, z) in seen if b == a):
-            ordered[(a, z)] = tuple(
-                u for u in labels if u in seen[(a, z)]
-            )
+            ordered[(a, z)] = tuple(labels[d] for d in sorted(seen[(a, z)]))
     return ordered
 
 
@@ -384,9 +360,7 @@ def certify_nonequivalence(
     keys = tuple(forced)
     space = model.space
 
-    supp_mask = 0
-    for h in target.support:
-        supp_mask |= 1 << h.index
+    supp_mask = mask_of([h.index for h in target.support])
 
     for omega in model.nature.labels:
         if nu.weight(omega) == 0:

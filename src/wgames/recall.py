@@ -20,9 +20,10 @@ check and nothing valid is skipped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterator, Optional
 
 from .fields import (
@@ -30,7 +31,8 @@ from .fields import (
     Partition,
     cylinder_partition,
     iter_bits,
-    partition_join,
+    mask_of,
+    partition_from_key,
 )
 from .model import WModel
 
@@ -134,11 +136,8 @@ def _validate_phi(model: WModel, player: str, phi: ConfigurationOrdering) -> Non
 def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) -> int:
     """Configurations whose ordering starts with ``kappa``, as a bitmask."""
     k = len(kappa)
-    mask = 0
-    for i, rho in enumerate(phi.orderings):
-        if rho.sequence[:k] == kappa.sequence:
-            mask |= 1 << i
-    return mask
+    chosen = [i for i, rho in enumerate(phi.orderings) if rho.sequence[:k] == kappa.sequence]
+    return mask_of(chosen)
 
 
 def prefix_cells(
@@ -163,20 +162,13 @@ def prefix_cells(
         for sequence, indices in runs.items():
             cells.setdefault(sequence[:k], []).extend(indices)
         for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
-            mask = 0
-            for i in cells[prefix]:
-                mask |= 1 << i
-            yield Ordering(player, prefix), mask
+            yield Ordering(player, prefix), mask_of(cells[prefix])
 
 
 @lru_cache(maxsize=8192)
 def _choice_partition(model: WModel, agents: tuple[str, ...]) -> Partition:
-    space = model.space
-    part = cylinder_partition(space, CoordinateSet.of(False, ()))
-    for a in agents:
-        own_action = cylinder_partition(space, CoordinateSet.of(False, (a,)))
-        part = partition_join(part, partition_join(own_action, model.info_of(a)))
-    return part
+    records = model.choice_records(agents, range(model.space.size))
+    return partition_from_key(model.space, records.__getitem__)
 
 
 def choice_partition(model: WModel, agents) -> Partition:
@@ -211,19 +203,29 @@ class FieldMembershipViolation:
 
 
 def _first_cut(
-    kappa: Ordering, cell: int, conditioning: tuple[int, ...], field: Partition
+    kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
 ) -> Optional[FieldMembershipViolation]:
-    """First piece ``cell & block``, blocks of ``conditioning`` in order,
-    that cuts an atom of ``field`` properly, if any."""
-    for block in conditioning:
-        piece = cell & block
-        if piece == 0:
-            continue
-        for atom in field.atoms:
-            hit = atom & piece
-            if hit != 0 and hit != atom:
-                return FieldMembershipViolation(kappa, block, piece, atom)
-    return None
+    """First piece ``cell & block``, blocks of ``conditioning`` in order (the
+    whole space when None), that cuts an atom of ``field`` properly, if any.
+
+    A piece cuts an atom properly iff it holds some but not all of the
+    atom's configurations.  So the cell's configurations are counted per
+    (block id, atom id), and the least pair whose count falls short of
+    its atom's size is the first cut; only its masks are built.
+    """
+    members = list(iter_bits(cell))
+    if conditioning is None:
+        block_ids = repeat(0)
+    else:
+        block_ids = map(conditioning.atom_ids.__getitem__, members)
+    counts = Counter(zip(block_ids, map(field.atom_ids.__getitem__, members)))
+    atoms = field.atoms
+    cuts = (pair for pair, n in counts.items() if n < atoms[pair[1]].bit_count())
+    first = min(cuts, default=None)
+    if first is None:
+        return None
+    block = field.space.full_mask if conditioning is None else conditioning.atoms[first[0]]
+    return FieldMembershipViolation(kappa, block, cell & block, atoms[first[1]])
 
 
 @dataclass(frozen=True)
@@ -248,14 +250,10 @@ def check_perfect_recall(
     predecessors' choice field.  The first failure, in canonical prefix and
     atom order, is reported.
     """
-    full = (model.space.full_mask,)
     for kappa, cell in prefix_cells(model, player, phi):
-        target = model.info_of(kappa.last)
-        if len(kappa) == 1:
-            conditioning = full
-        else:
-            conditioning = choice_partition(model, kappa.sequence[:-1]).atoms
-        violation = _first_cut(kappa, cell, conditioning, target)
+        preds = kappa.sequence[:-1]
+        conditioning = choice_partition(model, preds) if preds else None
+        violation = _first_cut(kappa, cell, conditioning, model.info_of(kappa.last))
         if violation is not None:
             return RecallReport(False, phi, violation)
     return RecallReport(True, phi, None)
@@ -269,7 +267,7 @@ def check_partial_causality(
     predecessors' actions."""
     for kappa, cell in prefix_cells(model, player, phi):
         ground = causality_ground(model, player, kappa.sequence[:-1])
-        violation = _first_cut(kappa, cell, model.info_of(kappa.last).atoms, ground)
+        violation = _first_cut(kappa, cell, model.info_of(kappa.last), ground)
         if violation is not None:
             return RecallReport(False, phi, violation)
     return RecallReport(True, phi, None)
@@ -333,21 +331,12 @@ def _iter_valid_orderings(
             h = (unassigned & -unassigned).bit_length() - 1
             for a in remaining:
                 budget.spend()
-                if mode == "recall":
-                    unit = info[a].atoms[info[a].atom_index(h)]
-                    if unit & unassigned != unit:
-                        continue
-                    if cfield is not None:
-                        catom = cfield.atoms[cfield.atom_index(h)]
-                        if unit & catom != unit:
-                            continue
-                else:
-                    unit = ground.atoms[ground.atom_index(h)]
-                    if unit & unassigned != unit:
-                        continue
-                    iatom = info[a].atoms[info[a].atom_index(h)]
-                    if unit & iatom != unit:
-                        continue
+                block, within = (info[a], cfield) if mode == "recall" else (ground, info[a])
+                unit = block.atoms[block.atom_ids[h]]
+                if unit & ~unassigned:
+                    continue
+                if within is not None and unit & ~within.atoms[within.atom_ids[h]]:
+                    continue
                 acc[a] |= unit
                 yield from claim(unassigned & ~unit)
                 acc[a] &= ~unit

@@ -733,3 +733,38 @@ def test_behavioral_file_reports_like_its_mixed_expansion(runner, tmp_path, name
             assert "Traceback" not in runs[0].output
             assert runs[0].exit_code == runs[1].exit_code
             assert runs[0].stdout == runs[1].stdout
+
+
+def test_deeply_nested_file_is_exit_2(runner, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    result = runner.invoke(main, ["validate", str(deep)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "nested too deeply" in result.stderr
+
+
+PURE_AB_NATURE = {"kind": "pure-profile", "strategies": {"alice": ["T"] * 4, "bob": ["L"] * 2}}
+
+
+def test_non_utf8_file_is_exit_2(runner, tmp_path):
+    model = write_model(tmp_path, "alice-bob-nature")
+    profile = write_json(tmp_path, "profile.json", PURE_AB_NATURE)
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    pushforward = ["pushforward", model, "--nu", str(bad), "--strategy", profile]
+    for args in (["validate", str(bad)], pushforward):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        assert f"{bad}: not UTF-8 text" in result.stderr
+
+
+def test_weight_with_too_many_digits_is_exit_2(runner, tmp_path):
+    model = write_model(tmp_path, "alice-bob-nature")
+    nu = write_json(tmp_path, "nu.json", {"heads": "1/" + "3" * 5000, "tails": "1/2"})
+    profile = write_json(tmp_path, "profile.json", PURE_AB_NATURE)
+    result = runner.invoke(main, ["pushforward", model, "--nu", nu, "--strategy", profile])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "$.heads: rational of 5002 characters has too many digits" in result.stderr

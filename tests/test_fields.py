@@ -1,5 +1,7 @@
 """Configuration spaces and finite partition fields."""
 
+from random import Random
+
 import pytest
 
 from wgames import (
@@ -14,6 +16,7 @@ from wgames import (
     build_space,
     complete_partition,
     cylinder_partition,
+    iter_bits,
     partition_from_key,
     partition_join,
     partition_refines,
@@ -21,6 +24,7 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
+from wgames.fields import mask_of
 
 from generators import to_oracle
 import oracles
@@ -186,3 +190,74 @@ def test_build_space_enforces_the_cap():
     with pytest.raises(SpaceTooLarge):
         build_space(nature, agents)
     assert build_space(nature, agents[:3]).size == 8
+
+
+def _naive_bits(mask):
+    octets = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * k + j for k, octet in enumerate(octets) for j in range(8) if octet >> j & 1]
+
+
+def test_iter_bits_matches_a_naive_bit_loop():
+    rng = Random(7)
+    masks = [0, 1, 1 << 100_000, (1 << 100_000) - 1]
+    for _ in range(12):
+        width = rng.randint(1, 1 << 17)
+        mask = rng.getrandbits(width)
+        for _ in range(rng.randrange(4)):  # thin out to densities 1/2 .. 1/16
+            mask &= rng.getrandbits(width)
+        masks += [mask, (1 << width) - 1]
+    for mask in masks:
+        bits = list(iter_bits(mask))
+        assert bits == _naive_bits(mask)
+        assert mask_of(bits) == mask
+
+
+def wide_space():
+    """120 configurations: wider than one machine word."""
+    return ConfigurationSpace(
+        nature=FiniteSet("nature", ("w0", "w1", "w2")),
+        agents=("x", "y", "z"),
+        actions=(
+            FiniteSet("x", ("0", "1")),
+            FiniteSet("y", ("a", "b", "c", "d")),
+            FiniteSet("z", ("p", "q", "r", "s", "t")),
+        ),
+    )
+
+
+def _atom_sets(p):
+    return [frozenset(i for i in range(p.space.size) if atom >> i & 1) for atom in p.atoms]
+
+
+def test_label_builders_match_set_oracles_on_wide_and_traced_spaces():
+    space = wide_space()
+    rng = Random(11)
+    for trial in range(40):
+        support = space.full_mask if trial % 2 == 0 else rng.getrandbits(space.size) | 1
+        members = [i for i in range(space.size) if support >> i & 1]
+        fine = {i: rng.randrange(1 + trial % 9) for i in members}
+        coarse = {i: fine[i] % (1 + trial % 3) for i in members}  # fine refines it
+        other = {i: rng.randrange(1 + trial % 5) for i in members}
+        parts = []
+        for key in (fine, coarse, other):
+            p = partition_from_key(space, key.__getitem__, support)
+            assert p.support == support
+            assert set(_atom_sets(p)) == set(oracles.group_by(members, key.__getitem__))
+            checked = Partition(space, p.atoms, support)
+            assert p == checked and p.atom_ids == checked.atom_ids
+            assert all(p.atom_ids[i] == -1 for i in range(space.size) if i not in fine)
+            parts.append(p)
+        see_y = cylinder_partition(space, CoordinateSet.of(True, ["y"]))
+        parts.append(trace_partition(see_y, support))
+        for p in parts:
+            for q in parts:
+                p_sets, q_sets = _atom_sets(p), _atom_sets(q)
+                joined = partition_join(p, q)
+                def both(i):
+                    return oracles.atom_containing(p_sets, i), oracles.atom_containing(q_sets, i)
+
+                oracle_join = oracles.group_by(members, both)
+                assert set(_atom_sets(joined)) == set(oracle_join)
+                assert joined == Partition(space, joined.atoms, support)
+                assert partition_refines(p, q) == all(oracles.in_field(c, p_sets) for c in q_sets)
+        assert partition_refines(parts[0], parts[1])

@@ -402,3 +402,40 @@ def test_report_round_trip():
     assert human.splitlines()[0] == "recall: holds  [model abcdabcdabcdabcd]"
     with pytest.raises(ValueError):
         emit_report(report, "pretty")
+
+
+def test_deeply_nested_input_is_a_format_error():
+    model = corpus_model("alice-bob-nature")
+    deep = "[" * 200_000 + "]" * 200_000
+    for parse in (
+        parse_model,
+        lambda text: parse_strategy(text, model),
+        lambda text: parse_belief(text, model),
+        lambda text: parse_ordering(text, model),
+        parse_report,
+    ):
+        with pytest.raises(ModelFormatError) as err:
+            parse(deep)
+        assert err.value.path == "$"
+
+
+def test_weights_with_too_many_digits_are_addressed():
+    model = corpus_model("alice-bob-nature")
+    huge = "1/" + "3" * 5000
+    with pytest.raises(ModelFormatError) as err:
+        parse_belief(json.dumps({"heads": huge, "tails": "1/2"}), model)
+    assert err.value.path == "$.heads"
+    assert "too many digits" in str(err.value)
+
+    payload = {
+        "kind": "behavioral",
+        "player": "team",
+        "kernels": {
+            "alice": [{"T": "1"}, {"T": "1"}, {"T": huge, "B": "1/2"}, {"T": "1"}],
+            "bob": [{"L": "1"}, {"L": "1"}],
+        },
+    }
+    with pytest.raises(ModelFormatError) as err:
+        parse_strategy(json.dumps(payload), model)
+    assert err.value.path == "$.kernels.alice[2].T"
+    assert "too many digits" in str(err.value)

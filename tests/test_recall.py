@@ -6,6 +6,7 @@ ordered and coin-toss variants both recall perfectly along the constant
 (bob, alice) ordering.
 """
 
+import time
 from dataclasses import replace
 from itertools import islice
 from random import Random
@@ -31,6 +32,7 @@ from wgames import (
     prefix_cells,
     restrict_ordering,
     search_recall_ordering,
+    sequential_model,
 )
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION
 
@@ -369,3 +371,13 @@ def test_prefix_checks_match_every_prefix_walk_on_nonconstant_orderings():
     # the sample exercises both verdicts of every check and both case tags
     assert all(20 <= n <= 280 for n in failures.values()), failures
     assert tags == {None, CASE_ACTION, CASE_INFORMATION}
+
+
+def test_sequential_12_search_finds_the_declared_order_within_budget():
+    model = sequential_model(12)
+    start = time.perf_counter()
+    result = search_recall_ordering(model, "dm")
+    elapsed = time.perf_counter() - start
+    assert result.outcome == "found" and result.nodes == 1
+    assert result.ordering == constant_ordering(model, "dm", model.agents_of("dm"))
+    assert elapsed < 3.0, f"sequential-12 search took {elapsed:.2f}s"
