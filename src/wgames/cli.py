@@ -105,32 +105,16 @@ def _read(path: Path) -> str:
         raise click.UsageError(f"{path}: not UTF-8 text (byte {err.start})")
 
 
-def _load_model(path: Path) -> WModel:
+def _parse_file(parse, path: Path, *context):
+    """``parse(text of path, *context)``, a format error made a usage error."""
     try:
-        return parse_model(_read(path))
-    except ModelFormatError as err:
-        raise click.UsageError(f"{path}: {err}")
-
-
-def _load_strategy(path: Path, model: WModel):
-    try:
-        return parse_strategy(_read(path), model)
-    except ModelFormatError as err:
-        raise click.UsageError(f"{path}: {err}")
-
-
-def _load_belief(path: Path, model: WModel):
-    try:
-        return parse_belief(_read(path), model)
+        return parse(_read(path), *context)
     except ModelFormatError as err:
         raise click.UsageError(f"{path}: {err}")
 
 
 def _load_ordering(path: Path, model: WModel, player: str):
-    try:
-        phi = parse_ordering(_read(path), model)
-    except ModelFormatError as err:
-        raise click.UsageError(f"{path}: {err}")
+    phi = _parse_file(parse_ordering, path, model)
     if phi.player != player:
         raise click.UsageError(
             f"{path}: ordering is for player {phi.player!r}, not {player!r}"
@@ -198,7 +182,7 @@ def _one_of_ordering_or_search(ordering, search: bool) -> None:
 @click.pass_context
 def validate(ctx: click.Context, model_file: Path) -> None:
     """Parse and validate MODEL, reporting its shape."""
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     details = {
         "nature-states": len(model.nature),
         "agents": len(model.agent_ids),
@@ -214,8 +198,8 @@ def validate(ctx: click.Context, model_file: Path) -> None:
 @click.pass_context
 def solve(ctx: click.Context, model_file: Path, profile_file: Path) -> None:
     """Solve the closed loop of a pure profile at every Nature state."""
-    model = _load_model(model_file)
-    strategy = _load_strategy(profile_file, model)
+    model = _parse_file(parse_model, model_file)
+    strategy = _parse_file(parse_strategy, profile_file, model)
     if not isinstance(strategy, PureStrategyProfile):
         raise click.UsageError(f"{profile_file}: solve needs a pure-profile strategy")
     if strategy.agents != frozenset(model.agent_ids):
@@ -245,7 +229,7 @@ def solve(ctx: click.Context, model_file: Path, profile_file: Path) -> None:
 @click.pass_context
 def playability(ctx: click.Context, model_file: Path, want_witness: bool) -> None:
     """Decide whether every pure profile has a unique closed-loop solution."""
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     try:
         report = check_playability(model)
     except ValueError as err:
@@ -268,7 +252,7 @@ def playability(ctx: click.Context, model_file: Path, want_witness: bool) -> Non
 @click.pass_context
 def recall(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
     """Check perfect recall along an ordering, or search for one."""
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     _require_player(model, player)
     _one_of_ordering_or_search(ordering_file, search)
     if ordering_file is not None:
@@ -301,7 +285,7 @@ def recall(ctx: click.Context, model_file: Path, player: str, ordering_file, sea
 @click.pass_context
 def causality(ctx: click.Context, model_file: Path, player: str, ordering_file: Path) -> None:
     """Check partial causality of an ordering."""
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     _require_player(model, player)
     phi = _load_ordering(ordering_file, model, player)
     report = check_partial_causality(model, player, phi)
@@ -321,9 +305,9 @@ def causality(ctx: click.Context, model_file: Path, player: str, ordering_file: 
 @click.pass_context
 def pushforward_cmd(ctx: click.Context, model_file: Path, nu_file: Path, strategy_files) -> None:
     """Exact closed-loop law under a belief and one strategy per player."""
-    model = _load_model(model_file)
-    nu = _load_belief(nu_file, model)
-    loaded = [_load_strategy(f, model) for f in strategy_files]
+    model = _parse_file(parse_model, model_file)
+    nu = _parse_file(parse_belief, nu_file, model)
+    loaded = [_parse_file(parse_strategy, f, model) for f in strategy_files]
     law = _law(ctx, model, nu, _player_strategies(model, loaded))
     details = {"belief": belief_payload(nu), "law": pushforward_payload(law)}
     _emit(ctx, "pushforward", model, "computed", details, 0)
@@ -341,10 +325,10 @@ def pushforward_cmd(ctx: click.Context, model_file: Path, nu_file: Path, strateg
 @click.pass_context
 def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strategy_files, ordering_file, search: bool, budget: int, verify_flag: bool) -> None:
     """Behavioral strategy with the same closed-loop law as the mixed one."""
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     _require_player(model, player)
-    nu = _load_belief(nu_file, model)
-    loaded = [_load_strategy(f, model) for f in strategy_files]
+    nu = _parse_file(parse_belief, nu_file, model)
+    loaded = [_parse_file(parse_strategy, f, model) for f in strategy_files]
     strategies = _player_strategies(model, loaded)
     _one_of_ordering_or_search(ordering_file, search)
     if ordering_file is not None:
@@ -399,7 +383,7 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
     (exit 0) on the first causal ordering free of violations, and otherwise
     certifies a violation of the first causal ordering.
     """
-    model = _load_model(model_file)
+    model = _parse_file(parse_model, model_file)
     _require_player(model, player)
     _one_of_ordering_or_search(ordering_file, search)
 

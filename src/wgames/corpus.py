@@ -18,6 +18,7 @@ from .fields import (
     CoordinateSet,
     FiniteSet,
     Partition,
+    build_space,
     cylinder_partition,
     partition_from_key,
     trivial_partition,
@@ -25,13 +26,6 @@ from .fields import (
 from .model import WModel
 
 NO_NATURE = FiniteSet("nature", ("*",))
-
-def _space_of(nature: FiniteSet, agents) -> ConfigurationSpace:
-    return ConfigurationSpace(
-        nature=nature,
-        agents=tuple(a for a, _ in agents),
-        actions=tuple(acts for _, acts in agents),
-    )
 
 
 def _observes(space: ConfigurationSpace, nature: bool, agents) -> Partition:
@@ -47,7 +41,7 @@ _AB_PLAYERS = (("team", ("alice", "bob")),)
 
 def alice_bob_simultaneous() -> WModel:
     """Two agents, one player, neither observes anything."""
-    space = _space_of(NO_NATURE, _AB_AGENTS)
+    space = build_space(NO_NATURE, _AB_AGENTS)
     return WModel(
         nature=NO_NATURE,
         agents=_AB_AGENTS,
@@ -61,7 +55,7 @@ def alice_bob_simultaneous() -> WModel:
 
 def alice_bob_ordered() -> WModel:
     """Bob knows nothing, Alice sees Bob's action."""
-    space = _space_of(NO_NATURE, _AB_AGENTS)
+    space = build_space(NO_NATURE, _AB_AGENTS)
     return WModel(
         nature=NO_NATURE,
         agents=_AB_AGENTS,
@@ -76,7 +70,7 @@ def alice_bob_ordered() -> WModel:
 def alice_bob_nature() -> WModel:
     """A coin toss precedes play: Bob sees it, Alice sees it plus Bob."""
     nature = FiniteSet("nature", ("heads", "tails"))
-    space = _space_of(nature, _AB_AGENTS)
+    space = build_space(nature, _AB_AGENTS)
     return WModel(
         nature=nature,
         agents=_AB_AGENTS,
@@ -96,7 +90,7 @@ def witsenhausen_noncausal() -> WModel:
     be "first", yet every pure profile has a unique closed-loop solution.
     """
     agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ("a", "b", "c"))
-    space = _space_of(NO_NATURE, agents)
+    space = build_space(NO_NATURE, agents)
 
     def signal(watched: str, inverted: str) -> Partition:
         def key(index: int) -> int:
@@ -129,7 +123,7 @@ def sequential_model(steps: int) -> WModel:
     nature = FiniteSet("nature", ("w0", "w1"))
     ids = tuple(f"t{k}" for k in range(1, steps + 1))
     agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ids)
-    space = _space_of(nature, agents)
+    space = build_space(nature, agents)
     return WModel(
         nature=nature,
         agents=agents,
@@ -149,7 +143,7 @@ def principal_agent_hidden_type() -> WModel:
         ("A", FiniteSet("A", ("weak", "strong"))),
     )
     players = (("principal", ("P",)), ("agent", ("A",)))
-    space = _space_of(nature, agents)
+    space = build_space(nature, agents)
     return WModel(
         nature=nature,
         agents=agents,
@@ -170,7 +164,7 @@ def principal_agent_hidden_action() -> WModel:
         ("A", FiniteSet("A", ("shirk", "work"))),
     )
     players = (("principal", ("P",)), ("agent", ("A",)))
-    space = _space_of(nature, agents)
+    space = build_space(nature, agents)
     return WModel(
         nature=nature,
         agents=agents,
@@ -194,7 +188,7 @@ def stackelberg() -> WModel:
         ("F", FiniteSet("F", ("enter", "exit"))),
     )
     players = (("leader", ("L",)), ("follower", ("F",)))
-    space = _space_of(nature, agents)
+    space = build_space(nature, agents)
     return WModel(
         nature=nature,
         agents=agents,

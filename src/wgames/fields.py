@@ -7,15 +7,21 @@ significant, then agents in declared order), and every sigma-field over it
 is the partition of its atoms.  A partition is read two ways: as one atom
 id per configuration (``Partition.atom_ids``), which joins, refinement
 tests and cut checks scan once, and as one bitmask per atom, which
-intersections and membership tests combine.  ``ConfigurationSpace`` owns
-the index encoding: no other module turns an index into digits or digits
-into an index.
+intersections combine.  Every partition is built by one grouping of
+configurations by a label (:func:`partition_from_key`): atom masks given
+by hand go through the checked ``Partition`` constructor, which labels
+them and then groups, and everything else (cylinders, joins, traces, parsed
+atoms) is built from labels directly.  ``ConfigurationSpace`` owns the
+index encoding: no other module turns an index into digits or digits into
+an index.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 DEFAULT_SPACE_CAP = 10**7
 
@@ -48,24 +54,28 @@ def mask_of(indices: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """Named finite label set (Nature states or one agent's actions)."""
+    """Named finite label set (Nature states or one agent's actions);
+    ``digits`` maps each label to its position."""
 
     name: str
     labels: tuple[str, ...]
+    digits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError(f"{self.name}: empty label set")
-        if len(set(self.labels)) != len(self.labels):
+        digits = {label: d for d, label in enumerate(self.labels)}
+        if len(digits) != len(self.labels):
             raise ValueError(f"{self.name}: duplicate labels")
+        object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.digits[label]
+        except (KeyError, TypeError):
             raise ValueError(f"{self.name}: unknown label {label!r}") from None
 
 
@@ -79,16 +89,20 @@ class ConfigurationSpace:
     agent's action varies fastest.
 
     The space is the only owner of that mixed-radix encoding.  Coordinate
-    0 is Nature and coordinate ``i + 1`` is ``agents[i]``; ``sizes`` and
-    ``strides`` give each coordinate's radix and place value.  The table
-    holds nothing of length ``size``, so building a space is free even
-    when the space is too large to analyse.
+    0 is Nature and coordinate ``i + 1`` is ``agents[i]``; ``keys`` names
+    the coordinates as the wire does ("nature", then agent ids),
+    ``labels`` and ``digits`` encode and decode each coordinate's labels,
+    and ``sizes`` and ``strides`` give its radix and place value.  The
+    table holds nothing of length ``size``, so building a space is free
+    even when the space is too large to analyse.
     """
 
     nature: FiniteSet
     agents: tuple[str, ...]
     actions: tuple[FiniteSet, ...]
+    keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
     labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    digits: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
@@ -99,12 +113,15 @@ class ConfigurationSpace:
             raise ValueError("agents and action sets must align")
         if len(set(self.agents)) != len(self.agents):
             raise ValueError("duplicate agent ids")
-        labels = (self.nature.labels, *(acts.labels for acts in self.actions))
+        sets = (self.nature, *self.actions)
+        labels = tuple(s.labels for s in sets)
         strides = [1] * len(labels)
         for i in range(len(labels) - 1, 0, -1):
             strides[i - 1] = strides[i] * len(labels[i])
         set_ = object.__setattr__
+        set_(self, "keys", ("nature", *self.agents))
         set_(self, "labels", labels)
+        set_(self, "digits", tuple(s.digits for s in sets))
         set_(self, "sizes", tuple(len(ls) for ls in labels))
         set_(self, "strides", tuple(strides))
         set_(self, "size", strides[0] * len(labels[0]))
@@ -175,8 +192,7 @@ class Configuration:
         """Coordinate labels keyed by "nature" and agent id, declared order."""
         space = self.space
         digits = space.coordinates(self.index)
-        keys = ("nature", *space.agents)
-        return {k: ls[d] for k, ls, d in zip(keys, space.labels, digits)}
+        return {k: ls[d] for k, ls, d in zip(space.keys, space.labels, digits)}
 
     def __repr__(self) -> str:
         vals = self.as_dict()
@@ -205,6 +221,11 @@ class Partition:
     are kept in canonical order: ascending lowest configuration index.
     ``atom_ids`` labels every configuration with its atom's position in
     that order (-1 off the support): one label array plus one mask per atom.
+
+    The constructor checks atom masks given by hand: it labels each
+    configuration with its given atom, rejects empty, overlapping or
+    non-covering atoms, and regroups through :func:`partition_from_key`,
+    which builds every other partition from labels directly.
     """
 
     space: ConfigurationSpace
@@ -212,24 +233,22 @@ class Partition:
     support: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        if self.support == -1:
-            object.__setattr__(self, "support", self.space.full_mask)
-        seen = 0
-        for atom in self.atoms:
+        size = self.space.size
+        support = self.space.full_mask if self.support == -1 else self.support
+        labels = [-1] * size
+        for aid, atom in enumerate(self.atoms):
             if atom == 0:
                 raise ValueError("empty atom")
-            if atom & seen:
-                raise ValueError("atoms overlap")
-            seen |= atom
-        if seen != self.support:
-            raise ValueError("atoms do not cover the support")
-        ordered = tuple(sorted(self.atoms, key=lambda m: (m & -m).bit_length()))
-        object.__setattr__(self, "atoms", ordered)
-        index = [-1] * self.space.size
-        for aid, atom in enumerate(ordered):
+            if atom < 0 or atom.bit_length() > size:
+                raise ValueError("atoms do not cover the support")
             for i in iter_bits(atom):
-                index[i] = aid
-        object.__setattr__(self, "_index", tuple(index))
+                if labels[i] >= 0:
+                    raise ValueError("atoms overlap")
+                labels[i] = aid
+        if mask_of([i for i, aid in enumerate(labels) if aid >= 0]) != support:
+            raise ValueError("atoms do not cover the support")
+        built = partition_from_key(self.space, labels.__getitem__, support)
+        self.__dict__.update(support=support, atoms=built.atoms, _index=built.atom_ids)
 
     @property
     def atom_ids(self) -> tuple[int, ...]:
@@ -270,30 +289,28 @@ def partition_from_key(
 
 
 def trivial_partition(space: ConfigurationSpace) -> Partition:
-    return Partition(space, (space.full_mask,))
+    return partition_from_key(space, lambda i: 0)
 
 
 def complete_partition(space: ConfigurationSpace) -> Partition:
-    return Partition(space, tuple(1 << i for i in range(space.size)))
+    return partition_from_key(space, lambda i: i)
 
 
 # ── operations ──────────────────────────────────────────────────────────
 
 
 def build_space(
-    nature: FiniteSet,
-    agents: Sequence[tuple[str, FiniteSet]],
-    cap: int = DEFAULT_SPACE_CAP,
+    nature: FiniteSet, agents: Sequence[tuple[str, FiniteSet]]
 ) -> ConfigurationSpace:
     """Canonical space of Nature and (agent id, action set) pairs, guarded
-    by a size cap."""
+    by the size cap ``DEFAULT_SPACE_CAP``."""
     space = ConfigurationSpace(
         nature=nature,
         agents=tuple(a for a, _ in agents),
         actions=tuple(acts for _, acts in agents),
     )
-    if space.size > cap:
-        raise SpaceTooLarge(f"configuration space has more than {cap} elements")
+    if space.size > DEFAULT_SPACE_CAP:
+        raise SpaceTooLarge(f"configuration space has more than {DEFAULT_SPACE_CAP} elements")
     return space
 
 
@@ -333,11 +350,13 @@ def partition_join(p: Partition, q: Partition) -> Partition:
 
 
 def trace_partition(p: Partition, subset: int) -> Partition:
-    """Trace of ``p`` on a nonempty subset: atoms are atom-and-subset."""
+    """Trace of ``p`` on a nonempty subset of its support: atoms are
+    atom-and-subset."""
     if subset == 0:
         raise ValueError("trace over the empty subset")
-    atoms = tuple(a & subset for a in p.atoms if a & subset)
-    return Partition(p.space, atoms, subset)
+    if subset & ~p.support:
+        raise ValueError("trace over a subset outside the partition support")
+    return partition_from_key(p.space, p.atom_ids.__getitem__, subset)
 
 
 def atom_of(p: Partition, h: Configuration) -> int:
@@ -347,13 +366,30 @@ def atom_of(p: Partition, h: Configuration) -> int:
     return p.atom_index(h.index)
 
 
+def first_cut(
+    s: int, p: Partition, blocks: Optional[Partition] = None
+) -> Optional[tuple[int, int]]:
+    """First (block id, atom id) whose piece of ``s`` cuts that atom of
+    ``p`` properly, if any; ``s`` is one block when ``blocks`` is None.
+
+    A piece cuts an atom properly iff it holds some but not all of the
+    atom's configurations.  So the members of ``s`` are counted per
+    (block id, atom id), and the least pair whose count falls short of its
+    atom's size is the first cut.  ``blocks`` must cover ``s``.
+    """
+    if s & ~p.support:
+        raise ValueError("configuration outside the partition support")
+    members = list(iter_bits(s))
+    if blocks is None:
+        block_ids = repeat(0)
+    else:
+        block_ids = map(blocks.atom_ids.__getitem__, members)
+    counts = Counter(zip(block_ids, map(p.atom_ids.__getitem__, members)))
+    atoms = p.atoms
+    cuts = (pair for pair, n in counts.items() if n < atoms[pair[1]].bit_count())
+    return min(cuts, default=None)
+
+
 def subset_in_field(s: int, p: Partition) -> bool:
     """Is the bitmask ``s`` a union of atoms of ``p``?  Empty sets pass."""
-    remaining = s
-    while remaining:
-        low = (remaining & -remaining).bit_length() - 1
-        atom = p.atoms[p.atom_index(low)]
-        if atom & ~s:
-            return False
-        remaining &= ~atom
-    return True
+    return first_cut(s, p) is None

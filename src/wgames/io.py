@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -29,6 +30,7 @@ from .fields import (
     build_space,
     cylinder_partition,
     iter_bits,
+    partition_from_key,
 )
 from .model import WModel
 from .recall import ConfigurationOrdering, Ordering
@@ -118,7 +120,11 @@ def _weight(value, path: str) -> Fraction:
 
 
 def format_fraction(value: Fraction) -> str:
-    return str(Fraction(value))
+    """Exact "p/q" (or "p") text of any rational.  ``str`` refuses ints
+    past the interpreter's digit limit (4,300 digits by default), so the
+    terms are written through ``Decimal``, which is exact at any length."""
+    num, den = (str(Decimal(n)) for n in Fraction(value).as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _loads(text: str):
@@ -134,20 +140,24 @@ def _loads(text: str):
 
 
 def _config_index(value, path: str, space: ConfigurationSpace) -> int:
+    """Index of a wire configuration, one table lookup per coordinate."""
     obj = _as_object(value, path)
-    _exact_keys(obj, path, {"nature", *space.agents})
-    nature = _as_string(obj["nature"], f"{path}.nature")
-    if nature not in space.nature.labels:
-        raise ModelFormatError(f"{path}.nature", f"unknown Nature state {nature!r}")
-    actions = {}
-    for agent in space.agents:
-        label = _as_string(obj[agent], f"{path}.{agent}")
-        if label not in space.actions_of(agent).labels:
+    keys = space.keys
+    if len(obj) != len(keys) or not all(map(obj.__contains__, keys)):
+        _exact_keys(obj, path, set(keys))
+    index = 0
+    for key, digits, stride in zip(keys, space.digits, space.strides):
+        label = obj[key]
+        try:
+            index += digits[label] * stride
+        except (KeyError, TypeError):  # unknown, or not a string
+            _as_string(label, f"{path}.{key}")
+            if key == "nature":
+                raise ModelFormatError(f"{path}.nature", f"unknown Nature state {label!r}")
             raise ModelFormatError(
-                f"{path}.{agent}", f"unknown action {label!r} for agent {agent!r}"
+                f"{path}.{key}", f"unknown action {label!r} for agent {key!r}"
             )
-        actions[agent] = label
-    return space.index_of(nature, actions)
+    return index
 
 
 def config_payload(config: Configuration) -> dict:
@@ -270,30 +280,24 @@ def _parse_observes(value, path: str, space: ConfigurationSpace) -> Partition:
 
 
 def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
+    """Partition from explicit atoms, read as one atom id per configuration."""
     atom_lists = _as_list(value, path)
-    masks: list[int] = []
-    seen = 0
-    for i, configs in enumerate(atom_lists):
-        atom_path = f"{path}[{i}]"
+    labels = [-1] * space.size
+    for aid, configs in enumerate(atom_lists):
+        atom_path = f"{path}[{aid}]"
         entries = _as_list(configs, atom_path)
         if not entries:
             raise ModelFormatError(atom_path, "empty atom")
-        mask = 0
         for j, cfg in enumerate(entries):
             index = _config_index(cfg, f"{atom_path}[{j}]", space)
-            bit = 1 << index
-            if mask & bit:
-                raise ModelFormatError(
-                    f"{atom_path}[{j}]", "duplicate configuration in atom"
-                )
-            if seen & bit:
-                raise ModelFormatError(f"{atom_path}[{j}]", "atoms overlap")
-            mask |= bit
-        seen |= mask
-        masks.append(mask)
-    if seen != space.full_mask:
+            if labels[index] >= 0:
+                same = labels[index] == aid
+                reason = "duplicate configuration in atom" if same else "atoms overlap"
+                raise ModelFormatError(f"{atom_path}[{j}]", reason)
+            labels[index] = aid
+    if -1 in labels:
         raise ModelFormatError(path, "atoms do not cover H")
-    return Partition(space, tuple(masks))
+    return partition_from_key(space, labels.__getitem__)
 
 
 def _model_chunks(model: WModel) -> Iterator[str]:
@@ -320,7 +324,7 @@ def _model_chunks(model: WModel) -> Iterator[str]:
     space = model.space
     lines = [
         [f"            {json.dumps(key)}: {json.dumps(label)}" for label in labels]
-        for key, labels in zip(("nature", *space.agents), space.labels)
+        for key, labels in zip(space.keys, space.labels)
     ]
     # product() runs the last coordinate fastest: canonical index order
     configs = [

@@ -29,11 +29,9 @@ class WModel:
     information: tuple[tuple[str, Partition], ...]
 
     def __post_init__(self) -> None:
-        agent_ids = [a for a, _ in self.agents]
-        if len(set(agent_ids)) != len(agent_ids):
-            raise ValueError("duplicate agent ids")
-        space = build_space(self.nature, self.agents)
+        space = build_space(self.nature, self.agents)  # rejects duplicate agent ids
         object.__setattr__(self, "_space", space)
+        agent_ids = list(space.agents)
 
         grouped: list[str] = []
         for name, members in self.players:

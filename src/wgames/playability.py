@@ -155,15 +155,13 @@ def closed_loop_solutions(
     return [model.space.config(i) for i in iter_bits(mask)]
 
 
-def check_playability(
-    model: WModel, cap: int = DEFAULT_PROFILE_CAP
-) -> PlayabilityReport:
+def check_playability(model: WModel) -> PlayabilityReport:
     """Exhaustive playability decision with a deterministic first witness."""
     total = len(model.nature)
     for agent, acts in model.agents:
         total *= len(acts.labels) ** len(model.info_of(agent).atoms)
-        if total > cap:
-            raise ValueError(f"profile enumeration exceeds the cap of {cap}")
+        if total > DEFAULT_PROFILE_CAP:
+            raise ValueError(f"profile enumeration exceeds the cap of {DEFAULT_PROFILE_CAP}")
 
     per_agent = [enumerate_pure(model, a) for a in model.agent_ids]
     masks = [[strategy_mask(model, s) for s in strats] for strats in per_agent]

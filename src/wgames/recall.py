@@ -20,16 +20,16 @@ check and nothing valid is skipped.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import Iterator, Optional
 
 from .fields import (
     CoordinateSet,
     Partition,
     cylinder_partition,
+    first_cut,
     iter_bits,
     mask_of,
     partition_from_key,
@@ -206,26 +206,13 @@ def _first_cut(
     kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
 ) -> Optional[FieldMembershipViolation]:
     """First piece ``cell & block``, blocks of ``conditioning`` in order (the
-    whole space when None), that cuts an atom of ``field`` properly, if any.
-
-    A piece cuts an atom properly iff it holds some but not all of the
-    atom's configurations.  So the cell's configurations are counted per
-    (block id, atom id), and the least pair whose count falls short of
-    its atom's size is the first cut; only its masks are built.
-    """
-    members = list(iter_bits(cell))
-    if conditioning is None:
-        block_ids = repeat(0)
-    else:
-        block_ids = map(conditioning.atom_ids.__getitem__, members)
-    counts = Counter(zip(block_ids, map(field.atom_ids.__getitem__, members)))
-    atoms = field.atoms
-    cuts = (pair for pair, n in counts.items() if n < atoms[pair[1]].bit_count())
-    first = min(cuts, default=None)
+    whole space when None), that cuts an atom of ``field`` properly, if any;
+    only the masks of that cut are built."""
+    first = first_cut(cell, field, conditioning)
     if first is None:
         return None
     block = field.space.full_mask if conditioning is None else conditioning.atoms[first[0]]
-    return FieldMembershipViolation(kappa, block, cell & block, atoms[first[1]])
+    return FieldMembershipViolation(kappa, block, cell & block, field.atoms[first[1]])
 
 
 @dataclass(frozen=True)

@@ -222,16 +222,14 @@ def validate_behavioral(model: WModel, beta: BehavioralStrategy) -> bool:
     return True
 
 
-def enumerate_pure(
-    model: WModel, agent: str, cap: int = DEFAULT_ENUM_CAP
-) -> list[PureStrategy]:
+def enumerate_pure(model: WModel, agent: str) -> list[PureStrategy]:
     """All pure strategies of one agent, lexicographic in (atom, action)."""
     info = model.info_of(agent)
     labels = model.actions_of(agent).labels
     count = len(labels) ** len(info.atoms)
-    if count > cap:
+    if count > DEFAULT_ENUM_CAP:
         raise ValueError(
-            f"{count} strategies for agent {agent!r} exceed the cap of {cap}"
+            f"{count} strategies for agent {agent!r} exceed the cap of {DEFAULT_ENUM_CAP}"
         )
     return [
         PureStrategy(agent, combo)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
@@ -768,3 +770,59 @@ def test_weight_with_too_many_digits_is_exit_2(runner, tmp_path):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "$.heads: rational of 5002 characters has too many digits" in result.stderr
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Let ``str`` write ints of any length, for building expected texts."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_belief_sum_past_the_digit_limit_is_exit_2(runner, tmp_path):
+    # both weights parse, but their sum has an 8,001-digit denominator
+    heads, tails = "1/1" + "0" * 3999 + "1", "1/1" + "0" * 3999 + "3"
+    model = write_model(tmp_path, "alice-bob-nature")
+    nu = write_json(tmp_path, "nu.json", {"heads": heads, "tails": tails})
+    profile = write_json(tmp_path, "profile.json", PURE_AB_NATURE)
+    result = runner.invoke(main, ["pushforward", model, "--nu", nu, "--strategy", profile])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    total = 1 / Fraction(10**4000 + 1) + 1 / Fraction(10**4000 + 3)
+    with unlimited_int_digits():
+        assert f"$: weights sum to {total}" in result.stderr
+
+
+def test_pushforward_with_huge_kernel_denominators_is_exact(runner, tmp_path):
+    model = corpus_model("alice-bob-nature")
+    labels = {"alice": ("T", "B"), "bob": ("L", "R")}
+    kernels = {}  # a different 4,000-digit denominator in every row
+    for a, first in (("alice", 1), ("bob", 11)):
+        rows = []
+        for z in range(len(model.info_of(a))):
+            p = Fraction(1, 10**3999 + first + z)
+            rows.append(dict(zip(labels[a], (p, 1 - p))))
+        kernels[a] = rows
+    with unlimited_int_digits():
+        wire = {a: [{u: str(w) for u, w in row.items()} for row in rows] for a, rows in kernels.items()}
+    beta = write_json(tmp_path, "beta.json", {"kind": "behavioral", "player": "team", "kernels": wire})
+    nu = write_json(tmp_path, "nu.json", {"heads": "1/3", "tails": "2/3"})
+    args = ["--format", "structured", "pushforward", write_model(tmp_path, "alice-bob-nature")]
+    result = runner.invoke(main, args + ["--nu", nu, "--strategy", beta])
+    assert result.exit_code == 0, result.output
+    law = json.loads(result.stdout)["details"]["law"]
+    assert len(law) == model.space.size
+    belief = {"heads": Fraction(1, 3), "tails": Fraction(2, 3)}
+    for entry in law:
+        h = entry["configuration"]
+        i = model.space.index_of(h["nature"], h)
+        mass = belief[h["nature"]]
+        for a in ("alice", "bob"):
+            mass *= kernels[a][model.info_of(a).atom_index(i)][h[a]]
+        with unlimited_int_digits():
+            assert entry["weight"] == str(mass)
+    assert max(len(e["weight"]) for e in law) > 8000

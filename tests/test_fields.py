@@ -24,7 +24,8 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.fields import mask_of
+from wgames.fields import first_cut, mask_of
+from wgames.recall import Ordering, _first_cut
 
 from generators import to_oracle
 import oracles
@@ -81,6 +82,16 @@ def test_partition_rejects_bad_atoms():
         Partition(space, (0b11,))  # does not cover
     with pytest.raises(ValueError):
         Partition(space, (0b11, 0, space.full_mask & ~0b11))  # empty atom
+    past = 1 << space.size  # bits at or past the end of the space
+    for atoms, support in (
+        ((space.full_mask | past,), -1),
+        ((past,), past),
+        ((1, past << 5), 1 | past << 5),
+        ((space.full_mask,), space.full_mask | past),
+        ((-1,), 1),
+    ):
+        with pytest.raises(ValueError):
+            Partition(space, atoms, support)
 
 
 def test_cylinder_partition_matches_oracle():
@@ -146,6 +157,9 @@ def test_trace_partition():
     assert traced.atoms == (0b10, 0b1000)
     with pytest.raises(ValueError):
         trace_partition(points, 0)
+    for outside in (0b1011, 1 << space.size, -1):  # not inside the support
+        with pytest.raises(ValueError):
+            trace_partition(traced, outside)
     with pytest.raises(ValueError):
         traced.atom_index(0)  # outside the support
 
@@ -261,3 +275,42 @@ def test_label_builders_match_set_oracles_on_wide_and_traced_spaces():
                 assert joined == Partition(space, joined.atoms, support)
                 assert partition_refines(p, q) == all(oracles.in_field(c, p_sets) for c in q_sets)
         assert partition_refines(parts[0], parts[1])
+        _check_cuts_against_oracle(rng, space, members, parts)
+
+
+def _check_cuts_against_oracle(rng, space, members, parts):
+    """``subset_in_field``, ``first_cut`` and ``recall._first_cut`` agree
+    with the set oracle on random subsets of the support."""
+    kappa = Ordering("P", ("x",))
+    subsets = [0, mask_of(members)]
+    for _ in range(6):
+        subsets.append(mask_of(rng.sample(members, rng.randint(1, len(members)))))
+    for p in parts:
+        p_sets = _atom_sets(p)
+        subsets.append(p.atoms[0] | p.atoms[-1])  # unions of atoms are in the field
+        for s in subsets:
+            s_set = frozenset(i for i in members if s >> i & 1)
+            assert subset_in_field(s, p) == oracles.in_field(s_set, p_sets)
+            for q in parts:
+                expected = next(
+                    (
+                        (b, a)
+                        for b, block in enumerate(_atom_sets(q))
+                        for a, atom in enumerate(p_sets)
+                        if not oracles.in_field(s_set & block, [atom])
+                    ),
+                    None,
+                )
+                assert first_cut(s, p, q) == expected
+                cut = _first_cut(kappa, s, q, p)
+                if expected is None:
+                    assert cut is None
+                else:
+                    b, a = expected
+                    assert (cut.conditioning_atom, cut.subset, cut.offending_atom) == (
+                        q.atoms[b], s & q.atoms[b], p.atoms[a]
+                    )
+        outside = space.full_mask & ~p.support
+        if outside:
+            with pytest.raises(ValueError):
+                subset_in_field(outside, p)

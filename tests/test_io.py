@@ -6,6 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wgames import (
     AnalysisReport,
@@ -439,3 +440,57 @@ def test_weights_with_too_many_digits_are_addressed():
         parse_strategy(json.dumps(payload), model)
     assert err.value.path == "$.kernels.alice[2].T"
     assert "too many digits" in str(err.value)
+
+
+# ── atoms of corpus files, mutated ──────────────────────────────────────
+
+BAD_LABELS = (0, 1.5, True, None, [], ["T"], {}, {"T": "B"}, "zz-unknown")
+ATOM_MUTATIONS = (
+    "label", "missing-key", "extra-key", "duplicate", "overlap", "gap",
+    "empty-atom", "config-not-object", "atom-not-list",
+)
+
+
+def _mutate_atoms(atoms, kind, data):
+    """Apply one mutation to an agent's wire atoms, in place."""
+    i = data.draw(st.integers(0, len(atoms) - 1), label="atom")
+    j = data.draw(st.integers(0, len(atoms[i]) - 1), label="configuration")
+    config = atoms[i][j]
+    key = data.draw(st.sampled_from(sorted(config)), label="key")
+    if kind == "label":
+        config[key] = data.draw(st.sampled_from(BAD_LABELS), label="value")
+    elif kind == "missing-key":
+        del config[key]
+    elif kind == "extra-key":
+        config[data.draw(st.sampled_from(["extra", "Nature", ""]), label="new key")] = "0"
+    elif kind == "duplicate":
+        atoms[i].insert(data.draw(st.integers(0, len(atoms[i]))), dict(config))
+    elif kind == "overlap":  # a copy in another atom, or in an atom of its own
+        k = data.draw(st.sampled_from([n for n in range(len(atoms) + 1) if n != i]))
+        if k == len(atoms):
+            atoms.append([dict(config)])
+        else:
+            atoms[k].append(dict(config))
+    elif kind == "gap":
+        atoms[i].pop(j)
+    elif kind == "empty-atom":
+        atoms.insert(data.draw(st.integers(0, len(atoms))), [])
+    elif kind == "config-not-object":
+        atoms[i][j] = data.draw(st.sampled_from(BAD_LABELS[:-1] + ("nature",)))
+    else:
+        atoms[i] = data.draw(st.sampled_from([None, "atom", 3, {"nature": "*"}]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(corpus_names()), st.sampled_from(ATOM_MUTATIONS), st.data())
+def test_mutated_atoms_are_addressed_format_errors(name, kind, data):
+    model = corpus_model(name)
+    text = serialize_model(model)
+    assert parse_model(text) == model
+    payload = json.loads(text)
+    agent = data.draw(st.sampled_from(model.agent_ids), label="agent")
+    _mutate_atoms(payload["information"][agent]["atoms"], kind, data)
+    # anything but ModelFormatError (TypeError, KeyError, IndexError) fails the test
+    with pytest.raises(ModelFormatError) as err:
+        parse_model(json.dumps(payload))
+    assert err.value.path.startswith(f"$.information.{agent}.atoms")
