@@ -69,6 +69,7 @@ from .kuhn import (
 )
 from .model import WModel
 from .necessity import (
+    NoWitness,
     NonEquivalenceCertificate,
     RecallViolation,
     build_witness,

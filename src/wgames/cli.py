@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .corpus import corpus_model, corpus_names
+from .fields import SpaceTooLarge
 from .io import (
     AnalysisReport,
     ModelFormatError,
@@ -37,7 +38,7 @@ from .io import (
 )
 from .kuhn import behavioral_pushforward, kuhn_transform, pushforward, transform_preserves_law
 from .model import WModel
-from .necessity import build_witness, certify_nonequivalence, find_recall_violation, verify_certificate
+from .necessity import NoWitness, build_witness, certify_nonequivalence, find_recall_violation, verify_certificate
 from .playability import PlayabilityError, check_playability, solution_map
 from .recall import (
     SearchBudgetExhausted,
@@ -388,16 +389,17 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
     _one_of_ordering_or_search(ordering_file, search)
 
     def certify(phi, violation):
-        nu, focus, opponents = build_witness(model, player, violation)
-        cert = certify_nonequivalence(model, player, nu, focus, opponents)
         details = {
             "player": player,
             "ordering": ordering_payload(phi, model),
             "violation": recall_violation_payload(violation),
         }
-        if cert is None:
+        try:
+            nu, focus, opponents = build_witness(model, player, violation)
+        except NoWitness:
             _emit(ctx, "necessity", model, "undecided", details, 3)
-        if not verify_certificate(model, player, cert):
+        cert = certify_nonequivalence(model, player, nu, focus, opponents)
+        if cert is None or not verify_certificate(model, player, cert):
             _emit(ctx, "necessity", model, "undecided", details, 3)
         details["certificate"] = certificate_payload(model, cert)
         _emit(ctx, "necessity", model, "certified", details, 1)
@@ -455,6 +457,8 @@ def examples_export(name: str) -> None:
         model = corpus_model(name)
     except KeyError:
         raise click.UsageError(f"unknown example {name!r}")
+    except SpaceTooLarge as err:
+        raise click.UsageError(str(err))
     click.echo(serialize_model(model), nl=False)
 
 

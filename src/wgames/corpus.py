@@ -7,17 +7,20 @@ model with no first agent, and the remaining entries encode textbook
 leader/follower information inclusions (sequential control, principal-agent,
 Stackelberg).
 
-``sequential-<T>`` is parameterised: any positive step count is accepted by
-:func:`corpus_model`, while :func:`corpus_names` lists the three-step default.
+``sequential-<T>`` is parameterised: any positive step count within the size
+cap is accepted by :func:`corpus_model`, while :func:`corpus_names` lists the
+three-step default.
 """
 
 from __future__ import annotations
 
 from .fields import (
+    DEFAULT_SPACE_CAP,
     ConfigurationSpace,
     CoordinateSet,
     FiniteSet,
     Partition,
+    SpaceTooLarge,
     build_space,
     cylinder_partition,
     partition_from_key,
@@ -116,10 +119,13 @@ def sequential_model(steps: int) -> WModel:
     """One decision maker acting ``steps`` times with perfect recall.
 
     Agent t sees Nature and every earlier action, which realises the full
-    chain of sequentiality / memory inclusions.
+    chain of sequentiality / memory inclusions.  A space of 2^(steps+1)
+    configurations past the size cap is refused before anything is built.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if DEFAULT_SPACE_CAP >> (steps + 1) == 0:
+        raise SpaceTooLarge()
     nature = FiniteSet("nature", ("w0", "w1"))
     ids = tuple(f"t{k}" for k in range(1, steps + 1))
     agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ids)
@@ -222,6 +228,10 @@ def corpus_model(name: str) -> WModel:
         return _FIXED[name]()
     if name.startswith("sequential-"):
         suffix = name[len("sequential-") :]
-        if suffix.isdigit() and int(suffix) >= 1:
-            return sequential_model(int(suffix))
+        try:
+            steps = int(suffix) if suffix.isdigit() else 0
+        except ValueError:  # digits int() refuses: too many, or not decimal
+            steps = 0
+        if steps >= 1:
+            return sequential_model(steps)
     raise KeyError(f"unknown example {name!r}")

@@ -33,6 +33,9 @@ class SpaceMismatch(ValueError):
 class SpaceTooLarge(ValueError):
     """Raised when a model's configuration space exceeds the size cap."""
 
+    def __init__(self) -> None:
+        super().__init__(f"configuration space has more than {DEFAULT_SPACE_CAP} elements")
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending, in time linear in
@@ -310,7 +313,7 @@ def build_space(
         actions=tuple(acts for _, acts in agents),
     )
     if space.size > DEFAULT_SPACE_CAP:
-        raise SpaceTooLarge(f"configuration space has more than {DEFAULT_SPACE_CAP} elements")
+        raise SpaceTooLarge()
     return space
 
 

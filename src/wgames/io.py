@@ -127,6 +127,11 @@ def format_fraction(value: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
+def _weights_payload(dist: RationalDistribution) -> dict:
+    """Nonzero weights by carrier entry, in carrier order, as fractions."""
+    return {x: format_fraction(w) for x, w in zip(dist.carrier, dist.weights) if w != 0}
+
+
 def _loads(text: str):
     try:
         return json.loads(text)
@@ -505,14 +510,7 @@ def strategy_payload(strategy: Strategy) -> dict:
             "kind": "behavioral",
             "player": strategy.player,
             "kernels": {
-                agent: [
-                    {
-                        u: format_fraction(dist.weight(u))
-                        for u in dist.carrier
-                        if dist.weight(u) != 0
-                    }
-                    for dist in dists
-                ]
+                agent: [_weights_payload(dist) for dist in dists]
                 for agent, dists in strategy.kernels
             },
         }
@@ -545,8 +543,7 @@ def parse_belief(text: str, model: WModel) -> RationalDistribution:
 
 
 def serialize_belief(nu: RationalDistribution) -> str:
-    payload = {w: format_fraction(nu.weight(w)) for w in nu.carrier if nu.weight(w) != 0}
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_weights_payload(nu), indent=2) + "\n"
 
 
 def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
@@ -603,7 +600,7 @@ def serialize_ordering(phi: ConfigurationOrdering, model: WModel) -> str:
 
 
 def belief_payload(nu: RationalDistribution) -> dict:
-    return {w: format_fraction(nu.weight(w)) for w in nu.carrier if nu.weight(w) != 0}
+    return _weights_payload(nu)
 
 
 def ordering_payload(phi: ConfigurationOrdering, model: WModel) -> dict:

@@ -21,6 +21,8 @@ class WModel:
     maps player names to disjoint nonempty agent groups covering all
     agents; ``information`` assigns each agent a partition of the
     configuration space describing what the agent knows when acting.
+    The model holds the fields derived from it (see :mod:`wgames.recall`),
+    built on first use; ``==``, ``hash`` and ``repr`` ignore them.
     """
 
     nature: FiniteSet
@@ -31,6 +33,7 @@ class WModel:
     def __post_init__(self) -> None:
         space = build_space(self.nature, self.agents)  # rejects duplicate agent ids
         object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_derived", {})
         agent_ids = list(space.agents)
 
         grouped: list[str] = []
@@ -58,13 +61,10 @@ class WModel:
 
     @property
     def agent_ids(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.agents)
+        return self.space.agents
 
     def actions_of(self, agent: str) -> FiniteSet:
-        for a, acts in self.agents:
-            if a == agent:
-                return acts
-        raise ValueError(f"unknown agent {agent!r}")
+        return self.space.actions_of(agent)
 
     def info_of(self, agent: str) -> Partition:
         for a, part in self.information:

@@ -41,6 +41,12 @@ _HALF = Fraction(1, 2)
 # ── domain types ────────────────────────────────────────────────────────
 
 
+class NoWitness(ValueError):
+    """A violation the witness cannot separate: an agent it must move has a
+    single action, so that agent plays alike under mixed and behavioral
+    strategies."""
+
+
 @dataclass(frozen=True)
 class RecallViolation:
     """Two configurations a late agent cannot tell apart although their
@@ -197,7 +203,7 @@ def _first_other_action(model: WModel, agent: str, avoid: str) -> str:
     for label in model.actions_of(agent).labels:
         if label != avoid:
             return label
-    raise ValueError(f"agent {agent!r} needs a second action")
+    raise NoWitness(f"agent {agent!r} needs a second action")
 
 
 def _replace_action(model: WModel, h: Configuration, agent: str, action: str) -> Configuration:
@@ -223,7 +229,8 @@ def build_witness(
     The pair is first separated on the final agent's own coordinate when
     needed; under partial causality this changes neither the cell nor any
     conditioning atom, because the region refined by that agent's
-    information never constrains the agent's own action.
+    information never constrains the agent's own action.  Raises
+    :class:`NoWitness` when an agent the witness must move has one action.
     """
     _check_violation(model, player, violation)
     kappa = violation.ordering
@@ -476,7 +483,7 @@ def verify_certificate(
             region &= _pin_allows(model, agent, atom_id, action)
         if region != cert.reachable or region == 0:
             return False
-        if any(target.weight(model.space.config(i)) != 0 for i in iter_bits(region)):
+        if region & mask_of([h.index for h in target.support]):
             return False
         if (region & -region).bit_length() - 1 != cert.exhibited.index:
             return False

@@ -21,7 +21,6 @@ check and nothing valid is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Optional
 
@@ -165,26 +164,22 @@ def prefix_cells(
             yield Ordering(player, prefix), mask_of(cells[prefix])
 
 
-@lru_cache(maxsize=8192)
-def _choice_partition(model: WModel, agents: tuple[str, ...]) -> Partition:
-    records = model.choice_records(agents, range(model.space.size))
-    return partition_from_key(model.space, records.__getitem__)
-
-
 def choice_partition(model: WModel, agents) -> Partition:
-    """Join over ``agents`` of what each did (action cylinder) and knew (I_a)."""
-    return _choice_partition(model, tuple(sorted(agents)))
-
-
-@lru_cache(maxsize=8192)
-def _ground_partition(model: WModel, player: str, predecessors: tuple[str, ...]) -> Partition:
-    coords = CoordinateSet.of(True, model.opponents_of(player) + predecessors)
-    return cylinder_partition(model.space, coords)
+    """Join over ``agents`` of what each did and knew (I_a), built once per model."""
+    key, derived = tuple(sorted(agents)), model._derived  # type: ignore[attr-defined]
+    if key not in derived:
+        records = model.choice_records(key, range(model.space.size))
+        derived[key] = partition_from_key(model.space, records.__getitem__)
+    return derived[key]
 
 
 def causality_ground(model: WModel, player: str, predecessors) -> Partition:
-    """Cylinder field over Nature, all opponents, and the given predecessors."""
-    return _ground_partition(model, player, tuple(sorted(predecessors)))
+    """Cylinder field of Nature, all opponents and ``predecessors``, built once per model."""
+    key = CoordinateSet.of(True, model.opponents_of(player) + tuple(predecessors))
+    derived = model._derived  # type: ignore[attr-defined]
+    if key not in derived:
+        derived[key] = cylinder_partition(model.space, key)
+    return derived[key]
 
 
 @dataclass(frozen=True)

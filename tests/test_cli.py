@@ -826,3 +826,55 @@ def test_pushforward_with_huge_kernel_denominators_is_exact(runner, tmp_path):
         with unlimited_int_digits():
             assert entry["weight"] == str(mass)
     assert max(len(e["weight"]) for e in law) > 8000
+
+
+# A single-action agent plays the same under mixed and behavioral
+# strategies, so a violation that needs it to move has no witness.
+SINGLE_ACTION_MODELS = {
+    "last-agent": (
+        [("a", ["0", "1"], ["nature"]), ("b", ["0"], [])],
+        ["a", "b"],
+    ),
+    "informed-predecessor": (
+        [("b", ["0"], ["nature"]), ("c", ["0", "1"], [])],
+        ["b", "c"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_ACTION_MODELS))
+def test_necessity_with_single_action_agent_is_undecided(runner, tmp_path, name):
+    agents, sequence = SINGLE_ACTION_MODELS[name]
+    model = write_json(
+        tmp_path,
+        "model.json",
+        {
+            "nature": {"states": ["x", "y"]},
+            "agents": [{"id": a, "actions": acts} for a, acts, _ in agents],
+            "players": {"P": [a for a, _, _ in agents]},
+            "information": {a: {"observes": seen} for a, _, seen in agents},
+        },
+    )
+    ordering = write_json(
+        tmp_path, "ordering.json", {"kind": "ordering", "player": "P", "sequence": sequence}
+    )
+    args = ["--format", "structured", "necessity", model, "--player", "P", "--ordering", ordering]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    report = json.loads(result.stdout)
+    assert report["outcome"] == "undecided"
+    assert sorted(report["details"]) == ["ordering", "player", "violation"]
+    assert report["details"]["violation"]["prefix"] == sequence
+
+
+def test_export_of_sequential_past_the_cap_is_exit_2(runner):
+    over = runner.invoke(main, ["examples", "export", "sequential-23"])
+    assert over.exit_code == 2
+    assert isinstance(over.exception, SystemExit)
+    assert "configuration space has more than 10000000 elements" in over.stderr
+
+    digits = "1" * 4400  # more digits than int() converts
+    unknown = runner.invoke(main, ["examples", "export", f"sequential-{digits}"])
+    assert unknown.exit_code == 2
+    assert isinstance(unknown.exception, SystemExit)
+    assert "unknown example" in unknown.stderr

@@ -20,6 +20,7 @@ from wgames import (
     partition_from_key,
     partition_join,
     partition_refines,
+    sequential_model,
     subset_in_field,
     trace_partition,
     trivial_partition,
@@ -204,6 +205,12 @@ def test_build_space_enforces_the_cap():
     with pytest.raises(SpaceTooLarge):
         build_space(nature, agents)
     assert build_space(nature, agents[:3]).size == 8
+
+
+def test_sequential_model_past_the_cap_is_refused_before_building():
+    for steps in (23, 10**8, 10**30):  # 2^(steps+1) configurations
+        with pytest.raises(SpaceTooLarge, match="more than 10000000 elements"):
+            sequential_model(steps)
 
 
 def _naive_bits(mask):

@@ -6,7 +6,9 @@ ordered and coin-toss variants both recall perfectly along the constant
 (bob, alice) ordering.
 """
 
+import gc
 import time
+import weakref
 from dataclasses import replace
 from itertools import islice
 from random import Random
@@ -175,6 +177,39 @@ def test_choice_partition_matches_oracle():
         }
         ref = set(oracles.choice_field_atoms(oracle, list(agents)))
         assert mine == ref
+
+
+def test_fields_are_built_once_per_model():
+    model = sequential_model(4)
+    first = choice_partition(model, ("t3", "t1", "t2"))
+    assert choice_partition(model, ("t1", "t2", "t3")) is first
+    assert choice_partition(model, ["t2", "t3", "t1"]) is first
+    ground = causality_ground(model, "dm", ("t2", "t1"))
+    assert causality_ground(model, "dm", ("t1", "t2")) is ground
+    assert causality_ground(model, "dm", ["t2", "t1"]) is ground
+
+    twin = sequential_model(4)  # equal, but a model of its own
+    assert twin == model and twin is not model
+    for build in (
+        lambda m: choice_partition(m, ("t1", "t2")),
+        lambda m: causality_ground(m, "dm", ("t1",)),
+    ):
+        mine, theirs = build(model), build(twin)
+        assert mine == theirs and mine is not theirs
+
+
+def test_analysed_model_is_freed_with_its_fields():
+    model = sequential_model(4)
+    player = "dm"
+    assert search_recall_ordering(model, player).outcome == "found"
+    phi = constant_ordering(model, player, model.agents_of(player))
+    assert check_partial_causality(model, player, phi).holds
+    assert len(list(iter_causal_orderings(model, player))) == 1
+    assert find_recall_violation(model, player, phi) is None
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_causality_of_constant_orderings():
