@@ -380,9 +380,12 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
     looks for indistinguishable configurations with differing predecessor
     records and, on a hit, builds the witness belief and strategies and a
     machine-checked certificate that no behavioral strategy of the player
-    reproduces their closed-loop law.  With --search the sweep succeeds
-    (exit 0) on the first causal ordering free of violations, and otherwise
-    certifies a violation of the first causal ordering.
+    reproduces their closed-loop law.  An ordering is free of violations
+    only if the scan finds no pair and perfect recall holds along it; one
+    with neither (recall fails across a cell boundary) is undecided.  With
+    --search the sweep succeeds (exit 0) on the first causal ordering free
+    of violations, and otherwise certifies the violation of the first
+    causal ordering that has one.
     """
     model = _parse_file(parse_model, model_file)
     _require_player(model, player)
@@ -413,7 +416,9 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
             )
         violation = find_recall_violation(model, player, phi)
         if violation is None:
-            _emit(ctx, "necessity", model, "no-violation", {"player": player}, 0)
+            if check_perfect_recall(model, player, phi).holds:
+                _emit(ctx, "necessity", model, "no-violation", {"player": player}, 0)
+            _emit(ctx, "necessity", model, "undecided", {"player": player}, 3)
         certify(phi, violation)
 
     first: tuple = ()
@@ -422,18 +427,20 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
         for phi in iter_causal_orderings(model, player, budget):
             any_causal = True
             violation = find_recall_violation(model, player, phi)
-            if violation is None:
+            if violation is None and check_perfect_recall(model, player, phi).holds:
                 details = {
                     "player": player,
                     "ordering": ordering_payload(phi, model),
                 }
                 _emit(ctx, "necessity", model, "no-violation", details, 0)
-            if not first:
+            if violation is not None and not first:
                 first = (phi, violation)
     except SearchBudgetExhausted:
         _emit(ctx, "necessity", model, "unknown", {"player": player}, 3)
     if not any_causal:
         _emit(ctx, "necessity", model, "no-causal-ordering", {"player": player}, 3)
+    if not first:
+        _emit(ctx, "necessity", model, "undecided", {"player": player}, 3)
     certify(*first)
 
 

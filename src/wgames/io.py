@@ -33,7 +33,7 @@ from .fields import (
     partition_from_key,
 )
 from .model import WModel
-from .recall import ConfigurationOrdering, Ordering
+from .recall import ConfigurationOrdering, Ordering, constant_ordering
 from .strategies import (
     BehavioralStrategy,
     MixedStrategy,
@@ -547,8 +547,8 @@ def serialize_belief(nu: RationalDistribution) -> str:
 
 
 def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
-    """Configuration-ordering from JSON: a constant ``sequence`` or one
-    assignment per configuration."""
+    """Configuration-ordering from the unchanged wire format: a constant
+    ``sequence``, or one assignment per configuration, grouped into cells."""
     top = _as_object(_loads(text), "$")
     _exact_keys(top, "$", {"kind", "player"} | ({"sequence"} if "sequence" in top else {"assignments"}))
     if _as_string(top.get("kind"), "$.kind") != "ordering":
@@ -568,8 +568,7 @@ def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
 
     if "sequence" in top:
         seq = sequence_at(top["sequence"], "$.sequence")
-        rho = Ordering(player, seq)
-        return ConfigurationOrdering(player, (rho,) * model.space.size)
+        return constant_ordering(model, player, seq)
 
     rows = _as_list(top["assignments"], "$.assignments")
     table: list[Optional[Ordering]] = [None] * model.space.size
@@ -589,7 +588,7 @@ def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
             "$.assignments",
             f"no ordering for configuration index {holes[0]}",
         )
-    return ConfigurationOrdering(player, tuple(table))
+    return ConfigurationOrdering.from_table(player, table)
 
 
 def serialize_ordering(phi: ConfigurationOrdering, model: WModel) -> str:
@@ -604,21 +603,22 @@ def belief_payload(nu: RationalDistribution) -> dict:
 
 
 def ordering_payload(phi: ConfigurationOrdering, model: WModel) -> dict:
-    """Ordering as the same object ``parse_ordering`` accepts: a constant
-    ``sequence``, or one assignment per configuration."""
+    """Ordering as the same object ``parse_ordering`` accepts, in the unchanged
+    wire format: a constant ``sequence``, or the cells unfolded per configuration."""
     if phi.is_constant:
         return {
             "kind": "ordering",
             "player": phi.player,
-            "sequence": list(phi.orderings[0].sequence),
+            "sequence": list(phi.cells[0][0].sequence),
         }
+    sequences = {i: list(rho.sequence) for rho, mask in phi.cells for i in iter_bits(mask)}
     return {
         "kind": "ordering",
         "player": phi.player,
         "assignments": [
             {
                 "configuration": config_payload(model.space.config(i)),
-                "sequence": list(phi.at(i).sequence),
+                "sequence": sequences[i],
             }
             for i in range(model.space.size)
         ],

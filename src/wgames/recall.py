@@ -1,14 +1,14 @@
 """Orderings of a player's agents and the checks built on them.
 
 A configuration-ordering assigns to every configuration a total order in
-which the player's agents are deemed to act there.  Perfect recall asks
-that, cell by cell, whatever the predecessors did and knew is readable from
-the last agent's information field; partial causality asks that each cell,
-refined by the last agent's information, depends only on Nature, the other
-players' actions and the predecessors' actions.  Both checks quantify over
-atoms, which suffices for finite fields.  All three prefix checks (these
-two and the recall-violation scan) walk :func:`prefix_cells`: only the
-prefixes that occur in the configuration-ordering, each with its cell, in
+which the player's agents act, held as one cell (bitmask) per order that
+occurs.  Perfect recall asks that, cell by cell, whatever the predecessors
+did and knew is readable from the last agent's information field; partial
+causality asks that each cell, refined by the last agent's information,
+depends only on Nature, the other players' actions and the predecessors'
+actions.  Both checks quantify over atoms, which suffices for finite
+fields.  All three prefix checks (these two and the recall-violation scan)
+walk :func:`prefix_cells`: the prefixes that occur, each with its cell, in
 the canonical order of :func:`enumerate_orderings`.
 
 The searches build candidate orderings cell by cell, assigning the next
@@ -78,30 +78,53 @@ def restrict_ordering(rho: Ordering, k: int) -> Ordering:
 
 @dataclass(frozen=True)
 class ConfigurationOrdering:
-    """One total ordering of the player's agents per configuration."""
+    """The agents' order at each configuration: one disjoint ``(ordering,
+    mask)`` cell per order that occurs, sorted by lowest configuration."""
 
     player: str
-    orderings: tuple[Ordering, ...]
+    cells: tuple[tuple[Ordering, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.orderings:
-            raise ValueError("need one ordering per configuration")
-        base = self.orderings[0]
-        agents, n = base.range, len(base)
-        # builders share one Ordering object per sequence: check each once
-        for rho in {id(rho): rho for rho in self.orderings}.values():
+        if not self.cells:
+            raise ValueError("need at least one cell")
+        base = self.cells[0][0]
+        agents, n, seen = base.range, len(base), 0
+        for rho, mask in self.cells:
             if rho.player != self.player:
                 raise ValueError("ordering assigned to a different player")
             if len(rho) != n or rho.range != agents:
                 raise ValueError("orderings must all cover the same agents")
+            if mask <= 0 or mask & seen:
+                raise ValueError("cells must be nonempty and disjoint")
+            seen |= mask
+        if len({rho for rho, _ in self.cells}) < len(self.cells):
+            raise ValueError("one cell per ordering")
+        cells = sorted(self.cells, key=lambda cell: cell[1] & -cell[1])  # so == is canonical
+        object.__setattr__(self, "cells", tuple(cells))
+
+    @classmethod
+    def from_table(cls, player: str, table) -> ConfigurationOrdering:
+        """Cells of a table that holds one ordering per configuration index."""
+        runs: dict[Ordering, list[int]] = {}
+        for i, rho in enumerate(table):
+            runs.setdefault(rho, []).append(i)
+        return cls(player, tuple((rho, mask_of(run)) for rho, run in runs.items()))
 
     def at(self, index: int) -> Ordering:
-        return self.orderings[index]
+        for rho, mask in self.cells:
+            if index >= 0 and mask >> index & 1:
+                return rho
+        raise IndexError(f"configuration index {index} lies in no cell")
 
     @property
     def is_constant(self) -> bool:
-        first = self.orderings[0]
-        return all(rho is first or rho == first for rho in self.orderings)
+        return len(self.cells) == 1
+
+    @property
+    def orderings(self) -> tuple[Ordering, ...]:
+        """One ordering per configuration index, read only by the benchmark's traced runs."""
+        table = {i: rho for rho, mask in self.cells for i in iter_bits(mask)}
+        return tuple(table[i] for i in range(len(table)))
 
 
 def constant_ordering(
@@ -111,7 +134,7 @@ def constant_ordering(
     if sorted(sequence) != sorted(agents):
         raise ValueError(f"{sequence!r} is not a total ordering of {agents!r}")
     rho = Ordering(player, tuple(sequence))
-    return ConfigurationOrdering(player, (rho,) * model.space.size)
+    return ConfigurationOrdering(player, ((rho, model.space.full_mask),))
 
 
 def enumerate_orderings(model: WModel, player: str, k: int) -> list[Ordering]:
@@ -125,18 +148,17 @@ def enumerate_orderings(model: WModel, player: str, k: int) -> list[Ordering]:
 def _validate_phi(model: WModel, player: str, phi: ConfigurationOrdering) -> None:
     if phi.player != player:
         raise ValueError(f"ordering belongs to player {phi.player!r}, not {player!r}")
-    if len(phi.orderings) != model.space.size:
+    if sum(mask for _, mask in phi.cells) != model.space.full_mask:  # cells are disjoint
         raise ValueError("configuration-ordering built on a different space")
     agents = model.agents_of(player)
-    if phi.orderings[0].range != frozenset(agents):
+    if phi.cells[0][0].range != frozenset(agents):
         raise ValueError("orderings must be total over the player's agents")
 
 
 def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) -> int:
     """Configurations whose ordering starts with ``kappa``, as a bitmask."""
     k = len(kappa)
-    chosen = [i for i, rho in enumerate(phi.orderings) if rho.sequence[:k] == kappa.sequence]
-    return mask_of(chosen)
+    return sum(mask for rho, mask in phi.cells if rho.sequence[:k] == kappa.sequence)
 
 
 def prefix_cells(
@@ -147,21 +169,18 @@ def prefix_cells(
     Yields ``(kappa, cell)`` for every nonempty cell, by length and then by
     the agents' positions in the player's list: the order of
     :func:`enumerate_orderings`, so a check that stops at its first failure
-    reports what a walk over every injective sequence would.  One length
-    is collected at a time, as index lists, so the extra memory is O(|H|).
+    reports what a walk over every injective sequence would.  A prefix's
+    cell is the union of the cells of ``phi`` whose ordering starts with it.
     """
     _validate_phi(model, player, phi)
     agents = model.agents_of(player)
     pos = {a: i for i, a in enumerate(agents)}
-    runs: dict[tuple[str, ...], list[int]] = {}
-    for i, rho in enumerate(phi.orderings):
-        runs.setdefault(rho.sequence, []).append(i)
     for k in range(start, len(agents) + 1):
-        cells: dict[tuple[str, ...], list[int]] = {}
-        for sequence, indices in runs.items():
-            cells.setdefault(sequence[:k], []).extend(indices)
+        cells: dict[tuple[str, ...], int] = {}
+        for rho, mask in phi.cells:
+            cells[rho.sequence[:k]] = cells.get(rho.sequence[:k], 0) | mask
         for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
-            yield Ordering(player, prefix), mask_of(cells[prefix])
+            yield Ordering(player, prefix), cells[prefix]
 
 
 def choice_partition(model: WModel, agents) -> Partition:
@@ -293,73 +312,59 @@ def _iter_valid_orderings(
     completed assignment is a passing ordering and every passing ordering
     arises from some branch.  Blocks are claimed lowest configuration
     first with agents tried in declared order, making the enumeration
-    order canonical.
+    order canonical.  Claims and cells wait on explicit stacks, not calls.
     """
-    space = model.space
     agents = model.agents_of(player)
-    n = len(agents)
-    info = {a: model.info_of(a) for a in agents}
+    spend = budget.spend
 
-    def parts_of_cell(prefix: tuple[str, ...], cell: int) -> Iterator[dict[str, int]]:
+    def splits(prefix: tuple[str, ...], cell: int) -> Iterator[list]:
+        """Splits of ``cell`` among the agents outside ``prefix``, as (child, part) pairs."""
         remaining = [a for a in agents if a not in prefix]
-        cfield = choice_partition(model, prefix) if (mode == "recall" and prefix) else None
-        ground = causality_ground(model, player, prefix) if mode == "causality" else None
-        acc = {a: 0 for a in remaining}
-
-        def claim(unassigned: int) -> Iterator[dict[str, int]]:
-            if unassigned == 0:
-                yield dict(acc)
-                return
-            h = (unassigned & -unassigned).bit_length() - 1
-            for a in remaining:
-                budget.spend()
-                block, within = (info[a], cfield) if mode == "recall" else (ground, info[a])
-                unit = block.atoms[block.atom_ids[h]]
-                if unit & ~unassigned:
-                    continue
-                if within is not None and unit & ~within.atoms[within.atom_ids[h]]:
-                    continue
-                acc[a] |= unit
-                yield from claim(unassigned & ~unit)
-                acc[a] &= ~unit
-
-        yield from claim(cell)
-
-    ordering_cache: dict[tuple[str, ...], Ordering] = {}
-
-    def assemble(leaves: list[tuple[tuple[str, ...], int]]) -> ConfigurationOrdering:
-        seq: list[Optional[Ordering]] = [None] * space.size
-        for chain, mask in leaves:
-            rho = ordering_cache.setdefault(chain, Ordering(player, chain))
-            for i in iter_bits(mask):
-                seq[i] = rho
-        return ConfigurationOrdering(player, tuple(seq))  # type: ignore[arg-type]
-
-    def cascade(
-        pending: list[tuple[tuple[str, ...], int]],
-        leaves: list[tuple[tuple[str, ...], int]],
-    ) -> Iterator[ConfigurationOrdering]:
-        if not pending:
-            yield assemble(leaves)
-            return
-        prefix, cell = pending[0]
-        for parts in parts_of_cell(prefix, cell):
-            next_pending = pending[1:]
-            next_leaves = leaves
-            for a in agents:
-                mask = parts.get(a, 0)
-                if mask == 0:
-                    continue
-                child = prefix + (a,)
-                if len(child) < n:
-                    next_pending = next_pending + [(child, mask)]
+        recall = mode == "recall"  # the choice field of no agent is trivial
+        field = choice_partition(model, prefix) if recall else causality_ground(model, player, prefix)
+        pairs = [(model.info_of(a), field) if recall else (field, model.info_of(a)) for a in remaining]
+        units = [(b.atoms, b.atom_ids, w.atoms, w.atom_ids) for b, w in pairs]  # block, field it lies in
+        acc = [0] * len(remaining)
+        claims: list[tuple[int, int, int]] = []  # (unassigned before, agent, block)
+        unassigned, j = cell, 0
+        while True:
+            if unassigned:
+                h = (unassigned & -unassigned).bit_length() - 1
+                for j in range(j, len(units)):
+                    spend()
+                    atoms, atom_ids, within, within_ids = units[j]
+                    unit = atoms[atom_ids[h]]
+                    if not (unit & ~unassigned or unit & ~within[within_ids[h]]):
+                        break
                 else:
-                    if next_leaves is leaves:
-                        next_leaves = leaves[:]
-                    next_leaves.append((child, mask))
-            yield from cascade(next_pending, next_leaves)
+                    unit = 0  # no agent can claim h's block
+                if unit:
+                    acc[j] |= unit
+                    claims.append((unassigned, j, unit))
+                    unassigned, j = unassigned & ~unit, 0
+                    continue
+            else:
+                yield [(prefix + (a,), part) for a, part in zip(remaining, acc) if part]
+            if not claims:
+                return
+            unassigned, j, unit = claims.pop()
+            acc[j] &= ~unit
+            j += 1
 
-    yield from cascade([((), space.full_mask)], [])
+    queue, leaves = [((), model.space.full_mask)], []  # cells to split, cells of full chains
+    stack = [(splits(*queue[0]), 1, 0)]  # per cell: its splits, queue and leaf counts before them
+    while stack:
+        parts, queued, left = stack[-1]
+        del queue[queued:], leaves[left:]
+        children = next(parts, None)
+        if children is None:
+            stack.pop()
+            continue
+        (queue if len(children[0][0]) < len(agents) else leaves).extend(children)
+        if len(stack) < len(queue):
+            stack.append((splits(*queue[len(stack)]), len(queue), len(leaves)))
+        else:
+            yield ConfigurationOrdering(player, tuple((Ordering(player, c), m) for c, m in leaves))
 
 
 @dataclass(frozen=True)

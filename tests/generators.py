@@ -196,7 +196,7 @@ def random_state_ordered_model(
                 (a, partition_from_key(space, lambda i, a=a: key(i, a))) for a in ids
             ),
         )
-        phi = ConfigurationOrdering(
+        phi = ConfigurationOrdering.from_table(
             "P",
             tuple(Ordering("P", orders[space.config(i).nature]) for i in range(space.size)),
         )
@@ -233,6 +233,38 @@ def random_partition_model(
         agents=agents,
         players=tuple(players),
         information=information,
+    )
+
+
+def deep_recall_model(n: int) -> WModel:
+    """Player ``P`` whose recall only a non-constant ordering could give,
+    beside a player ``Q`` of ``n`` binary agents that see nothing.
+
+    Nature is ``{w0, w1}``.  ``a`` observes Nature, the q's and, at w1,
+    ``b``'s action; ``b`` observes Nature, the q's and, at w0, ``a``'s.  No
+    constant ordering has perfect recall for ``P``.  H has 2^(n+3)
+    configurations and no block of the general search holds more than four,
+    so its first cell takes at least 2^(n+1) claims.
+    """
+    qs = tuple(f"q{k}" for k in range(1, n + 1))
+    agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ("a", "b") + qs)
+    nature = FiniteSet("nature", ("w0", "w1"))
+    space = _space_of(nature, agents)
+
+    def key(i, agent, other, state):
+        h = space.config(i)
+        seen = h.action(other) if h.nature == state else None
+        return h.nature, seen, tuple(h.action(q) for q in qs)
+
+    info = (
+        ("a", partition_from_key(space, lambda i: key(i, "a", "b", "w1"))),
+        ("b", partition_from_key(space, lambda i: key(i, "b", "a", "w0"))),
+    ) + tuple((q, partition_from_key(space, lambda i: 0)) for q in qs)
+    return WModel(
+        nature=nature,
+        agents=agents,
+        players=(("P", ("a", "b")), ("Q", qs)),
+        information=info,
     )
 
 

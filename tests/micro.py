@@ -131,7 +131,7 @@ def all_orderings_of(model):
     backward = Ordering(PLAYER, AGENTS[::-1])
     size = model.space.size
     for bits in range(1 << size):
-        yield ConfigurationOrdering(
+        yield ConfigurationOrdering.from_table(
             PLAYER,
             tuple(
                 forward if (bits >> i) & 1 == 0 else backward for i in range(size)

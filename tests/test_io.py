@@ -364,7 +364,7 @@ def test_ordering_round_trips():
 
     ab = Ordering("team", ("alice", "bob"))
     ba = Ordering("team", ("bob", "alice"))
-    varied = ConfigurationOrdering(
+    varied = ConfigurationOrdering.from_table(
         "team",
         tuple(ab if i % 2 else ba for i in range(model.space.size)),
     )

@@ -77,11 +77,31 @@ def test_shared_ordering_objects_do_not_hide_a_bad_last_entry():
         Ordering("other", ("bob", "alice")),
     ):
         with pytest.raises(ValueError):
-            ConfigurationOrdering("team", (shared,) * (n - 1) + (last,))
+            ConfigurationOrdering.from_table("team", (shared,) * (n - 1) + (last,))
     equal = tuple(Ordering("team", ("bob", "alice")) for _ in range(n))
-    assert ConfigurationOrdering("team", equal).is_constant
+    assert ConfigurationOrdering.from_table("team", equal).is_constant
     mixed = (shared,) * (n - 1) + (Ordering("team", ("alice", "bob")),)
-    assert not ConfigurationOrdering("team", mixed).is_constant
+    assert not ConfigurationOrdering.from_table("team", mixed).is_constant
+
+
+def test_configuration_ordering_cells_are_canonical():
+    model = corpus_model("alice-bob-nature")
+    ab = Ordering("team", ("alice", "bob"))
+    ba = Ordering("team", ("bob", "alice"))
+    full = model.space.full_mask
+    # cells given in any order are held sorted by lowest configuration
+    assert ConfigurationOrdering("team", ((ba, full & ~1), (ab, 1))) == ConfigurationOrdering(
+        "team", ((ab, 1), (ba, full & ~1))
+    )
+    for cells in (
+        ((ba, 0b11), (ba, full & ~0b11)),  # one ordering in two cells
+        ((ab, 0b11), (ba, full & ~0b1)),  # overlapping cells
+        ((ab, 0), (ba, full)),  # an empty cell
+    ):
+        with pytest.raises(ValueError):
+            ConfigurationOrdering("team", cells)
+    with pytest.raises(IndexError):
+        constant_ordering(model, "team", ("bob", "alice")).at(model.space.size)
 
 
 def test_enumerate_orderings_is_canonical():
@@ -260,7 +280,7 @@ def test_nonconstant_ordering_cells():
     ab = Ordering("team", ("alice", "bob"))
     ba = Ordering("team", ("bob", "alice"))
     table = tuple(ab if i < 2 else ba for i in range(model.space.size))
-    phi = ConfigurationOrdering("team", table)
+    phi = ConfigurationOrdering.from_table("team", table)
     assert not phi.is_constant
     cell_a = ordering_cell(model, phi, Ordering("team", ("alice",)))
     assert cell_a == 0b0011
@@ -377,7 +397,7 @@ def _nonconstant_cases(rng, count):
                 rho = Ordering(player, tuple(rng.sample(own, len(own))))
                 for i in iter_bits(atom):
                     table[i] = rho
-            found = [ConfigurationOrdering(player, tuple(table))]
+            found = [ConfigurationOrdering.from_table(player, tuple(table))]
         cases += [(model, player, phi) for phi in found if not phi.is_constant][:1]
     return cases
 
