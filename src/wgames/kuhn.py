@@ -6,13 +6,15 @@ mass of a configuration is the belief's weight of its Nature state times,
 per player, the probability that the player's draw prescribes the
 configuration's actions at the atoms it reaches.  Checks on each Nature
 block make sure that every drawn profile has exactly one closed-loop
-solution, which makes that product the law.  The transform reads the
-focus player's kernels off that one law: the kernel of an agent at one of
-its atoms is the conditional law of its action given the atom.  That is
-the disintegration along a perfect-recall configuration-ordering, because
-perfect recall puts each atom inside one prefix cell on which the
-predecessors' atoms and actions are constant.  All weights are exact
-rationals; distribution equality is literal equality, never tolerance.
+solution, which makes that product the law; the pair check is the search
+that also decides playability (:func:`wgames.playability._first_pair`).
+The transform reads the focus player's kernels off that one law: the
+kernel of an agent at one of its atoms is the conditional law of its
+action given the atom.  That is the disintegration along a perfect-recall
+configuration-ordering, because perfect recall puts each atom inside one
+prefix cell on which the predecessors' atoms and actions are constant.
+All weights are exact rationals; distribution equality is literal
+equality, never tolerance.
 
 Atoms that no drawn profile reaches carry no constraint; they receive the
 uniform kernel, which is a total, canonical choice that leaves every
@@ -26,11 +28,11 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .fields import Configuration, ConfigurationSpace, SpaceMismatch, iter_bits
 from .model import WModel
-from .playability import PlayabilityError, closed_loop_solutions, strategy_mask
+from .playability import PlayabilityError, _first_pair, strategy_mask
 from .recall import (
     ConfigurationOrdering,
     Ordering,
@@ -39,7 +41,6 @@ from .recall import (
 )
 from .strategies import (
     MixedStrategy,
-    PureStrategyProfile,
     RationalDistribution,
     BehavioralStrategy,
     one_strategy_per_player,
@@ -77,34 +78,6 @@ def validate_belief(model: WModel, nu: RationalDistribution) -> bool:
     return all(w in model.nature.labels for w in nu.carrier)
 
 
-def _first_pair(
-    model: WModel, block: list[int], together: Callable[[int, int], bool]
-) -> Optional[tuple[int, int]]:
-    """First pair i < j of the ascending ``block`` with ``together(i, j)``.
-
-    No drawn profile solves at two configurations that give an agent one
-    atom and two actions.  So while an agent has one atom and several
-    actions on a group, the group is split by that action; only groups
-    that cannot be split are searched pair by pair.
-    """
-    keys = dict(zip(block, model.choice_records(model.agent_ids, block)))
-    found = []
-    groups = [(block, range(len(model.agents)))]
-    while groups:
-        group, live = groups.pop()
-        live = [k for k in live if len({keys[i][k][1] for i in group}) > 1]
-        split = next((k for k in live if len({keys[i][k][0] for i in group}) == 1), None)
-        if split is None:
-            pairs = ((i, j) for x, i in enumerate(group) for j in group[x + 1 :])
-            found.append(next((pair for pair in pairs if together(*pair)), None))
-            continue
-        parts: dict[int, list[int]] = {}
-        for i in group:
-            parts.setdefault(keys[i][split][1], []).append(i)
-        groups += [(part, live) for part in parts.values()]
-    return min(filter(None, found), default=None)
-
-
 def _law(
     model: WModel,
     nu: RationalDistribution,
@@ -117,8 +90,7 @@ def _law(
     each block carries nu(omega) (E[N] = 1) and no drawn profile solves at
     two configurations (E[N(N-1)] = 0), which force N = 1.  Otherwise
     PlayabilityError names the state and the configurations with mass, or
-    the first pair solved together, or, when every player is mixed, the
-    first sample without exactly one solution.
+    the first pair solved together.
     """
     if not validate_belief(model, nu):
         raise ValueError("belief is not carried by Nature states")
@@ -150,36 +122,19 @@ def _law(
             masses[i] = w
 
     def together(i: int, j: int) -> bool:
+        # a behavioral draw plays each atom independently, so only the
+        # plans of mixed players can keep a pair that no agent separates apart
         both = 1 << i | 1 << j
-        return all(
-            info.atom_index(i) != info.atom_index(j) or space.digit(i, c) == space.digit(j, c)
-            for info, c, _ in kernels
-        ) and all(any(m & both == both for m, _ in masks) for masks in plans)
+        return all(any(m & both == both for m, _ in masks) for masks in plans)
 
     for d, omega in enumerate(model.nature.labels):
         block = [i for i in masses if space.digit(i, 0) == d]
         mass = sum((masses[i] for i in block), Fraction(0))
         bad = block if mass != belief[d] else _first_pair(model, block, together)
         if bad is not None:
-            if all(isinstance(s, MixedStrategy) for s in by_player.values()):
-                _walk_samples(model, nu, by_player)
             raise PlayabilityError(None, omega, tuple(map(space.config, bad)))
     carrier = tuple(map(space.config, masses))
     return PushforwardDistribution(space, RationalDistribution(carrier, tuple(masses.values())))
-
-
-def _walk_samples(
-    model: WModel, nu: RationalDistribution, by_player: Mapping[str, MixedStrategy]
-) -> None:
-    """Raise PlayabilityError for the first (plan combination, Nature
-    state) sample, in canonical order, without exactly one solution."""
-    belief = [w for w in model.nature.labels if nu.weight(w) != 0]
-    for combo in product(*(by_player[p].support for p in model.player_names)):
-        profile = PureStrategyProfile(tuple(s for plan, _ in combo for s in plan.strategies))
-        for omega in belief:
-            solutions = closed_loop_solutions(model, profile, omega)
-            if len(solutions) != 1:
-                raise PlayabilityError(profile, omega, solutions)
 
 
 def pushforward(
@@ -190,9 +145,10 @@ def pushforward(
 ) -> PushforwardDistribution:
     """Law of the closed-loop configuration under ``nu`` and the plans.
 
-    A profile with zero or several solutions raises PlayabilityError
-    naming the profile and the Nature state.  ``threads`` must be at least
-    1 and changes nothing.
+    If a drawn profile has no or several closed-loop solutions,
+    PlayabilityError names the Nature state and the configurations with
+    mass, or the first pair solved together.  ``threads`` must be at
+    least 1 and changes nothing.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -233,18 +189,6 @@ class ConditionalKernel:
 
     kappa: Ordering
     entries: tuple[tuple[int, RationalDistribution, bool], ...]
-
-    def law(self, atom_id: int) -> RationalDistribution:
-        for aid, dist, _ in self.entries:
-            if aid == atom_id:
-                return dist
-        raise KeyError(f"atom {atom_id} is not part of this kernel's cell")
-
-    def reached(self, atom_id: int) -> bool:
-        for aid, _, flag in self.entries:
-            if aid == atom_id:
-                return flag
-        raise KeyError(f"atom {atom_id} is not part of this kernel's cell")
 
 
 def _require_recall(model: WModel, player: str, phi: ConfigurationOrdering) -> None:

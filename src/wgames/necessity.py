@@ -337,10 +337,9 @@ def forced_support(
 def _pin_allows(model: WModel, agent: str, atom_id: int, action: str) -> int:
     """Configurations compatible with the pin: off the atom, or on it with
     the pinned action as the agent's own coordinate."""
-    info = model.info_of(agent)
-    const = PureStrategy(agent, (action,) * len(info))
-    own = strategy_mask(model, const)
-    return model.space.full_mask & ~(info.atoms[atom_id] & ~own)
+    space = model.space
+    own = space.cylinder_mask(space.agent_pos(agent) + 1, model.actions_of(agent).index(action))
+    return space.full_mask & ~(model.info_of(agent).atoms[atom_id] & ~own)
 
 
 def certify_nonequivalence(

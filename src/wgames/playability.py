@@ -2,19 +2,28 @@
 
 A pure strategy profile and a Nature state define the closed-loop
 equations: every agent's action must equal what its strategy prescribes
-at the resulting configuration.  The model is playable when every
-(profile, state) pair admits exactly one solution.  Solutions are found
-by exhaustive scan: for each strategy an agreement bitmask marks the
-configurations where the strategy already prescribes the configuration's
-own action, and fixed points are the intersection of all masks within a
-Nature block.
+at the resulting configuration.  Solutions are found by scan: for each
+strategy an agreement bitmask marks the configurations where the strategy
+prescribes the configuration's own action, and the solutions at a Nature
+state are the intersection of all masks within its block.
+
+The model is playable when every (profile, state) pair admits exactly one
+solution.  That is decided without enumerating profiles.  Draw a pure
+profile uniformly: a configuration h of a Nature block solves it with
+probability prod_a 1/|A_a|, and the block holds prod_a |A_a|
+configurations, so the number N of solutions on the block has E[N] = 1.
+Every profile therefore has exactly one solution if and only if none has
+two; and some profile solves h != h' together if and only if every agent
+either has different atoms at h and h' or plays the same action at both.
+One pair search per block, :func:`_first_pair`, which the laws of
+:mod:`wgames.kuhn` run too, decides the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from .fields import (
     Configuration,
@@ -30,10 +39,10 @@ from .strategies import (
     PureStrategy,
     PureStrategyProfile,
     constant_profile,
-    enumerate_pure,
     validate_pure,
 )
 
+# the most configuration pairs the playability decision compares in one Nature block
 DEFAULT_PROFILE_CAP = 10**7
 
 
@@ -155,36 +164,80 @@ def closed_loop_solutions(
     return [model.space.config(i) for i in iter_bits(mask)]
 
 
+def _first_pair(
+    model: WModel,
+    block: Sequence[int],
+    together: Callable[[int, int], bool],
+    cap: Optional[int] = None,
+) -> Optional[tuple[int, int]]:
+    """First pair i < j of the ascending ``block`` that no agent separates
+    and with ``together(i, j)``.
+
+    An agent separates two configurations when it has one atom and two
+    actions on them: no profile solves at both.  Every pair that no agent
+    separates is solved together by some pure profile.  So while an agent
+    has one atom and several actions on a group, the group is split by
+    that action; only groups that cannot be split are searched pair by
+    pair.  Raises ValueError, before comparing any pair, when those groups
+    hold more than ``cap`` pairs.
+    """
+    keys = dict(zip(block, model.choice_records(model.agent_ids, block)))
+    groups = []
+    stack = [(block, range(len(model.agents)))]
+    while stack:
+        group, live = stack.pop()
+        live = [k for k in live if len({keys[i][k][1] for i in group}) > 1]
+        split = next((k for k in live if len({keys[i][k][0] for i in group}) == 1), None)
+        if split is None:
+            groups.append(group)
+            continue
+        parts: dict[int, list[int]] = {}
+        for i in group:
+            parts.setdefault(keys[i][split][1], []).append(i)
+        stack += [(part, live) for part in parts.values()]
+    if cap is not None and sum(len(g) * (len(g) - 1) // 2 for g in groups) > cap:
+        raise ValueError(f"the pair search exceeds the cap of {cap} configuration pairs")
+
+    def joint(i: int, j: int) -> bool:
+        return all(
+            zi != zj or di == dj for (zi, di), (zj, dj) in zip(keys[i], keys[j])
+        ) and together(i, j)
+
+    found = (
+        next(((i, j) for x, i in enumerate(g) for j in g[x + 1 :] if joint(i, j)), None)
+        for g in groups
+    )
+    return min(filter(None, found), default=None)
+
+
 def check_playability(model: WModel) -> PlayabilityReport:
-    """Exhaustive playability decision with a deterministic first witness."""
-    total = len(model.nature)
-    for agent, acts in model.agents:
-        total *= len(acts.labels) ** len(model.info_of(agent).atoms)
-        if total > DEFAULT_PROFILE_CAP:
-            raise ValueError(f"profile enumeration exceeds the cap of {DEFAULT_PROFILE_CAP}")
+    """Playability decided by one pair search per Nature block.
 
-    per_agent = [enumerate_pure(model, a) for a in model.agent_ids]
-    masks = [[strategy_mask(model, s) for s in strats] for strats in per_agent]
-    blocks = [(w, nature_block(model.space, w)) for w in model.nature.labels]
-
-    def walk(pos: int, acc: int, chosen: list[PureStrategy]):
-        if pos == len(per_agent):
-            for omega, block in blocks:
-                sols = acc & block
-                if sols.bit_count() != 1:
-                    return PureStrategyProfile(tuple(chosen)), omega, sols
-            return None
-        for s, m in zip(per_agent[pos], masks[pos]):
-            hit = walk(pos + 1, acc & m, chosen + [s])
-            if hit is not None:
-                return hit
-        return None
-
-    hit = walk(0, model.space.full_mask, [])
-    if hit is None:
+    The model is playable when no block holds two configurations that one
+    pure profile solves together: E[N] = 1, so N <= 1 forces N = 1.  The
+    witness of a failure is the profile solving the first such pair of the
+    first such block, in Nature order: each agent plays the pair's actions
+    on their atoms and its first action elsewhere, and the witness's
+    solution set holds the pair.  Raises ValueError when a block's pair
+    search exceeds DEFAULT_PROFILE_CAP pairs.
+    """
+    stride = model.space.strides[0]
+    for d, omega in enumerate(model.nature.labels):
+        block = range(d * stride, (d + 1) * stride)
+        pair = _first_pair(model, block, lambda i, j: True, DEFAULT_PROFILE_CAP)
+        if pair is not None:
+            break
+    else:
         return PlayabilityReport(True, None)
-    profile, omega, sols = hit
-    solutions = tuple(model.space.config(i) for i in iter_bits(sols))
+    strategies = []
+    for agent, *seen in zip(model.agent_ids, *model.choice_records(model.agent_ids, pair)):
+        labels = model.actions_of(agent).labels
+        choice = [labels[0]] * len(model.info_of(agent))
+        for atom, digit in seen:
+            choice[atom] = labels[digit]
+        strategies.append(PureStrategy(agent, tuple(choice)))
+    profile = PureStrategyProfile(tuple(strategies))
+    solutions = tuple(closed_loop_solutions(model, profile, omega))
     return PlayabilityReport(
         False, PlayabilityWitness(profile, omega, len(solutions), solutions)
     )

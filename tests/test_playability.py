@@ -9,6 +9,8 @@ fixed-point equations before being frozen.  The oracle re-derives all
 eight from scratch.
 """
 
+from random import Random
+
 import pytest
 
 from wgames import (
@@ -24,7 +26,8 @@ from wgames import (
     solution_map,
 )
 
-from generators import oracle_plans, to_oracle
+from generators import config_tuple, oracle_plans, random_partition_model, to_oracle
+from micro import enumerate_micro_models
 import oracles
 
 # reaction to the binary signal: play it, or play its complement
@@ -160,3 +163,43 @@ def test_partial_solution_map_pins_agents():
     h = partial_solution_map(model, {"bob": "R"}, rest, "*")
     assert h.action("bob") == "R"
     assert h.action("alice") == "B"
+
+
+def _least_pair(oracle):
+    """First Nature state, in order, with two configurations one pure
+    profile solves together, and the least such pair: every agent has
+    different atoms at the two, or plays the same action at both."""
+    configs = oracles.space(oracle)
+    columns = [(oracle["info"][a], oracles.agent_index(oracle, a)) for a, _ in oracle["agents"]]
+    for omega in oracle["omega"]:
+        block = [h for h in configs if h[0] == omega]
+        for x, h in enumerate(block):
+            for g in block[x + 1 :]:
+                if all(
+                    oracles.atom_containing(atoms, h) != oracles.atom_containing(atoms, g)
+                    or h[k] == g[k]
+                    for atoms, k in columns
+                ):
+                    return omega, (h, g)
+    return None
+
+
+def test_pair_search_matches_the_oracle_and_its_witness_solves_the_least_pair():
+    draws = enumerate_micro_models() + [random_partition_model(Random(s)) for s in range(2000)]
+    failures = 0
+    for model in draws:
+        oracle = to_oracle(model)
+        report = check_playability(model)
+        assert report.playable == oracles.is_playable(oracle)
+        first = _least_pair(oracle)
+        assert (first is None) == report.playable
+        if report.playable:
+            continue
+        failures += 1
+        omega, pair = first
+        witness = report.witness
+        assert witness.omega == omega and witness.count >= 2
+        assert set(pair) <= {config_tuple(model, h.index) for h in witness.solutions}
+        plans = oracle_plans(model, oracle, witness.profile)
+        assert set(pair) <= set(oracles.solutions(oracle, plans, omega))
+    assert failures > 1000

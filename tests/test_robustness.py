@@ -1,7 +1,10 @@
 """The exit-code contract at size, and one recall verdict for ``necessity``.
 
 The searches hold their state on explicit stacks, so a cell with thousands
-of blocks ends in a verdict, not in a ``RecursionError``.  ``necessity``
+of blocks ends in a verdict, not in a ``RecursionError``.  Playability is a
+pair search, so a sequential model is decided at any size, and a block no
+agent's information splits is refused by its pair count before any pair
+is compared.  ``necessity``
 reports ``no-violation`` only on an ordering along which perfect recall
 holds: the pair scan compares configurations inside one cell, and a
 recall failure across a cell boundary has no such pair.
@@ -15,14 +18,20 @@ from click.testing import CliRunner
 
 from wgames import (
     ConfigurationOrdering,
+    CoordinateSet,
+    FiniteSet,
     Ordering,
+    WModel,
+    build_space,
     check_partial_causality,
     check_perfect_recall,
     check_playability,
     constant_ordering,
+    cylinder_partition,
     find_recall_violation,
     iter_causal_orderings,
     parse_ordering,
+    partition_from_key,
     sequential_model,
     serialize_model,
     serialize_ordering,
@@ -75,6 +84,54 @@ def test_recall_search_on_a_deep_cell_runs_out_of_budget(runner, tmp_path):
     code, report = _run(runner, *args)
     assert (code, report["outcome"]) == (3, "unknown")
     assert report["details"]["nodes"] == 20_000
+
+
+def test_playability_on_exported_sequential_12(runner, tmp_path):
+    export = runner.invoke(main, ["examples", "export", "sequential-12"])
+    assert export.exit_code == 0
+    path = tmp_path / "seq12.json"
+    path.write_text(export.stdout)
+    code, report = _run(runner, "playability", str(path))
+    assert (code, report["outcome"]) == (0, "playable")
+
+
+def witsenhausen_with_dummies(k: int) -> WModel:
+    """The Witsenhausen cycle a, b, c and binary dummies d1..dk, each of
+    which observes a, b, c and the earlier dummies.  No agent has a single
+    atom on the Nature block, so the pair search cannot split it."""
+    cycle = ("a", "b", "c")
+    dummies = tuple(f"d{m}" for m in range(1, k + 1))
+    agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in cycle + dummies)
+    space = build_space(FiniteSet("nature", ("*",)), agents)
+
+    def signal(watched: str, inverted: str):
+        def key(index: int) -> bool:
+            h = space.config(index)
+            return h.action(watched) == "1" and h.action(inverted) == "0"
+
+        return partition_from_key(space, key)
+
+    information = [("a", signal("b", "c")), ("b", signal("c", "a")), ("c", signal("a", "b"))]
+    for m, d in enumerate(dummies):
+        seen = CoordinateSet.of(False, cycle + dummies[:m])
+        information.append((d, cylinder_partition(space, seen)))
+    return WModel(
+        nature=space.nature,
+        agents=agents,
+        players=(("system", cycle + dummies),),
+        information=tuple(information),
+    )
+
+
+def test_playability_of_an_unsplittable_block(runner, tmp_path):
+    path = tmp_path / "dummies.json"
+    path.write_text(serialize_model(witsenhausen_with_dummies(5)))
+    assert _run(runner, "playability", str(path))[0] == 0
+    # 8,192 configurations in one group: over 33 million pairs
+    path.write_text(serialize_model(witsenhausen_with_dummies(10)))
+    code, report = _run(runner, "playability", str(path))
+    assert (code, report["outcome"]) == (3, "unknown")
+    assert "pairs" in report["details"]["reason"]
 
 
 # ── one recall verdict ──────────────────────────────────────────────────
