@@ -36,7 +36,7 @@ from .io import (
     serialize_model,
     strategy_payload,
 )
-from .kuhn import behavioral_pushforward, kuhn_transform, pushforward, transform_preserves_law
+from .kuhn import behavioral_from_law, behavioral_pushforward, pushforward, transform_preserves_law
 from .model import WModel
 from .necessity import NoWitness, build_witness, certify_nonequivalence, find_recall_violation, verify_certificate
 from .playability import PlayabilityError, check_playability, solution_map
@@ -231,11 +231,7 @@ def solve(ctx: click.Context, model_file: Path, profile_file: Path) -> None:
 def playability(ctx: click.Context, model_file: Path, want_witness: bool) -> None:
     """Decide whether every pure profile has a unique closed-loop solution."""
     model = _parse_file(parse_model, model_file)
-    try:
-        report = check_playability(model)
-    except ValueError as err:
-        _emit(ctx, "playability", model, "unknown", {"reason": str(err)}, 3)
-        return
+    report = check_playability(model)
     if report.playable:
         _emit(ctx, "playability", model, "playable", {}, 0)
     details = {}
@@ -349,15 +345,16 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
             _emit(ctx, "kuhn", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
         phi = result.ordering
     law = _law(ctx, model, nu, strategies)
-    beta = kuhn_transform(model, player, phi, nu, strategies, law=law)
+    beta = behavioral_from_law(model, player, law)
     details = {
         "player": player,
         "ordering": ordering_payload(phi, model),
         "behavioral": strategy_payload(beta),
     }
     if verify_flag:
+        others = [s for s in strategies if s.player != player]
         try:
-            preserved = transform_preserves_law(model, player, beta, nu, strategies, law=law)
+            preserved = transform_preserves_law(model, beta, nu, others, law)
         except PlayabilityError as err:
             raise click.UsageError(f"profiles in the support are not solvable: {err}")
         details["verified"] = preserved

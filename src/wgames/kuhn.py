@@ -8,11 +8,12 @@ configuration's actions at the atoms it reaches.  Checks on each Nature
 block make sure that every drawn profile has exactly one closed-loop
 solution, which makes that product the law; the pair check is the search
 that also decides playability (:func:`wgames.playability._first_pair`).
-The transform reads the focus player's kernels off that one law: the
-kernel of an agent at one of its atoms is the conditional law of its
-action given the atom.  That is the disintegration along a perfect-recall
-configuration-ordering, because perfect recall puts each atom inside one
-prefix cell on which the predecessors' atoms and actions are constant.
+The transform reads the focus player's kernels off one law, which it is
+given (:func:`behavioral_from_law`): the kernel of an agent at one of its
+atoms is the conditional law of its action given the atom.  That is the
+disintegration along a perfect-recall configuration-ordering, because
+perfect recall puts each atom inside one prefix cell on which the
+predecessors' atoms and actions are constant.
 All weights are exact rationals; distribution equality is literal
 equality, never tolerance.
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
 from operator import and_, or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .fields import Configuration, ConfigurationSpace, SpaceMismatch, iter_bits
 from .model import WModel
@@ -261,27 +262,29 @@ def kuhn_transform(
     phi: ConfigurationOrdering,
     nu: RationalDistribution,
     mixed_all: Iterable[MixedStrategy | BehavioralStrategy],
-    law: Optional[PushforwardDistribution] = None,
 ) -> BehavioralStrategy:
-    """Realization-equivalent behavioral strategy for the focus player.
+    """Realization-equivalent behavioral strategy for the focus player: once
+    perfect recall along ``phi`` holds, :func:`behavioral_from_law` of the
+    pushforward of ``nu`` and ``mixed_all``."""
+    _require_recall(model, player, phi)
+    return behavioral_from_law(model, player, _law(model, nu, mixed_all))
 
-    The kernel of agent a at atom z is Q(z and a plays u) / Q(z) under the
-    pushforward Q of ``nu`` and ``mixed_all`` (``law``, when the caller has
-    it), and uniform where Q(z) = 0.  Under perfect recall z lies inside
-    one prefix cell ending at a, and the predecessors' atoms and actions
-    are constant on z, so this is the disintegration along phi: the
+
+def behavioral_from_law(model: WModel, player: str, q: PushforwardDistribution) -> BehavioralStrategy:
+    """The player's kernels read off the closed-loop law ``q``.
+
+    The kernel of agent a at atom z is Q(z and a plays u) / Q(z), and
+    uniform where Q(z) = 0.  Under perfect recall z lies inside one prefix
+    cell ending at a, and the predecessors' atoms and actions are constant
+    on z, so this is the disintegration along the ordering: the
     conditional law of a's action given z and the predecessors' play.
     """
-    _require_recall(model, player, phi)
-    q = law if law is not None else _law(model, nu, mixed_all)
-    agent_kernels = []
+    kernels = []
     for agent in model.agents_of(player):
         labels = model.actions_of(agent).labels
         laws = _laws_by_atom(model, q, (agent,))
-        agent_kernels.append(
-            (agent, tuple(RationalDistribution(labels, dist.weights) for dist, _ in laws))
-        )
-    return BehavioralStrategy(player, tuple(agent_kernels))
+        kernels.append((agent, tuple(RationalDistribution(labels, d.weights) for d, _ in laws)))
+    return BehavioralStrategy(player, tuple(kernels))
 
 
 def behavioral_pushforward(
@@ -301,15 +304,11 @@ def behavioral_pushforward(
 
 def transform_preserves_law(
     model: WModel,
-    player: str,
     beta: BehavioralStrategy,
     nu: RationalDistribution,
-    mixed_all: Iterable[MixedStrategy | BehavioralStrategy],
-    law: Optional[PushforwardDistribution] = None,
+    others: Iterable[MixedStrategy | BehavioralStrategy],
+    law: PushforwardDistribution,
 ) -> bool:
-    """Check that swapping the player's strategy for ``beta`` leaves the
-    pushforward unchanged; ``law``, when given, is that pushforward."""
-    strategies = list(mixed_all)
-    original = law if law is not None else _law(model, nu, strategies)
-    others = [s for s in strategies if s.player != player]
-    return distributions_equal(original, behavioral_pushforward(model, nu, beta, others))
+    """Check that ``beta``, with one strategy for every other player in
+    ``others``, gives the closed-loop law ``law``."""
+    return distributions_equal(law, behavioral_pushforward(model, nu, beta, others))

@@ -16,14 +16,16 @@ Every profile therefore has exactly one solution if and only if none has
 two; and some profile solves h != h' together if and only if every agent
 either has different atoms at h and h' or plays the same action at both.
 One pair search per block, :func:`_first_pair`, which the laws of
-:mod:`wgames.kuhn` run too, decides the model.
+:mod:`wgames.kuhn` run too, decides the model, with no cap: a group g that
+no agent splits costs O(|g|·|agents|) operations on |g|-bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Callable, Iterator, Optional, Sequence
 
 from .fields import (
     Configuration,
@@ -41,10 +43,6 @@ from .strategies import (
     constant_profile,
     validate_pure,
 )
-
-# the most configuration pairs the playability decision compares in one Nature block
-DEFAULT_PROFILE_CAP = 10**7
-
 
 class PlayabilityError(ValueError):
     """A sampled profile has no or several closed-loop solutions.
@@ -165,10 +163,7 @@ def closed_loop_solutions(
 
 
 def _first_pair(
-    model: WModel,
-    block: Sequence[int],
-    together: Callable[[int, int], bool],
-    cap: Optional[int] = None,
+    model: WModel, block: Sequence[int], together: Callable[[int, int], bool]
 ) -> Optional[tuple[int, int]]:
     """First pair i < j of the ascending ``block`` that no agent separates
     and with ``together(i, j)``.
@@ -177,9 +172,9 @@ def _first_pair(
     actions on them: no profile solves at both.  Every pair that no agent
     separates is solved together by some pure profile.  So while an agent
     has one atom and several actions on a group, the group is split by
-    that action; only groups that cannot be split are searched pair by
-    pair.  Raises ValueError, before comparing any pair, when those groups
-    hold more than ``cap`` pairs.
+    that action.  A group that cannot be split is scanned in ascending
+    order with masks over its positions: each agent separates i from its
+    atom at i where it plays another action.
     """
     keys = dict(zip(block, model.choice_records(model.agent_ids, block)))
     groups = []
@@ -189,25 +184,30 @@ def _first_pair(
         live = [k for k in live if len({keys[i][k][1] for i in group}) > 1]
         split = next((k for k in live if len({keys[i][k][0] for i in group}) == 1), None)
         if split is None:
-            groups.append(group)
+            groups.append((group, live))
             continue
         parts: dict[int, list[int]] = {}
         for i in group:
             parts.setdefault(keys[i][split][1], []).append(i)
         stack += [(part, live) for part in parts.values()]
-    if cap is not None and sum(len(g) * (len(g) - 1) // 2 for g in groups) > cap:
-        raise ValueError(f"the pair search exceeds the cap of {cap} configuration pairs")
 
-    def joint(i: int, j: int) -> bool:
-        return all(
-            zi != zj or di == dj for (zi, di), (zj, dj) in zip(keys[i], keys[j])
-        ) and together(i, j)
+    def pairs(group: Sequence[int], live: list[int]) -> Iterator[tuple[int, int]]:
+        everyone = later = (1 << len(group)) - 1
+        masks = []  # per live agent: atom z at (z, None), other actions than d at (None, d)
+        for k in live:
+            at: dict[tuple, int] = {}
+            for x, i in enumerate(group):
+                z, d = keys[i][k]
+                at[z, None] = at.get((z, None), 0) | 1 << x
+                at[None, d] = at.get((None, d), 0) | 1 << x
+            masks.append({key: m ^ (0 if key[1] is None else everyone) for key, m in at.items()})
+        for x, i in enumerate(group):
+            later ^= 1 << x
+            records = zip(masks, (keys[i][k] for k in live))
+            apart = reduce(or_, (m[z, None] & m[None, d] for m, (z, d) in records), 0)
+            yield from ((i, group[y]) for y in iter_bits(later & ~apart) if together(i, group[y]))
 
-    found = (
-        next(((i, j) for x, i in enumerate(g) for j in g[x + 1 :] if joint(i, j)), None)
-        for g in groups
-    )
-    return min(filter(None, found), default=None)
+    return min(filter(None, (next(pairs(*g), None) for g in groups if len(g[0]) > 1)), default=None)
 
 
 def check_playability(model: WModel) -> PlayabilityReport:
@@ -218,13 +218,12 @@ def check_playability(model: WModel) -> PlayabilityReport:
     witness of a failure is the profile solving the first such pair of the
     first such block, in Nature order: each agent plays the pair's actions
     on their atoms and its first action elsewhere, and the witness's
-    solution set holds the pair.  Raises ValueError when a block's pair
-    search exceeds DEFAULT_PROFILE_CAP pairs.
+    solution set holds the pair.
     """
     stride = model.space.strides[0]
     for d, omega in enumerate(model.nature.labels):
         block = range(d * stride, (d + 1) * stride)
-        pair = _first_pair(model, block, lambda i, j: True, DEFAULT_PROFILE_CAP)
+        pair = _first_pair(model, block, lambda i, j: True)
         if pair is not None:
             break
     else:

@@ -3,29 +3,33 @@
 The searches hold their state on explicit stacks, so a cell with thousands
 of blocks ends in a verdict, not in a ``RecursionError``.  Playability is a
 pair search, so a sequential model is decided at any size, and a block no
-agent's information splits is refused by its pair count before any pair
-is compared.  ``necessity``
-reports ``no-violation`` only on an ordering along which perfect recall
-holds: the pair scan compares configurations inside one cell, and a
-recall failure across a cell boundary has no such pair.
+agent's information splits is scanned with one mask operation per member
+and agent, with no cap.  ``necessity`` reports ``no-violation`` only on an
+ordering along which perfect recall holds: the pair scan compares
+configurations inside one cell, and a recall failure across a cell
+boundary has no such pair.
 """
 
 import json
+from fractions import Fraction
 from random import Random
 
 import pytest
 from click.testing import CliRunner
 
 from wgames import (
+    BehavioralStrategy,
     ConfigurationOrdering,
     CoordinateSet,
     FiniteSet,
     Ordering,
+    RationalDistribution,
     WModel,
     build_space,
     check_partial_causality,
     check_perfect_recall,
     check_playability,
+    closed_loop_solutions,
     constant_ordering,
     cylinder_partition,
     find_recall_violation,
@@ -33,10 +37,14 @@ from wgames import (
     parse_ordering,
     partition_from_key,
     sequential_model,
+    serialize_belief,
     serialize_model,
     serialize_ordering,
+    serialize_strategy,
 )
 from wgames.cli import main
+from wgames.io import strategy_payload
+from wgames.playability import _first_pair
 
 from generators import deep_recall_model, random_partition_model
 
@@ -86,13 +94,100 @@ def test_recall_search_on_a_deep_cell_runs_out_of_budget(runner, tmp_path):
     assert report["details"]["nodes"] == 20_000
 
 
-def test_playability_on_exported_sequential_12(runner, tmp_path):
-    export = runner.invoke(main, ["examples", "export", "sequential-12"])
+@pytest.fixture(scope="module")
+def sequential_12(tmp_path_factory):
+    export = CliRunner().invoke(main, ["examples", "export", "sequential-12"])
     assert export.exit_code == 0
-    path = tmp_path / "seq12.json"
+    path = tmp_path_factory.mktemp("seq12") / "seq12.json"
     path.write_text(export.stdout)
-    code, report = _run(runner, "playability", str(path))
+    return path
+
+
+def test_playability_on_exported_sequential_12(runner, sequential_12):
+    code, report = _run(runner, "playability", str(sequential_12))
     assert (code, report["outcome"]) == (0, "playable")
+
+
+def test_causality_along_the_declared_order_on_exported_sequential_12(runner, sequential_12):
+    model = sequential_model(12)
+    path = sequential_12.parent / "declared.json"
+    path.write_text(serialize_ordering(constant_ordering(model, "dm", model.agents_of("dm")), model))
+    code, report = _run(runner, "causality", str(sequential_12), "--player", "dm", "--ordering", str(path))
+    assert (code, report["outcome"]) == (0, "holds")
+
+
+def _full_support_behavioral(rng, model, player):
+    kernels = []
+    for agent in model.agents_of(player):
+        labels = model.actions_of(agent).labels
+        dists = []
+        for _ in range(len(model.info_of(agent))):
+            p = Fraction(rng.randint(1, 6), 7)
+            dists.append(RationalDistribution(labels, (p, 1 - p)))
+        kernels.append((agent, tuple(dists)))
+    return BehavioralStrategy(player, tuple(kernels))
+
+
+def test_kuhn_search_verify_on_exported_sequential_10(runner, tmp_path):
+    model = sequential_model(10)
+    export = runner.invoke(main, ["examples", "export", "sequential-10"])
+    assert export.exit_code == 0
+    path = tmp_path / "seq10.json"
+    path.write_text(export.stdout)
+    beta = _full_support_behavioral(Random(10), model, "dm")
+    (tmp_path / "beta.json").write_text(serialize_strategy(beta))
+    nu = RationalDistribution(model.nature.labels, (Fraction(1, 3), Fraction(2, 3)))
+    (tmp_path / "nu.json").write_text(serialize_belief(nu))
+    code, report = _run(
+        runner, "kuhn", str(path), "--player", "dm", "--nu", str(tmp_path / "nu.json"),
+        "--strategy", str(tmp_path / "beta.json"), "--search", "--verify",
+    )
+    assert (code, report["outcome"]) == (0, "transformed")
+    assert report["details"]["verified"] is True
+    # every atom is reached, so the kernels come back unchanged
+    assert report["details"]["behavioral"] == strategy_payload(beta)
+
+
+def test_kuhn_checks_perfect_recall_once(runner, tmp_path, monkeypatch):
+    import wgames.cli
+    import wgames.kuhn
+    import wgames.recall
+
+    model = sequential_model(3)
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(model))
+    (tmp_path / "beta.json").write_text(serialize_strategy(_full_support_behavioral(Random(3), model, "dm")))
+    nu = RationalDistribution(model.nature.labels, (Fraction(1, 2), Fraction(1, 2)))
+    (tmp_path / "nu.json").write_text(serialize_belief(nu))
+    declared = constant_ordering(model, "dm", model.agents_of("dm"))
+    (tmp_path / "phi.json").write_text(serialize_ordering(declared, model))
+    calls = {"outside": 0, "search": 0}
+    searching = []
+    check, search = wgames.recall.check_perfect_recall, wgames.recall.search_recall_ordering
+
+    def counted_check(*args):
+        calls["search" if searching else "outside"] += 1
+        return check(*args)
+
+    def counted_search(*args):
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    for module in (wgames.cli, wgames.kuhn, wgames.recall):
+        monkeypatch.setattr(module, "check_perfect_recall", counted_check)
+    monkeypatch.setattr(wgames.cli, "search_recall_ordering", counted_search)
+    common = [
+        "kuhn", str(path), "--player", "dm", "--nu", str(tmp_path / "nu.json"),
+        "--strategy", str(tmp_path / "beta.json"), "--verify",
+    ]
+    assert _run(runner, *common, "--ordering", str(tmp_path / "phi.json"))[0] == 0
+    assert calls == {"outside": 1, "search": 0}
+    calls["outside"] = 0
+    assert _run(runner, *common, "--search")[0] == 0
+    assert calls["outside"] == 0 and calls["search"] >= 1
 
 
 def witsenhausen_with_dummies(k: int) -> WModel:
@@ -130,8 +225,93 @@ def test_playability_of_an_unsplittable_block(runner, tmp_path):
     # 8,192 configurations in one group: over 33 million pairs
     path.write_text(serialize_model(witsenhausen_with_dummies(10)))
     code, report = _run(runner, "playability", str(path))
-    assert (code, report["outcome"]) == (3, "unknown")
-    assert "pairs" in report["details"]["reason"]
+    assert (code, report["outcome"]) == (0, "playable")
+
+
+def mutual_with_dummies(k: int) -> WModel:
+    """``a`` observes ``b`` and ``b`` observes ``a``, plus binary dummies
+    d1..dk as in :func:`witsenhausen_with_dummies`.  Copying each other
+    solves at 00 and at 11, so the model is not playable, and no agent has
+    a single atom on the Nature block."""
+    pair = ("a", "b")
+    dummies = tuple(f"d{m}" for m in range(1, k + 1))
+    agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in pair + dummies)
+    space = build_space(FiniteSet("nature", ("*",)), agents)
+    information = [
+        ("a", cylinder_partition(space, CoordinateSet.of(False, ["b"]))),
+        ("b", cylinder_partition(space, CoordinateSet.of(False, ["a"]))),
+    ]
+    for m, d in enumerate(dummies):
+        information.append((d, cylinder_partition(space, CoordinateSet.of(False, pair + dummies[:m]))))
+    return WModel(
+        nature=space.nature,
+        agents=agents,
+        players=(("system", pair + dummies),),
+        information=tuple(information),
+    )
+
+
+def _unseparated_pairs(model: WModel) -> list[tuple[int, int]]:
+    """Every pair i < j of the space, in ascending order, on which no agent
+    has one atom and two actions: the definition, pair by pair."""
+    space = model.space
+    records = [
+        [(model.info_of(a).atom_index(i), space.config(i).action(a)) for a in model.agent_ids]
+        for i in range(space.size)
+    ]
+    return [
+        (i, j)
+        for i in range(space.size)
+        for j in range(i + 1, space.size)
+        if all(zi != zj or ui == uj for (zi, ui), (zj, uj) in zip(records[i], records[j]))
+    ]
+
+
+@pytest.mark.parametrize("build", [witsenhausen_with_dummies, mutual_with_dummies])
+def test_pair_search_in_one_group_matches_the_definition(build):
+    for k in range(7):
+        model = build(k)
+        block = range(model.space.size)  # one Nature state
+        pairs = _unseparated_pairs(model)
+        assert bool(pairs) == (build is mutual_with_dummies)
+        assert _first_pair(model, block, lambda i, j: True) == min(pairs, default=None)
+        # reject the least pair and a seeded half of the rest: the search
+        # skips a rejected j and keeps scanning
+        rng = Random(k)
+        kept = {p for p in pairs[1:] if rng.random() < 0.5}
+        found = _first_pair(model, block, lambda i, j: (i, j) in kept)
+        assert found == min(kept, default=None)
+
+
+def test_witness_of_one_unsplittable_group_solves_the_least_pair():
+    for k in range(7):
+        model = mutual_with_dummies(k)
+        report = check_playability(model)
+        assert not report.playable
+        witness = report.witness
+        least = min(_unseparated_pairs(model))
+        solved = closed_loop_solutions(model, witness.profile, witness.omega)
+        assert {h.index for h in solved} >= set(least)
+        assert witness.count == len(solved) >= 2
+
+
+def test_uniform_behavioral_law_on_one_unsplittable_group(runner, tmp_path):
+    model = witsenhausen_with_dummies(9)
+    path = tmp_path / "dummies.json"
+    path.write_text(serialize_model(model))
+    kernels = tuple(
+        (a, (RationalDistribution.uniform(model.actions_of(a).labels),) * len(model.info_of(a)))
+        for a in model.agent_ids
+    )
+    (tmp_path / "beta.json").write_text(serialize_strategy(BehavioralStrategy("system", kernels)))
+    (tmp_path / "nu.json").write_text(serialize_belief(RationalDistribution.point(("*",), "*")))
+    code, report = _run(
+        runner, "pushforward", str(path), "--nu", str(tmp_path / "nu.json"),
+        "--strategy", str(tmp_path / "beta.json"),
+    )
+    assert (code, report["outcome"]) == (0, "computed")
+    law = report["details"]["law"]
+    assert len(law) == 4096 and {entry["weight"] for entry in law} == {"1/4096"}
 
 
 # ── one recall verdict ──────────────────────────────────────────────────
