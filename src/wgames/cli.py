@@ -41,6 +41,7 @@ from .model import WModel
 from .necessity import NoWitness, build_witness, certify_nonequivalence, find_recall_violation, verify_certificate
 from .playability import PlayabilityError, check_playability, solution_map
 from .recall import (
+    NodeBudget,
     SearchBudgetExhausted,
     check_partial_causality,
     check_perfect_recall,
@@ -367,8 +368,8 @@ def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strat
 @_MODEL_ARG
 @click.option("--player", required=True, help="Player whose recall failure is certified.")
 @click.option("--ordering", "ordering_file", type=_FILE, help="Partially causal ordering to scan.")
-@click.option("--search", is_flag=True, help="Sweep all partially causal orderings.")
-@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
+@click.option("--search", is_flag=True, help="Search the partially causal orderings.")
+@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget, shared by both searches.")
 @click.pass_context
 def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
     """Certify that a recall violation blocks any behavioral equivalent.
@@ -380,9 +381,9 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
     reproduces their closed-loop law.  An ordering is free of violations
     only if the scan finds no pair and perfect recall holds along it; one
     with neither (recall fails across a cell boundary) is undecided.  With
-    --search the sweep succeeds (exit 0) on the first causal ordering free
-    of violations, and otherwise certifies the violation of the first
-    causal ordering that has one.
+    --search, the first causal ordering with perfect recall succeeds
+    (exit 0); only when there is none is the violation of the first causal
+    ordering that has one certified.  One node budget covers both searches.
     """
     model = _parse_file(parse_model, model_file)
     _require_player(model, player)
@@ -418,27 +419,21 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
             _emit(ctx, "necessity", model, "undecided", {"player": player}, 3)
         certify(phi, violation)
 
-    first: tuple = ()
+    nodes = NodeBudget(budget)
     any_causal = False
     try:
-        for phi in iter_causal_orderings(model, player, budget):
+        for phi in iter_causal_orderings(model, player, nodes, recall=True):
+            details = {"player": player, "ordering": ordering_payload(phi, model)}
+            _emit(ctx, "necessity", model, "no-violation", details, 0)
+        for phi in iter_causal_orderings(model, player, nodes):
             any_causal = True
             violation = find_recall_violation(model, player, phi)
-            if violation is None and check_perfect_recall(model, player, phi).holds:
-                details = {
-                    "player": player,
-                    "ordering": ordering_payload(phi, model),
-                }
-                _emit(ctx, "necessity", model, "no-violation", details, 0)
-            if violation is not None and not first:
-                first = (phi, violation)
+            if violation is not None:
+                certify(phi, violation)
     except SearchBudgetExhausted:
         _emit(ctx, "necessity", model, "unknown", {"player": player}, 3)
-    if not any_causal:
-        _emit(ctx, "necessity", model, "no-causal-ordering", {"player": player}, 3)
-    if not first:
-        _emit(ctx, "necessity", model, "undecided", {"player": player}, 3)
-    certify(*first)
+    outcome = "undecided" if any_causal else "no-causal-ordering"
+    _emit(ctx, "necessity", model, outcome, {"player": player}, 3)
 
 
 @main.group()

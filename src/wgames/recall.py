@@ -14,8 +14,10 @@ the canonical order of :func:`enumerate_orderings`.
 The searches build candidate orderings cell by cell, assigning the next
 agent in whole blocks.  The target property forces the block shape (the
 candidate agent's information atoms for recall, ground-field atoms for
-causality), so every completed assignment already passes the corresponding
-check and nothing valid is skipped.
+causality, information atoms that are unions of ground atoms for both), so
+every completed assignment passes the corresponding checks and nothing
+valid is skipped.  The search for both yields its orderings in the order
+the causality sweep meets them (see :func:`_iter_valid_orderings`).
 """
 
 from __future__ import annotations
@@ -277,7 +279,9 @@ def check_partial_causality(
 # ── ordering search ─────────────────────────────────────────────────────
 
 
-class _Budget:
+class NodeBudget:
+    """Search nodes left; one object may be shared by several searches."""
+
     __slots__ = ("left", "spent")
 
     def __init__(self, nodes: int) -> None:
@@ -294,9 +298,9 @@ class _Budget:
 
 
 def _iter_valid_orderings(
-    model: WModel, player: str, mode: str, budget: _Budget
+    model: WModel, player: str, mode: str, budget: NodeBudget
 ) -> Iterator[ConfigurationOrdering]:
-    """Backtracking enumeration of orderings passing the ``mode`` check.
+    """Backtracking enumeration of orderings passing the ``mode`` checks.
 
     State is a worklist of (prefix, cell) pairs.  Extending a cell means
     partitioning it among the agents not yet in the prefix; a valid part
@@ -304,23 +308,35 @@ def _iter_valid_orderings(
 
       * in recall mode: an atom of I_a lying inside one atom of the
         predecessors' choice field (no containment condition for the first
-        agent), and
+        agent),
       * in causality mode: an atom of the ground field lying inside one
-        atom of I_a,
+        atom of I_a, and
+      * in "both" mode (recall and causality): a recall block that is a
+        union of ground atoms, as a part made of I_a atoms meets each I_a
+        atom whole or not at all,
 
-    which is exactly the membership the corresponding check enforces, so a
+    which is exactly the membership the corresponding checks enforce, so a
     completed assignment is a passing ordering and every passing ordering
     arises from some branch.  Blocks are claimed lowest configuration
-    first with agents tried in declared order, making the enumeration
-    order canonical.  Claims and cells wait on explicit stacks, not calls.
+    first with agents tried in declared order, so a cell's splits come out
+    in the lexicographic order of their configuration-to-agent map, whatever
+    the block size; hence "both" mode yields its orderings in the order the
+    causality sweep meets them.  Claims and cells wait on explicit stacks,
+    not calls.  The ground test runs once per (prefix, block) in a search.
     """
     agents = model.agents_of(player)
     spend = budget.spend
+    recall = mode != "causality"  # the choice field of no agent is trivial
+    unions: dict[tuple[tuple[str, ...], int], bool] = {}  # (prefix, block) -> in its ground field
+
+    def in_ground(prefix: tuple[str, ...], unit: int) -> bool:
+        if (prefix, unit) not in unions:
+            unions[prefix, unit] = first_cut(unit, causality_ground(model, player, prefix)) is None
+        return unions[prefix, unit]
 
     def splits(prefix: tuple[str, ...], cell: int) -> Iterator[list]:
         """Splits of ``cell`` among the agents outside ``prefix``, as (child, part) pairs."""
         remaining = [a for a in agents if a not in prefix]
-        recall = mode == "recall"  # the choice field of no agent is trivial
         field = choice_partition(model, prefix) if recall else causality_ground(model, player, prefix)
         pairs = [(model.info_of(a), field) if recall else (field, model.info_of(a)) for a in remaining]
         units = [(b.atoms, b.atom_ids, w.atoms, w.atom_ids) for b, w in pairs]  # block, field it lies in
@@ -334,7 +350,9 @@ def _iter_valid_orderings(
                     spend()
                     atoms, atom_ids, within, within_ids = units[j]
                     unit = atoms[atom_ids[h]]
-                    if not (unit & ~unassigned or unit & ~within[within_ids[h]]):
+                    if not (unit & ~unassigned or unit & ~within[within_ids[h]]) and (
+                        mode != "both" or in_ground(prefix, unit)
+                    ):
                         break
                 else:
                     unit = 0  # no agent can claim h's block
@@ -391,7 +409,7 @@ def search_recall_ordering(
     full sweep without a hit proves nonexistence.  Running out of budget
     yields the distinguished "unknown" outcome, never "none".
     """
-    b = _Budget(budget)
+    b = NodeBudget(budget)
     try:
         for sequence in permutations(model.agents_of(player)):
             b.spend()
@@ -406,10 +424,13 @@ def search_recall_ordering(
 
 
 def iter_causal_orderings(
-    model: WModel, player: str, budget: int = 200_000
+    model: WModel, player: str, budget: int | NodeBudget = 200_000, recall: bool = False
 ) -> Iterator[ConfigurationOrdering]:
-    """All partially causal configuration-orderings, canonically ordered.
+    """All partially causal configuration-orderings, canonically ordered;
+    with ``recall``, only those that also have perfect recall.
 
-    Raises SearchBudgetExhausted if the node budget runs out mid-sweep.
+    ``budget`` is a node count or a :class:`NodeBudget` that searches share.
+    Raises SearchBudgetExhausted if it runs out mid-sweep.
     """
-    yield from _iter_valid_orderings(model, player, "causality", _Budget(budget))
+    b = budget if isinstance(budget, NodeBudget) else NodeBudget(budget)
+    yield from _iter_valid_orderings(model, player, "both" if recall else "causality", b)

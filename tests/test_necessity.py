@@ -9,11 +9,13 @@ action, so c cannot tell the two coin outcomes apart even though b reacted
 to them.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 
 from wgames import (
     ConfigurationSpace,
@@ -25,6 +27,7 @@ from wgames import (
     PureStrategy,
     PureStrategyProfile,
     RationalDistribution,
+    SearchBudgetExhausted,
     WModel,
     build_witness,
     certify_nonequivalence,
@@ -37,8 +40,11 @@ from wgames import (
     forced_support,
     iter_causal_orderings,
     pushforward,
+    serialize_model,
     verify_certificate,
 )
+from wgames.cli import main
+from wgames.io import certificate_payload, ordering_payload
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION, RecallViolation
 
 from generators import random_causal_model
@@ -312,3 +318,31 @@ def test_pipeline_on_random_causal_models():
         assert verify_certificate(model, "P", cert)
         certified += 1
     assert certified == 20
+
+
+def test_search_certifies_where_the_causal_sweep_runs_out(tmp_path):
+    """Seed 5 draws three focus agents with more causal orderings than a
+    2,000-node sweep reaches.  None of them has perfect recall, which the
+    search for one proves within the budget; the same budget then covers
+    the walk to the first causal ordering with a violation."""
+    model = random_causal_model(Random(5))
+    assert len(model.agents_of("P")) == 3
+    with pytest.raises(SearchBudgetExhausted):
+        list(iter_causal_orderings(model, "P", 2000))
+    path = tmp_path / "model.json"
+    path.write_text(serialize_model(model))
+    args = ["--format", "structured", "necessity", str(path), "--player", "P", "--search", "--budget"]
+
+    result = CliRunner().invoke(main, args + ["2000"])
+    report = json.loads(result.stdout)
+    assert (result.exit_code, report["outcome"]) == (1, "certified")
+    phi, violation = next(
+        (phi, v) for phi in iter_causal_orderings(model, "P") if (v := find_recall_violation(model, "P", phi))
+    )
+    cert = certify_nonequivalence(model, "P", *build_witness(model, "P", violation))
+    assert verify_certificate(model, "P", cert)
+    details = {"ordering": ordering_payload(phi, model), "certificate": certificate_payload(model, cert)}
+    assert {k: report["details"][k] for k in details} == json.loads(json.dumps(details))
+
+    result = CliRunner().invoke(main, args + ["1"])
+    assert (result.exit_code, json.loads(result.stdout)["outcome"]) == (3, "unknown")

@@ -19,6 +19,7 @@ from wgames import (
     behavioral_to_mixed,
     causality_ground,
     check_partial_causality,
+    check_perfect_recall,
     check_playability,
     complete_partition,
     constant_ordering,
@@ -77,6 +78,7 @@ LAW_PRESERVATION_EXAMPLES = 60
 ROUND_TRIP_EXAMPLES = 150
 RESTRICT_MERGE_EXAMPLES = 150
 MASS_EXAMPLES = 100
+RECALL_SEARCH_EXAMPLES = 300
 
 STRUCTURAL_SUITES = {
     "test_partition_join_is_a_lattice_operation": LATTICE_EXAMPLES,
@@ -96,6 +98,7 @@ TOTAL_EXAMPLES = sum(STRUCTURAL_SUITES.values()) + (
     + ROUND_TRIP_EXAMPLES
     + RESTRICT_MERGE_EXAMPLES
     + MASS_EXAMPLES
+    + RECALL_SEARCH_EXAMPLES
 )
 
 seeds = st.integers(min_value=0, max_value=2**30)
@@ -191,6 +194,27 @@ def test_perfect_recall_implies_partial_causality(seed):
     if search.outcome != "found":
         return
     assert check_partial_causality(model, "P", search.ordering).holds
+
+
+@settings(max_examples=RECALL_SEARCH_EXAMPLES, deadline=None)
+@given(seeds)
+def test_recall_search_yields_the_causal_sweeps_recall_orderings_in_order(seed):
+    """The search for causal orderings with perfect recall claims whole
+    information atoms where the causal sweep claims ground atoms, yet it
+    meets the same orderings in the same order: a cell's splits come out in
+    the lexicographic order of their configuration-to-agent map."""
+    rng = Random(seed)
+    if seed % 2:
+        model = random_causal_model(rng, max_nature=2, max_focus=3, max_actions=2)
+    else:
+        model = random_partition_model(rng)
+    try:
+        causal = list(iter_causal_orderings(model, "P", 20_000))
+    except SearchBudgetExhausted:
+        return
+    found = list(iter_causal_orderings(model, "P", 20_000, recall=True))
+    assert found == [phi for phi in causal if check_perfect_recall(model, "P", phi).holds]
+    assert all(check_partial_causality(model, "P", phi).holds for phi in found)
 
 
 @settings(max_examples=LAW_PRESERVATION_EXAMPLES, deadline=None)

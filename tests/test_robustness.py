@@ -1,4 +1,5 @@
-"""The exit-code contract at size, and one recall verdict for ``necessity``.
+"""The exit-code contract at size and on mutated input files, and one
+recall verdict for ``necessity``.
 
 The searches hold their state on explicit stacks, so a cell with thousands
 of blocks ends in a verdict, not in a ``RecursionError``.  Playability is a
@@ -10,7 +11,9 @@ configurations inside one cell, and a recall failure across a cell
 boundary has no such pair.
 """
 
+import copy
 import json
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -31,11 +34,13 @@ from wgames import (
     check_playability,
     closed_loop_solutions,
     constant_ordering,
+    corpus_model,
     cylinder_partition,
     find_recall_violation,
     iter_causal_orderings,
     parse_ordering,
     partition_from_key,
+    search_recall_ordering,
     sequential_model,
     serialize_belief,
     serialize_model,
@@ -46,7 +51,7 @@ from wgames.cli import main
 from wgames.io import strategy_payload
 from wgames.playability import _first_pair
 
-from generators import deep_recall_model, random_partition_model
+from generators import deep_recall_model, random_behavioral, random_belief, random_partition_model
 
 
 @pytest.fixture()
@@ -362,3 +367,79 @@ def test_no_violation_orderings_have_recall_and_are_causal(runner, tmp_path):
             assert check_perfect_recall(model, player, phi).holds, (seed, player)
             assert check_partial_causality(model, player, phi).holds, (seed, player)
     assert {"no-violation", "certified", "undecided"} <= outcomes
+
+
+# ── mutated input files ─────────────────────────────────────────────────
+
+MUTATION_CASES = 300
+# values written over a field: wrong types, malformed or out-of-range
+# fractions, labels of the wrong kind, and plausible but wrong entries
+_JUNK = (
+    None, True, 0, -1, 2, 0.5, "", "x", "0", "1", "2", "-1/2", "1/0", "3/2", "1e3", "w0", "t1", "t4",
+    "dm", "1" + "0" * 60, [], {}, ["t1"], {"0": "1"}, {"0": "1/2", "1": "1/2"},
+)
+
+
+def _positions(node, path=()):
+    """Paths to every value inside a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _mutate(rng: Random, doc):
+    """``doc`` with one field rewritten, renamed, swapped or deleted."""
+    doc = copy.deepcopy(doc)
+    *steps, key = rng.choice(list(_positions(doc)))
+    parent = doc
+    for step in steps:
+        parent = parent[step]
+    how = rng.choice(("rewrite", "rewrite", "delete", "rename"))
+    if how == "delete":
+        del parent[key]
+    elif how == "rename" and isinstance(parent, dict):
+        parent[rng.choice(("x", "w0", "t1", "0", "kind", ""))] = parent.pop(key)
+    elif how == "rename" and len(parent) > 1:  # a list: swap two entries
+        other = rng.choice([i for i in range(len(parent)) if i != key])
+        parent[key], parent[other] = parent[other], parent[key]
+    else:
+        parent[key] = copy.deepcopy(rng.choice(_JUNK))
+    return doc
+
+
+def test_mutated_kuhn_inputs_keep_the_exit_code_contract(runner, tmp_path):
+    """Each case damages one field of the belief, behavioral-strategy or
+    ordering file of ``sequential-3`` and runs ``kuhn --ordering --verify``
+    twice: the exit code stays in 0..3, nothing escapes as an exception and
+    both runs print the same stdout."""
+    model = corpus_model("sequential-3")
+    rng = Random("mutated-kuhn-inputs")
+    docs = {
+        "nu": {w: str(p) for w, p in random_belief(rng, model).as_map().items()},
+        "strategy": json.loads(serialize_strategy(random_behavioral(rng, model, "dm"))),
+        "ordering": json.loads(serialize_ordering(search_recall_ordering(model, "dm").ordering, model)),
+    }
+    model_file = tmp_path / "model.json"
+    model_file.write_text(serialize_model(model))
+    args = ["--format", "structured", "kuhn", str(model_file), "--player", "dm", "--verify"]
+    for name in docs:
+        args += [f"--{name}", str(tmp_path / f"{name}.json")]
+    codes = Counter()
+    for case in range(MUTATION_CASES):
+        target = rng.choice(sorted(docs))
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(_mutate(rng, doc) if name == target else doc))
+        runs = [runner.invoke(main, args) for _ in range(2)]
+        for run in runs:
+            assert run.exit_code in (0, 1, 2, 3), (case, run.output)
+            assert run.exception is None or isinstance(run.exception, SystemExit), (case, repr(run.exception))
+            assert "Traceback" not in run.stderr, (case, run.stderr)
+        assert runs[0].stdout == runs[1].stdout, case
+        codes[runs[0].exit_code] += 1
+    assert {0, 1, 2} <= set(codes), codes
