@@ -7,20 +7,21 @@ significant, then agents in declared order), and every sigma-field over it
 is the partition of its atoms.  A partition is read two ways: as one atom
 id per configuration (``Partition.atom_ids``), which joins, refinement
 tests and cut checks scan once, and as one bitmask per atom, which
-intersections combine.  Every partition is built by one grouping of
-configurations by a label (:func:`partition_from_key`): atom masks given
-by hand go through the checked ``Partition`` constructor, which labels
-them and then groups, and everything else (cylinders, joins, traces, parsed
-atoms) is built from labels directly.  ``ConfigurationSpace`` owns the
-index encoding: no other module turns an index into digits or digits into
-an index.
+intersections combine.  Every partition is built by one grouping of a
+label column into atoms (:func:`partition_from_labels`), and the columns
+come from index arithmetic: a cylinder's label is the mixed-radix value of
+its chosen digit columns (``ConfigurationSpace.column``), a join's the
+pair of atom ids, a trace's the atom id.  Only keys given as functions
+(:func:`partition_from_key`) label one configuration per call.
+``ConfigurationSpace`` owns the index encoding: no other module turns an
+index into digits or digits into an index.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, count, groupby, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 DEFAULT_SPACE_CAP = 10**7
@@ -97,7 +98,8 @@ class ConfigurationSpace:
     ``labels`` and ``digits`` encode and decode each coordinate's labels,
     and ``sizes`` and ``strides`` give its radix and place value.  The
     table holds nothing of length ``size``, so building a space is free
-    even when the space is too large to analyse.
+    even when the space is too large to analyse; a coordinate's digit at
+    every index (``column``) is built on request.  The hash is kept.
     """
 
     nature: FiniteSet
@@ -110,6 +112,7 @@ class ConfigurationSpace:
     strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.agents) != len(self.actions):
@@ -129,6 +132,10 @@ class ConfigurationSpace:
         set_(self, "strides", tuple(strides))
         set_(self, "size", strides[0] * len(labels[0]))
         set_(self, "_pos", {a: i for i, a in enumerate(self.agents)})
+        set_(self, "_hash", hash((self.nature, self.agents, self.actions)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def full_mask(self) -> int:
@@ -154,6 +161,13 @@ class ConfigurationSpace:
     def digit(self, index: int, coord: int) -> int:
         """Digit of coordinate ``coord`` (0 = Nature) of a configuration."""
         return index // self.strides[coord] % self.sizes[coord]
+
+    def column(self, coord: int) -> list[int]:
+        """Digit of coordinate ``coord`` at every index, ascending: one
+        period of ``stride`` copies of each digit, repeated."""
+        stride, radix = self.strides[coord], self.sizes[coord]
+        period = list(chain.from_iterable([d] * stride for d in range(radix)))
+        return period * (self.size // len(period))
 
     def coordinates(self, index: int) -> tuple[int, ...]:
         """Digit vector (nature index, action index per agent)."""
@@ -227,8 +241,8 @@ class Partition:
 
     The constructor checks atom masks given by hand: it labels each
     configuration with its given atom, rejects empty, overlapping or
-    non-covering atoms, and regroups through :func:`partition_from_key`,
-    which builds every other partition from labels directly.
+    non-covering atoms, and regroups through :func:`partition_from_labels`,
+    which builds every other partition from a label column directly.
     """
 
     space: ConfigurationSpace
@@ -250,8 +264,13 @@ class Partition:
                 labels[i] = aid
         if mask_of([i for i, aid in enumerate(labels) if aid >= 0]) != support:
             raise ValueError("atoms do not cover the support")
-        built = partition_from_key(self.space, labels.__getitem__, support)
+        built = partition_from_labels(self.space, labels, support)
         self.__dict__.update(support=support, atoms=built.atoms, _index=built.atom_ids)
+
+    def __hash__(self) -> int:  # kept: the atom masks are as wide as the space
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.space, self.atoms, self.support))
+        return self.__dict__["_hash"]
 
     @property
     def atom_ids(self) -> tuple[int, ...]:
@@ -268,35 +287,58 @@ class Partition:
         return len(self.atoms)
 
 
-def partition_from_key(
-    space: ConfigurationSpace, key: Callable[[int], object], support: int = -1
+def first_seen(labels: Sequence) -> list[int]:
+    """``labels`` renumbered 0, 1, ... in order of first occurrence; over
+    ascending configurations that is the canonical atom order."""
+    rank = dict(zip(dict.fromkeys(labels), count()))
+    return list(map(rank.__getitem__, labels))
+
+
+def partition_from_labels(
+    space: ConfigurationSpace, labels: Sequence, support: int = -1
 ) -> Partition:
-    """Group configurations with equal ``key`` into atoms, in canonical
-    order since members are visited ascending; each mask is built once."""
-    if support == -1:
-        support = space.full_mask
-    groups: dict[object, list[int]] = {}
-    for i in iter_bits(support):
-        groups.setdefault(key(i), []).append(i)
-    index = [-1] * space.size
-    for aid, members in enumerate(groups.values()):
-        for i in members:
+    """Group the configurations of ``support`` with equal labels into
+    atoms.  ``labels`` holds one label per configuration index; those off
+    the support are not read.  Atom ids are the labels renumbered by first
+    occurrence, and a stable sort by id runs through each atom's members
+    ascending, so each mask is built once."""
+    if support == -1 or support == space.full_mask:
+        support, members = space.full_mask, range(space.size)
+        index = ids = first_seen(labels)
+    else:
+        members = list(iter_bits(support))
+        ids = first_seen(list(map(labels.__getitem__, members)))
+        index = [-1] * space.size
+        for i, aid in zip(members, ids):
             index[i] = aid
+    order = sorted(members, key=index.__getitem__)
+    atoms = [mask_of(list(run)) for _, run in groupby(order, index.__getitem__)]
     part = object.__new__(Partition)
     set_ = object.__setattr__
     set_(part, "space", space)
-    set_(part, "atoms", tuple(map(mask_of, groups.values())))
+    set_(part, "atoms", tuple(atoms))
     set_(part, "support", support)
     set_(part, "_index", tuple(index))
     return part
 
 
+def partition_from_key(
+    space: ConfigurationSpace, key: Callable[[int], object], support: int = -1
+) -> Partition:
+    """Group configurations with equal ``key`` into atoms, in canonical
+    order; ``key`` is called once per configuration of the support."""
+    labels: list[object] = [None] * space.size
+    for i in iter_bits(space.full_mask if support == -1 else support):
+        labels[i] = key(i)
+    return partition_from_labels(space, labels, support)
+
+
 def trivial_partition(space: ConfigurationSpace) -> Partition:
-    return partition_from_key(space, lambda i: 0)
+    return partition_from_labels(space, [0] * space.size)
 
 
 def complete_partition(space: ConfigurationSpace) -> Partition:
-    return partition_from_key(space, lambda i: i)
+    return partition_from_labels(space, range(space.size))
 
 
 # ── operations ──────────────────────────────────────────────────────────
@@ -327,9 +369,12 @@ def cylinder_partition(space: ConfigurationSpace, coords: CoordinateSet) -> Part
     chosen = sorted(space.agent_pos(a) + 1 for a in coords.agents)
     if coords.include_nature:
         chosen.insert(0, 0)
-    return partition_from_key(
-        space, lambda i: tuple(space.digit(i, c) for c in chosen)
-    )
+    # mixed-radix values, Nature most significant, are in canonical order
+    labels = [0] * space.size
+    for c in chosen:
+        radix = space.sizes[c]
+        labels = [label * radix + d for label, d in zip(labels, space.column(c))]
+    return partition_from_labels(space, labels)
 
 
 def _require_same_space(p: Partition, q: Partition) -> None:
@@ -348,8 +393,7 @@ def partition_refines(fine: Partition, coarse: Partition) -> bool:
 def partition_join(p: Partition, q: Partition) -> Partition:
     """Common refinement (the coarsest partition refining both)."""
     _require_same_space(p, q)
-    p_ids, q_ids = p.atom_ids, q.atom_ids
-    return partition_from_key(p.space, lambda i: (p_ids[i], q_ids[i]), p.support)
+    return partition_from_labels(p.space, list(zip(p.atom_ids, q.atom_ids)), p.support)
 
 
 def trace_partition(p: Partition, subset: int) -> Partition:
@@ -359,7 +403,7 @@ def trace_partition(p: Partition, subset: int) -> Partition:
         raise ValueError("trace over the empty subset")
     if subset & ~p.support:
         raise ValueError("trace over a subset outside the partition support")
-    return partition_from_key(p.space, p.atom_ids.__getitem__, subset)
+    return partition_from_labels(p.space, p.atom_ids, subset)
 
 
 def atom_of(p: Partition, h: Configuration) -> int:

@@ -30,7 +30,7 @@ from .fields import (
     build_space,
     cylinder_partition,
     iter_bits,
-    partition_from_key,
+    partition_from_labels,
 )
 from .model import WModel
 from .recall import ConfigurationOrdering, Ordering, constant_ordering
@@ -302,7 +302,7 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
             labels[index] = aid
     if -1 in labels:
         raise ModelFormatError(path, "atoms do not cover H")
-    return partition_from_key(space, labels.__getitem__)
+    return partition_from_labels(space, labels)
 
 
 def _model_chunks(model: WModel) -> Iterator[str]:

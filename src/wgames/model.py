@@ -82,8 +82,7 @@ class WModel:
         columns = []
         for a in agents:
             ids, coord = self.info_of(a).atom_ids, space.agent_pos(a) + 1
-            stride, size = space.strides[coord], space.sizes[coord]
-            columns.append([(ids[i], i // stride % size) for i in indices])
+            columns.append([(ids[i], space.digit(i, coord)) for i in indices])
         return list(zip(*columns)) if columns else [()] * len(indices)
 
     @property

@@ -23,7 +23,7 @@ from .playability import (
     nature_block,
     strategy_mask,
 )
-from .recall import ConfigurationOrdering, Ordering, prefix_cells
+from .recall import ConfigurationOrdering, Ordering, choice_partition, prefix_cells
 from .strategies import (
     MixedStrategy,
     PureStrategy,
@@ -136,31 +136,28 @@ def find_recall_violation(
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
     predecessor action across the whole cell.
+    Records are atom ids of the predecessors' choice field: members that
+    share the first member's are masked off, the rest compare digits.
     """
     space = model.space
     for kappa, cell in prefix_cells(model, player, phi, start=2):
         preds = kappa.sequence[:-1]
+        choice = choice_partition(model, preds)
+        coords = [space.agent_pos(a) + 1 for a in preds]
         first_atom_pair: Optional[tuple[int, int]] = None
         for atom in model.info_of(kappa.last).atoms:
-            members = list(iter_bits(cell & atom))
-            if len(members) < 2:
+            piece = cell & atom
+            if not piece:
                 continue
-            # The first differing pair in (x, y) order always has x = 0:
-            # a pair that differs in actions or records has a member that
-            # differs from the first configuration in the same way.
-            first, *rest = model.choice_records(preds, members)
-            for y, record in enumerate(rest, 1):
-                if record == first:
-                    continue
-                if any(rx[1] != ry[1] for rx, ry in zip(first, record)):
-                    return RecallViolation(
-                        kappa,
-                        space.config(members[0]),
-                        space.config(members[y]),
-                        CASE_ACTION,
-                    )
+            # The first differing pair in (x, y) order always has x = the
+            # piece's first member: a pair that differs in actions or
+            # records has a member that differs from x in the same way.
+            x = (piece & -piece).bit_length() - 1
+            for y in iter_bits(piece & ~choice.atoms[choice.atom_ids[x]]):
+                if any(space.digit(x, c) != space.digit(y, c) for c in coords):
+                    return RecallViolation(kappa, space.config(x), space.config(y), CASE_ACTION)
                 if first_atom_pair is None:
-                    first_atom_pair = (members[0], members[y])
+                    first_atom_pair = (x, y)
         if first_atom_pair is not None:
             return RecallViolation(
                 kappa,

@@ -31,9 +31,10 @@ from .fields import (
     Partition,
     cylinder_partition,
     first_cut,
+    first_seen,
     iter_bits,
     mask_of,
-    partition_from_key,
+    partition_from_labels,
 )
 from .model import WModel
 
@@ -186,11 +187,18 @@ def prefix_cells(
 
 
 def choice_partition(model: WModel, agents) -> Partition:
-    """Join over ``agents`` of what each did and knew (I_a), built once per model."""
+    """Join over ``agents`` of what each did and knew (I_a), built once per
+    model: each agent's I_a atom ids and action digits are folded into the
+    label column, renumbered after each agent so labels stay below |H|."""
     key, derived = tuple(sorted(agents)), model._derived  # type: ignore[attr-defined]
     if key not in derived:
-        records = model.choice_records(key, range(model.space.size))
-        derived[key] = partition_from_key(model.space, records.__getitem__)
+        space, labels = model.space, [0] * model.space.size
+        for a in key:
+            info, coord = model.info_of(a), space.agent_pos(a) + 1
+            n, radix = len(info), space.sizes[coord]
+            folded = zip(labels, info.atom_ids, space.column(coord))
+            labels = first_seen([(c * n + z) * radix + d for c, z, d in folded])
+        derived[key] = partition_from_labels(space, labels)
     return derived[key]
 
 

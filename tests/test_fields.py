@@ -1,5 +1,6 @@
 """Configuration spaces and finite partition fields."""
 
+from itertools import chain, combinations
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from wgames import (
     Partition,
     SpaceMismatch,
     SpaceTooLarge,
+    WModel,
     atom_of,
     build_space,
     complete_partition,
@@ -26,7 +28,7 @@ from wgames import (
     trivial_partition,
 )
 from wgames.fields import first_cut, mask_of
-from wgames.recall import Ordering, _first_cut
+from wgames.recall import Ordering, _first_cut, choice_partition
 
 from generators import to_oracle
 import oracles
@@ -321,3 +323,75 @@ def _check_cuts_against_oracle(rng, space, members, parts):
         if outside:
             with pytest.raises(ValueError):
                 subset_in_field(outside, p)
+
+
+def _assert_same_partition(built, reference):
+    assert built.atoms == reference.atoms
+    assert built.atom_ids == reference.atom_ids
+    assert built.support == reference.support
+
+
+def random_space(rng):
+    """1–3 Nature states, 1–5 agents with 1–3 actions each."""
+    nature = FiniteSet("nature", tuple(f"w{k}" for k in range(rng.randint(1, 3))))
+    agents = tuple(f"a{k}" for k in range(rng.randint(1, 5)))
+    actions = tuple(FiniteSet(a, tuple("LMR"[: rng.randint(1, 3)])) for a in agents)
+    return ConfigurationSpace(nature=nature, agents=agents, actions=actions)
+
+
+def test_digit_columns_read_like_digits():
+    rng = Random(3)
+    for _ in range(20):
+        space = random_space(rng)
+        for c in range(len(space.sizes)):
+            assert space.column(c) == [space.digit(i, c) for i in range(space.size)]
+
+
+def test_arithmetic_partitions_match_key_groupings():
+    """Cylinders, choice fields and joins built from label columns equal
+    the partitions grouped by a key call per configuration."""
+    rng = Random(16)
+    for _ in range(40):
+        space = random_space(rng)
+        agents = space.agents
+        info = []
+        for a in agents:
+            k = rng.randint(1, 4)
+            labels = [rng.randrange(k) for _ in range(space.size)]
+            info.append((a, partition_from_key(space, labels.__getitem__)))
+        model = WModel(
+            nature=space.nature,
+            agents=tuple(zip(agents, space.actions)),
+            players=(("P", agents),),
+            information=tuple(info),
+        )
+        subsets = list(chain.from_iterable(combinations(agents, k) for k in range(len(agents) + 1)))
+        for chosen in subsets:
+            for nature in (False, True):
+                coords = [0] * nature + [space.agent_pos(a) + 1 for a in chosen]
+                reference = partition_from_key(space, lambda i: tuple(space.digit(i, c) for c in coords))
+                _assert_same_partition(cylinder_partition(space, CoordinateSet.of(nature, chosen)), reference)
+            records = model.choice_records(chosen, range(space.size))
+            _assert_same_partition(
+                choice_partition(model, chosen), partition_from_key(space, records.__getitem__)
+            )
+        support = rng.getrandbits(space.size) | 1
+        parts = [p for _, p in info] + [cylinder_partition(space, CoordinateSet.of(True, agents[:1]))]
+        for p in parts:
+            for q in parts:
+                for s in (space.full_mask, support):
+                    p_s, q_s = trace_partition(p, s), trace_partition(q, s)
+                    pair = partition_from_key(space, lambda i: (p_s.atom_ids[i], q_s.atom_ids[i]), s)
+                    _assert_same_partition(partition_join(p_s, q_s), pair)
+
+
+def test_equal_spaces_and_partitions_built_apart_hash_equal():
+    first, second = two_agent_space(), two_agent_space()
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(first.config(5)) == hash(second.config(5))
+    see_x = CoordinateSet.of(False, ["x"])
+    p, q = cylinder_partition(first, see_x), cylinder_partition(second, see_x)
+    by_hand = Partition(second, p.atoms)
+    for other in (q, by_hand):
+        assert p is not other and p == other and hash(p) == hash(other)
+    assert len({p, q, by_hand, trivial_partition(first)}) == 2

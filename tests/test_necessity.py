@@ -10,7 +10,9 @@ to them.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
+from itertools import islice, permutations
 from fractions import Fraction
 from random import Random
 
@@ -40,14 +42,17 @@ from wgames import (
     forced_support,
     iter_causal_orderings,
     pushforward,
+    sequential_model,
     serialize_model,
     verify_certificate,
 )
 from wgames.cli import main
 from wgames.io import certificate_payload, ordering_payload
+from wgames.fields import iter_bits
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION, RecallViolation
+from wgames.recall import prefix_cells
 
-from generators import random_causal_model
+from generators import random_causal_model, random_partition_model, random_state_ordered_model
 
 
 def coin_relay_model():
@@ -346,3 +351,60 @@ def test_search_certifies_where_the_causal_sweep_runs_out(tmp_path):
 
     result = CliRunner().invoke(main, args + ["1"])
     assert (result.exit_code, json.loads(result.stdout)["outcome"]) == (3, "unknown")
+
+
+def reference_recall_violation(model, player, phi):
+    """The per-atom scan of predecessor records: for each atom of the final
+    agent's field, every member's ``choice_records`` against the first's."""
+    space = model.space
+    for kappa, cell in prefix_cells(model, player, phi, start=2):
+        preds = kappa.sequence[:-1]
+        first_atom_pair = None
+        for atom in model.info_of(kappa.last).atoms:
+            members = list(iter_bits(cell & atom))
+            if len(members) < 2:
+                continue
+            first, *rest = model.choice_records(preds, members)
+            for y, record in enumerate(rest, 1):
+                if record == first:
+                    continue
+                if any(rx[1] != ry[1] for rx, ry in zip(first, record)):
+                    return RecallViolation(
+                        kappa, space.config(members[0]), space.config(members[y]), CASE_ACTION
+                    )
+                if first_atom_pair is None:
+                    first_atom_pair = (members[0], members[y])
+        if first_atom_pair is not None:
+            x, y = first_atom_pair
+            return RecallViolation(kappa, space.config(x), space.config(y), CASE_INFORMATION)
+    return None
+
+
+def _violation_cases():
+    rng = Random(2104)
+    for _ in range(60):
+        yield random_causal_model(rng), None
+        yield random_partition_model(rng, max_agents=4, max_atoms=6), None
+        yield random_state_ordered_model(rng)
+    for k in (5, 6, 7):
+        model = sequential_model(k)
+        ids = model.agents_of("dm")
+        yield model, constant_ordering(model, "dm", ids)
+        yield model, constant_ordering(model, "dm", ids[:-2] + (ids[-1], ids[-2]))
+
+
+def test_violation_scan_matches_the_per_atom_reference():
+    found = Counter()
+    for model, given in _violation_cases():
+        player = given.player if given is not None else "P"
+        if given is not None:
+            phis = [given]
+        else:
+            agents = model.agents_of(player)
+            phis = [constant_ordering(model, player, seq) for seq in permutations(agents)]
+            phis += islice(iter_causal_orderings(model, player), 6)
+        for phi in phis:
+            want = reference_recall_violation(model, player, phi)
+            assert find_recall_violation(model, player, phi) == want
+            found[None if want is None else want.case] += 1
+    assert min(found[None], found[CASE_ACTION], found[CASE_INFORMATION]) > 0, found
