@@ -527,11 +527,10 @@ def serialize_strategy(strategy: Strategy) -> str:
 def parse_belief(text: str, model: WModel) -> RationalDistribution:
     """Belief over Nature states from a JSON object {state: "p/q"}."""
     obj = _as_object(_loads(text), "$")
-    labels = model.nature.labels
     for state in obj:
-        if state not in labels:
+        if state not in model.nature.digits:
             raise ModelFormatError("$", f"unknown Nature state {state!r}")
-    carrier = tuple(w for w in labels if w in obj)
+    carrier = tuple(w for w in model.nature.labels if w in obj)
     if not carrier:
         raise ModelFormatError("$", "belief must name at least one state")
     weights = tuple(_weight(obj[w], f"$.{w}") for w in carrier)
@@ -611,16 +610,15 @@ def ordering_payload(phi: ConfigurationOrdering, model: WModel) -> dict:
             "player": phi.player,
             "sequence": list(phi.cells[0][0].sequence),
         }
-    sequences = {i: list(rho.sequence) for rho, mask in phi.cells for i in iter_bits(mask)}
     return {
         "kind": "ordering",
         "player": phi.player,
         "assignments": [
             {
                 "configuration": config_payload(model.space.config(i)),
-                "sequence": sequences[i],
+                "sequence": list(rho.sequence),
             }
-            for i in range(model.space.size)
+            for i, rho in enumerate(phi.orderings)
         ],
     }
 
@@ -659,8 +657,8 @@ def playability_witness_payload(model: WModel, witness) -> dict:
 
 def pushforward_payload(q) -> list[dict]:
     return [
-        {"configuration": config_payload(h), "weight": format_fraction(w)}
-        for h, w in zip(q.support, q.dist.weights)
+        {"configuration": config_payload(q.space.config(i)), "weight": format_fraction(w)}
+        for i, w in zip(q.indices, q.weights)
     ]
 
 

@@ -8,6 +8,8 @@ configuration's actions at the atoms it reaches.  Checks on each Nature
 block make sure that every drawn profile has exactly one closed-loop
 solution, which makes that product the law; the pair check is the search
 that also decides playability (:func:`wgames.playability._first_pair`).
+A law is held as the ascending configuration indices that carry mass and
+their exact weights (:class:`PushforwardDistribution`).
 The transform reads the focus player's kernels off one law, which it is
 given (:func:`behavioral_from_law`): the kernel of an agent at one of its
 atoms is the conditional law of its action given the atom.  That is the
@@ -24,6 +26,7 @@ pushforward unchanged.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -50,33 +53,35 @@ from .strategies import (
 
 @dataclass(frozen=True)
 class PushforwardDistribution:
-    """Exact law over configurations; zero-weight entries are omitted."""
+    """Exact law over configurations: ``indices`` are the configuration
+    indices with nonzero mass, ascending, and ``weights`` their masses."""
 
     space: ConfigurationSpace
-    dist: RationalDistribution
+    indices: tuple[int, ...]
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        indices = []
-        for h, w in zip(self.dist.carrier, self.dist.weights):
-            if not isinstance(h, Configuration) or h.space != self.space:
-                raise SpaceMismatch("pushforward carrier must live on its space")
-            if w == 0:
-                raise ValueError("zero-weight configurations must be omitted")
-            indices.append(h.index)
-        if indices != sorted(indices):
-            raise ValueError("pushforward carrier must be in configuration order")
+        if len(self.indices) != len(self.weights):
+            raise ValueError("indices and weights must align")
+        if any(i >= j for i, j in zip((-1, *self.indices), (*self.indices, self.space.size))):
+            raise ValueError("indices must be distinct configuration indices, ascending")
+        if 0 in self.weights:
+            raise ValueError("zero-weight configurations must be omitted")
 
     def weight(self, h: Configuration) -> Fraction:
-        return self.dist.weight(h)
+        """Mass of ``h``; 0 off the support or on another space."""
+        k = bisect_left(self.indices, h.index)
+        found = h.space == self.space and self.indices[k : k + 1] == (h.index,)
+        return self.weights[k] if found else Fraction(0)
 
     @property
     def support(self) -> tuple[Configuration, ...]:
-        return self.dist.carrier
+        return tuple(map(self.space.config, self.indices))
 
 
 def validate_belief(model: WModel, nu: RationalDistribution) -> bool:
     """A belief is a distribution carried by Nature states."""
-    return all(w in model.nature.labels for w in nu.carrier)
+    return all(w in model.nature.digits for w in nu.carrier)
 
 
 def _law(
@@ -97,14 +102,15 @@ def _law(
         raise ValueError("belief is not carried by Nature states")
     by_player = one_strategy_per_player(model, strategies)
     space = model.space
-    belief = [nu.weight(w) for w in model.nature.labels]
-    reach = reduce(or_, (space.cylinder_mask(0, d) for d, w in enumerate(belief) if w), 0)
-    kernels = []  # (information, coordinate, weights per atom) per behavioral agent
+    belief = list((dict.fromkeys(model.nature.labels, Fraction(0)) | nu.as_map()).values())
+    # Nature is the most significant digit: its blocks are contiguous runs
+    reach = int("".join(("1" if w else "0") * space.strides[0] for w in reversed(belief)), 2)
+    kernels = []  # (atom ids, coordinate, weights per atom) per behavioral agent
     plans = []  # (agreement mask, weight) per plan, per mixed player
     for s in by_player.values():
         if isinstance(s, BehavioralStrategy):
             kernels += [
-                (model.info_of(a), space.agent_pos(a) + 1, [k.weights for k in ks])
+                (model.info_of(a).atom_ids, space.agent_pos(a) + 1, [k.weights for k in ks])
                 for a, ks in s.kernels
             ]
         else:
@@ -113,14 +119,17 @@ def _law(
             )
             reach &= reduce(or_, (m for m, _ in plans[-1]))
     masses: dict[int, Fraction] = {}
+    blocks: list[list[int]] = [[] for _ in belief]  # configurations with mass, per Nature state
     for i in iter_bits(reach):
-        w = belief[space.digit(i, 0)]
-        for info, coord, rows in kernels:
-            w *= rows[info.atom_index(i)][space.digit(i, coord)]
+        d = space.digit(i, 0)
+        w = belief[d]
+        for ids, coord, rows in kernels:
+            w *= rows[ids[i]][space.digit(i, coord)]
         for masks in plans:
             w *= sum(p for m, p in masks if m >> i & 1)
         if w != 0:
             masses[i] = w
+            blocks[d].append(i)
 
     def together(i: int, j: int) -> bool:
         # a behavioral draw plays each atom independently, so only the
@@ -128,14 +137,12 @@ def _law(
         both = 1 << i | 1 << j
         return all(any(m & both == both for m, _ in masks) for masks in plans)
 
-    for d, omega in enumerate(model.nature.labels):
-        block = [i for i in masses if space.digit(i, 0) == d]
-        mass = sum((masses[i] for i in block), Fraction(0))
-        bad = block if mass != belief[d] else _first_pair(model, block, together)
+    for omega, block, belief_mass in zip(model.nature.labels, blocks, belief):
+        mass = sum(map(masses.__getitem__, block), Fraction(0))
+        bad = block if mass != belief_mass else _first_pair(model, block, together)
         if bad is not None:
             raise PlayabilityError(None, omega, tuple(map(space.config, bad)))
-    carrier = tuple(map(space.config, masses))
-    return PushforwardDistribution(space, RationalDistribution(carrier, tuple(masses.values())))
+    return PushforwardDistribution(space, tuple(masses), tuple(masses.values()))
 
 
 def pushforward(
@@ -144,13 +151,11 @@ def pushforward(
     mixed_all: Iterable[MixedStrategy],
     threads: int = 1,
 ) -> PushforwardDistribution:
-    """Law of the closed-loop configuration under ``nu`` and the plans.
-
-    If a drawn profile has no or several closed-loop solutions,
+    """Law of the closed-loop configuration under ``nu`` and the plans; if
+    a drawn profile has no or several closed-loop solutions,
     PlayabilityError names the Nature state and the configurations with
-    mass, or the first pair solved together.  ``threads`` must be at
-    least 1 and changes nothing.
-    """
+    mass, or the first pair solved together.  ``threads`` must be at least
+    1 and changes nothing."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     return _law(model, nu, mixed_all)
@@ -159,7 +164,7 @@ def pushforward(
 def distributions_equal(q1: PushforwardDistribution, q2: PushforwardDistribution) -> bool:
     if q1.space != q2.space:
         raise SpaceMismatch("pushforwards live on different spaces")
-    return q1.dist.same_law(q2.dist)
+    return q1.indices == q2.indices and q1.weights == q2.weights
 
 
 def expected_utility(
@@ -170,10 +175,7 @@ def expected_utility(
 ) -> Fraction:
     """Exact expectation of ``criterion`` under the pushforward law."""
     q = pushforward(model, nu, mixed_all)
-    total = Fraction(0)
-    for h, w in zip(q.support, q.dist.weights):
-        total += w * Fraction(criterion(h))
-    return total
+    return sum((w * Fraction(criterion(h)) for h, w in zip(q.support, q.weights)), Fraction(0))
 
 
 # ── conditional kernels and the transform ───────────────────────────────
@@ -203,27 +205,25 @@ def _require_recall(model: WModel, player: str, phi: ConfigurationOrdering) -> N
 
 def _laws_by_atom(
     model: WModel, q: PushforwardDistribution, agents: tuple[str, ...]
-) -> list[tuple[RationalDistribution, bool]]:
+) -> list[tuple[tuple[Fraction, ...], bool]]:
     """Law of the actions of ``agents`` given each atom of the last one.
 
-    The law is read off ``q``; on atoms ``q`` does not reach it is uniform
-    and flagged unreached.
+    Each law is a row of weights over the action tuples in lexicographic
+    order (the first agent's action most significant), read off ``q``; on
+    atoms ``q`` does not reach it is uniform and flagged unreached.
     """
-    info = model.info_of(agents[-1])
-    carrier = tuple(product(*[model.actions_of(b).labels for b in agents]))
-    joint: list[dict[tuple, Fraction]] = [{} for _ in info.atoms]
-    for h, w in zip(q.support, q.dist.weights):
-        masses = joint[info.atom_index(h.index)]
-        u = tuple(h.action(b) for b in agents)
-        masses[u] = masses.get(u, Fraction(0)) + w
+    space, info = model.space, model.info_of(agents[-1])
+    coords = [space.agent_pos(b) + 1 for b in agents]
+    joint: list[dict[tuple[int, ...], Fraction]] = [{} for _ in info.atoms]
+    for i, w in zip(q.indices, q.weights):
+        masses, u = joint[info.atom_ids[i]], tuple(space.digit(i, c) for c in coords)
+        masses[u] = masses.get(u, 0) + w
+    digits = list(product(*(range(space.sizes[c]) for c in coords)))
     laws = []
     for masses in joint:
-        total = sum(masses.values(), Fraction(0))
-        if total == 0:
-            laws.append((RationalDistribution.uniform(carrier), False))
-        else:
-            weights = tuple(masses.get(u, Fraction(0)) / total for u in carrier)
-            laws.append((RationalDistribution(carrier, weights), True))
+        law = masses or dict.fromkeys(digits, 1)  # uniform where q does not reach
+        total = sum(law.values(), Fraction(0))
+        laws.append((tuple(law.get(u, 0) / total for u in digits), bool(masses)))
     return laws
 
 
@@ -245,11 +245,12 @@ def conditional_kernel(
     """
     _require_recall(model, player, phi)
     laws = _laws_by_atom(model, _law(model, nu, mixed_all), kappa.sequence)
+    carrier = tuple(product(*[model.actions_of(b).labels for b in kappa.sequence]))
     cell = ordering_cell(model, phi, kappa)
     return ConditionalKernel(
         kappa,
         tuple(
-            (i, *laws[i])
+            (i, RationalDistribution(carrier, laws[i][0]), laws[i][1])
             for i, atom in enumerate(model.info_of(kappa.last).atoms)
             if atom & cell == atom
         ),
@@ -283,7 +284,7 @@ def behavioral_from_law(model: WModel, player: str, q: PushforwardDistribution) 
     for agent in model.agents_of(player):
         labels = model.actions_of(agent).labels
         laws = _laws_by_atom(model, q, (agent,))
-        kernels.append((agent, tuple(RationalDistribution(labels, d.weights) for d, _ in laws)))
+        kernels.append((agent, tuple(RationalDistribution(labels, row) for row, _ in laws)))
     return BehavioralStrategy(player, tuple(kernels))
 
 
@@ -294,11 +295,8 @@ def behavioral_pushforward(
     mixed_others: Iterable[MixedStrategy | BehavioralStrategy],
 ) -> PushforwardDistribution:
     """Closed-loop law with ``beta`` for its player and one mixed or
-    behavioral strategy for every other player.  No plans are enumerated;
-    if a drawn profile has no or several closed-loop solutions,
-    PlayabilityError names the Nature state and the configurations with
-    mass, or the first pair solved together.
-    """
+    behavioral strategy for every other player, with the errors of
+    :func:`pushforward`.  No plans are enumerated."""
     return _law(model, nu, (beta, *mixed_others))
 
 

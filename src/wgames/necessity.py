@@ -320,7 +320,7 @@ def forced_support(
         raise ValueError("target law built on a different space")
     agents = model.agents_of(player)
     seen: dict[tuple[str, int], set[int]] = {}
-    for record in model.choice_records(agents, [h.index for h in target.support]):
+    for record in model.choice_records(agents, target.indices):
         for a, (z, digit) in zip(agents, record):
             seen.setdefault((a, z), set()).add(digit)
     ordered: dict[tuple[str, int], tuple[str, ...]] = {}
@@ -363,7 +363,7 @@ def certify_nonequivalence(
     keys = tuple(forced)
     space = model.space
 
-    supp_mask = mask_of([h.index for h in target.support])
+    supp_mask = mask_of(target.indices)
 
     for omega in model.nature.labels:
         if nu.weight(omega) == 0:
@@ -479,7 +479,7 @@ def verify_certificate(
             region &= _pin_allows(model, agent, atom_id, action)
         if region != cert.reachable or region == 0:
             return False
-        if region & mask_of([h.index for h in target.support]):
+        if region & mask_of(target.indices):
             return False
         if (region & -region).bit_length() - 1 != cert.exhibited.index:
             return False

@@ -125,7 +125,7 @@ class ConfigurationOrdering:
 
     @property
     def orderings(self) -> tuple[Ordering, ...]:
-        """One ordering per configuration index, read only by the benchmark's traced runs."""
+        """One ordering per configuration index."""
         table = {i: rho for rho, mask in self.cells for i in iter_bits(mask)}
         return tuple(table[i] for i in range(len(table)))
 
@@ -188,15 +188,18 @@ def prefix_cells(
 
 def choice_partition(model: WModel, agents) -> Partition:
     """Join over ``agents`` of what each did and knew (I_a), built once per
-    model: each agent's I_a atom ids and action digits are folded into the
-    label column, renumbered after each agent so labels stay below |H|."""
-    key, derived = tuple(sorted(agents)), model._derived  # type: ignore[attr-defined]
+    model: the last of them in declared order folds its I_a atom ids and
+    action digits into the atom ids of the others' field, renumbered so
+    labels stay below |H|."""
+    space, derived = model.space, model._derived  # type: ignore[attr-defined]
+    key = tuple(sorted(agents, key=space.agent_pos))
     if key not in derived:
-        space, labels = model.space, [0] * model.space.size
-        for a in key:
-            info, coord = model.info_of(a), space.agent_pos(a) + 1
+        if not key:
+            labels = [0] * space.size
+        else:
+            info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
             n, radix = len(info), space.sizes[coord]
-            folded = zip(labels, info.atom_ids, space.column(coord))
+            folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
             labels = first_seen([(c * n + z) * radix + d for c, z, d in folded])
         derived[key] = partition_from_labels(space, labels)
     return derived[key]

@@ -553,6 +553,56 @@ def test_corpus_reports_are_golden(runner, tmp_path, name, command):
     assert (result.exit_code, digest) == GOLDEN_REPORTS[(name, command)]
 
 
+# (exit code, sha256 of stdout) of ``--format structured`` laws whose weights
+# are not all 1/|Omega|: a full-support behavioral strategy on sequential-3
+# and a two-plan mixed strategy on alice-bob-nature (see ``golden_law_args``).
+GOLDEN_LAWS = {
+    ("sequential-3", "pushforward"): (0, "178c8b5ce3ca0799fbf5cde5e83a4dd4bd81a81946bd4f59d96cd39b57e61390"),
+    ("sequential-3", "kuhn"): (0, "fd699a1329822a3e264f6eb6cb986e50392eaa6587b34173804f94774df931a5"),
+    ("alice-bob-nature", "pushforward"): (0, "ee50014fad62bf5c9267110e6e387e957e7723d2dee724022f547f263c7584ae"),
+}
+
+
+def golden_law_args(tmp_path, name, command):
+    """CLI arguments of one golden law run on the corpus model ``name``."""
+    path = write_model(tmp_path, name)
+    if name == "sequential-3":
+        nu = write_json(tmp_path, "nu.json", {"w0": "1/3", "w1": "2/3"})
+        # t_k at atom z plays "0" with weight (k + z + 1) / (k + z + 3)
+        kernels = {
+            f"t{k}": [
+                {"0": f"{k + z + 1}/{k + z + 3}", "1": f"2/{k + z + 3}"} for z in range(2**k)
+            ]
+            for k in (1, 2, 3)
+        }
+        strategy = {"kind": "behavioral", "player": "dm", "kernels": kernels}
+    else:
+        nu = write_json(tmp_path, "nu.json", {"heads": "1/4", "tails": "3/4"})
+        strategy = {
+            "kind": "mixed",
+            "player": "team",
+            "support": [
+                {"weight": "1/3", "profile": {"alice": ["T", "B", "T", "B"], "bob": ["L", "R"]}},
+                {"weight": "2/3", "profile": {"alice": ["B", "B", "T", "T"], "bob": ["R", "R"]}},
+            ],
+        }
+    args = ["--format", "structured", command, path, "--nu", nu]
+    args += ["--strategy", write_json(tmp_path, "strategy.json", strategy)]
+    if command == "kuhn":
+        order = write_json(
+            tmp_path, "order.json", {"kind": "ordering", "player": "dm", "sequence": ["t1", "t2", "t3"]}
+        )
+        args += ["--player", "dm", "--ordering", order, "--verify"]
+    return args
+
+
+@pytest.mark.parametrize("name, command", list(GOLDEN_LAWS))
+def test_non_point_laws_are_golden(runner, tmp_path, name, command):
+    result = runner.invoke(main, golden_law_args(tmp_path, name, command))
+    digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
+    assert (result.exit_code, digest) == GOLDEN_LAWS[(name, command)]
+
+
 def test_negative_weights_are_exit_2(runner, tmp_path):
     model = write_model(tmp_path, "alice-bob-nature")
     profile = write_json(

@@ -15,6 +15,7 @@ from wgames import (
     PlayabilityError,
     PureStrategy,
     PureStrategyProfile,
+    PushforwardDistribution,
     RationalDistribution,
     behavioral_pushforward,
     behavioral_to_mixed,
@@ -98,6 +99,28 @@ def test_pushforward_correlated_pair():
     assert br.as_dict() == {"nature": "*", "alice": "B", "bob": "R"}
     assert q.weight(tl) == Fraction(1, 2)
     assert q.weight(br) == Fraction(1, 2)
+
+
+def test_pushforward_distribution_invariants():
+    space = corpus_model("alice-bob-simultaneous").space  # 4 configurations
+    half = Fraction(1, 2)
+    q = PushforwardDistribution(space, (0, 3), (half, half))
+    assert [h.index for h in q.support] == [0, 3]
+    assert q.weight(space.config(3)) == half
+    assert q.weight(space.config(1)) == 0  # off the support
+    foreign = corpus_model("alice-bob-nature").space
+    assert q.weight(foreign.config(3)) == 0  # index 3 carries mass on ``space``
+    bad = [
+        ((3, 0), (half, half)),  # unsorted
+        ((1, 1), (half, half)),  # repeated
+        ((0, 4), (half, half)),  # past the space
+        ((-1, 0), (half, half)),  # negative
+        ((0, 1, 2), (half, half, Fraction(0))),  # zero weight
+        ((0, 1), (Fraction(1),)),  # lengths differ
+    ]
+    for indices, weights in bad:
+        with pytest.raises(ValueError):
+            PushforwardDistribution(space, indices, weights)
 
 
 def test_pushforward_matches_oracle_on_random_models():
@@ -417,7 +440,7 @@ def test_pair_sharing_a_kernel_atom_with_two_actions_is_never_solved_together():
         )),),
     )
     q = behavioral_pushforward(model, nu, beta, [mix_a])
-    assert [(h.action("a"), h.action("b"), w) for h, w in zip(q.support, q.dist.weights)] == [
+    assert [(h.action("a"), h.action("b"), w) for h, w in zip(q.support, q.weights)] == [
         ("0", "0", Fraction(25, 36)),
         ("0", "1", Fraction(5, 36)),
         ("1", "0", Fraction(1, 36)),
@@ -483,7 +506,7 @@ def test_law_is_the_definitional_law_or_raises(seed):
         assert err.value.profile is None
     else:
         q = law()
-        assert {config_tuple(model, h.index): w for h, w in zip(q.support, q.dist.weights)} == want
+        assert {config_tuple(model, h.index): w for h, w in zip(q.support, q.weights)} == want
 
     # splitting a block before the pairwise search loses no pair
     index = {config_tuple(model, i): i for i in range(model.space.size)}

@@ -153,6 +153,27 @@ def test_kuhn_search_verify_on_exported_sequential_10(runner, tmp_path):
     assert report["details"]["behavioral"] == strategy_payload(beta)
 
 
+def test_pushforward_over_4096_nature_states(runner, tmp_path):
+    # one binary agent that observes Nature: the law is read block by block
+    states = tuple(f"w{k}" for k in range(4096))
+    agents = (("a", FiniteSet("a", ("0", "1"))),)
+    space = build_space(FiniteSet("nature", states), agents)
+    info = cylinder_partition(space, CoordinateSet.of(True, []))
+    model = WModel(space.nature, agents, (("P", ("a",)),), (("a", info),))
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_model(model))
+    uniform = (RationalDistribution.uniform(("0", "1")),) * len(info)
+    (tmp_path / "beta.json").write_text(serialize_strategy(BehavioralStrategy("P", (("a", uniform),))))
+    (tmp_path / "nu.json").write_text(serialize_belief(RationalDistribution.uniform(states)))
+    code, report = _run(
+        runner, "pushforward", str(path), "--nu", str(tmp_path / "nu.json"),
+        "--strategy", str(tmp_path / "beta.json"),
+    )
+    assert (code, report["outcome"]) == (0, "computed")
+    law = report["details"]["law"]
+    assert len(law) == 8192 and {entry["weight"] for entry in law} == {"1/8192"}
+
+
 def test_kuhn_checks_perfect_recall_once(runner, tmp_path, monkeypatch):
     import wgames.cli
     import wgames.kuhn
