@@ -4,14 +4,14 @@ The hybrid space of a finite game in product form is the cartesian product
 of one Nature axis and one action axis per agent.  Every subset of that
 space is a bitmask over the canonical enumeration (Nature most
 significant, then agents in declared order), and every sigma-field over it
-is the partition of its atoms.  A partition is read two ways: as one atom
-id per configuration (``Partition.atom_ids``), which joins, refinement
-tests and cut checks scan once, and as one bitmask per atom, which
-intersections combine.  Every partition is built by one grouping of a
-label column into atoms (:func:`partition_from_labels`), and the columns
-come from index arithmetic: a cylinder's label is the mixed-radix value of
-its chosen digit columns (``ConfigurationSpace.column``), a join's the
-pair of atom ids, a trace's the atom id.  Only keys given as functions
+is the partition of its atoms.  A partition is its atom-id column
+(``Partition.atom_ids``) plus atom sizes: joins, refinement and cut tests
+count label pairs over it in C, and an atom's bitmask is built only where
+a mask is read.  Every partition is built by one grouping of a label
+column (:func:`partition_from_labels`), and the columns come from index
+arithmetic: a cylinder's label is the mixed-radix value of its chosen
+digit columns (``ConfigurationSpace.column``), a join's the pair of atom
+ids, a trace's the atom id.  Only keys given as functions
 (:func:`partition_from_key`) label one configuration per call.
 ``ConfigurationSpace`` owns the index encoding: no other module turns an
 index into digits or digits into an index.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 DEFAULT_SPACE_CAP = 10**7
@@ -38,14 +38,14 @@ class SpaceTooLarge(ValueError):
         super().__init__(f"configuration space has more than {DEFAULT_SPACE_CAP} elements")
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 bytes
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending, in time linear in
-    its width: the binary string is scanned once."""
-    bits = bin(mask)[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        yield i
-        i = bits.find("1", i + 1)
+    """Indices of the set bits of ``mask``, ascending: ``compress`` over its
+    binary digits as 0/1 bytes, with no Python step per bit."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 def mask_of(indices: Sequence[int]) -> int:
@@ -229,15 +229,16 @@ class CoordinateSet:
         return CoordinateSet(include_nature, frozenset(agents))
 
 
-@dataclass(frozen=True)
 class Partition:
     """Atoms of a finite sigma-field over (a subset of) the space.
 
-    ``atoms`` are disjoint nonempty bitmasks whose union is ``support``
-    (the full space unless the partition is a trace on a subset).  Atoms
-    are kept in canonical order: ascending lowest configuration index.
-    ``atom_ids`` labels every configuration with its atom's position in
-    that order (-1 off the support): one label array plus one mask per atom.
+    The partition is its column: ``atom_ids`` labels each configuration
+    with its atom's position in canonical order (ascending lowest index;
+    -1 off ``support``, the full space unless the partition is a trace),
+    and ``sizes`` counts each atom.  Masks are built on demand: ``atom``
+    builds one, ``atoms`` all of them on first read, then kept.  Ids number
+    atoms by first occurrence, so (space, atom ids, support) is canonical:
+    equality and the kept hash read it.  Partitions are immutable.
 
     The constructor checks atom masks given by hand: it labels each
     configuration with its given atom, rejects empty, overlapping or
@@ -246,14 +247,15 @@ class Partition:
     """
 
     space: ConfigurationSpace
-    atoms: tuple[int, ...]
-    support: int = field(default=-1)
+    atom_ids: tuple[int, ...]
+    sizes: tuple[int, ...]
+    support: int
 
-    def __post_init__(self) -> None:
-        size = self.space.size
-        support = self.space.full_mask if self.support == -1 else self.support
+    def __init__(self, space: ConfigurationSpace, atoms: Sequence[int], support: int = -1) -> None:
+        size = space.size
+        support = space.full_mask if support == -1 else support
         labels = [-1] * size
-        for aid, atom in enumerate(self.atoms):
+        for aid, atom in enumerate(atoms):
             if atom == 0:
                 raise ValueError("empty atom")
             if atom < 0 or atom.bit_length() > size:
@@ -264,27 +266,49 @@ class Partition:
                 labels[i] = aid
         if mask_of([i for i, aid in enumerate(labels) if aid >= 0]) != support:
             raise ValueError("atoms do not cover the support")
-        built = partition_from_labels(self.space, labels, support)
-        self.__dict__.update(support=support, atoms=built.atoms, _index=built.atom_ids)
+        self.__dict__.update(partition_from_labels(space, labels, support).__dict__)
 
-    def __hash__(self) -> int:  # kept: the atom masks are as wide as the space
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("partitions are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.space, self.support, self.atom_ids) == (other.space, other.support, other.atom_ids)
+
+    def __hash__(self) -> int:  # kept: the column is as long as the space
         if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.space, self.atoms, self.support))
+            self.__dict__["_hash"] = hash((self.space, self.atom_ids, self.support))
         return self.__dict__["_hash"]
 
+    def __repr__(self) -> str:
+        return f"Partition(atom_ids={self.atom_ids!r}, support={self.support:#x})"
+
     @property
-    def atom_ids(self) -> tuple[int, ...]:
-        """Atom id of every configuration index; -1 off the support."""
-        return self._index  # type: ignore[attr-defined]
+    def atoms(self) -> tuple[int, ...]:
+        """Bitmask of every atom, in atom order: one sort of the support by
+        atom id, on first read."""
+        if "_atoms" not in self.__dict__:
+            ids = self.atom_ids
+            order = sorted(iter_bits(self.support), key=ids.__getitem__)
+            self.__dict__["_atoms"] = tuple(mask_of(list(run)) for _, run in groupby(order, ids.__getitem__))
+        return self.__dict__["_atoms"]
+
+    def atom(self, aid: int) -> int:
+        """Bitmask of one atom, from ``atoms`` once built, else from one
+        pass over the column."""
+        if "_atoms" in self.__dict__:
+            return self.__dict__["_atoms"][aid]
+        return int(bytes(map(aid.__eq__, reversed(self.atom_ids))).translate(_DIGITS), 2)
 
     def atom_index(self, config_index: int) -> int:
-        aid = self._index[config_index]  # type: ignore[attr-defined]
+        aid = self.atom_ids[config_index]
         if aid < 0:
             raise ValueError("configuration outside the partition support")
         return aid
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.sizes)
 
 
 def first_seen(labels: Sequence) -> list[int]:
@@ -300,10 +324,10 @@ def partition_from_labels(
     """Group the configurations of ``support`` with equal labels into
     atoms.  ``labels`` holds one label per configuration index; those off
     the support are not read.  Atom ids are the labels renumbered by first
-    occurrence, and a stable sort by id runs through each atom's members
-    ascending, so each mask is built once."""
+    occurrence, and the atom sizes are counted off the ids in that order;
+    no atom mask is built."""
     if support == -1 or support == space.full_mask:
-        support, members = space.full_mask, range(space.size)
+        support = space.full_mask
         index = ids = first_seen(labels)
     else:
         members = list(iter_bits(support))
@@ -311,14 +335,9 @@ def partition_from_labels(
         index = [-1] * space.size
         for i, aid in zip(members, ids):
             index[i] = aid
-    order = sorted(members, key=index.__getitem__)
-    atoms = [mask_of(list(run)) for _, run in groupby(order, index.__getitem__)]
     part = object.__new__(Partition)
-    set_ = object.__setattr__
-    set_(part, "space", space)
-    set_(part, "atoms", tuple(atoms))
-    set_(part, "support", support)
-    set_(part, "_index", tuple(index))
+    # a Counter keeps first-occurrence order, which is atom id order
+    part.__dict__.update(space=space, atom_ids=tuple(index), sizes=tuple(Counter(ids).values()), support=support)
     return part
 
 
@@ -413,6 +432,14 @@ def atom_of(p: Partition, h: Configuration) -> int:
     return p.atom_index(h.index)
 
 
+def atom_id_columns(s: int, *parts: Partition) -> list[Sequence[int]]:
+    """Atom ids of each partition at the members of ``s``, ascending."""
+    if s == parts[0].space.full_mask:
+        return [p.atom_ids for p in parts]
+    members = list(iter_bits(s))
+    return [list(map(p.atom_ids.__getitem__, members)) for p in parts]
+
+
 def first_cut(
     s: int, p: Partition, blocks: Optional[Partition] = None
 ) -> Optional[tuple[int, int]]:
@@ -422,19 +449,22 @@ def first_cut(
     A piece cuts an atom properly iff it holds some but not all of the
     atom's configurations.  So the members of ``s`` are counted per
     (block id, atom id), and the least pair whose count falls short of its
-    atom's size is the first cut.  ``blocks`` must cover ``s``.
+    atom's size is the first cut.  When ``s`` is the whole support there is
+    none iff each atom meets one block.  ``blocks`` must cover ``s``.
     """
     if s & ~p.support:
         raise ValueError("configuration outside the partition support")
-    members = list(iter_bits(s))
+    whole = s == p.support
     if blocks is None:
-        block_ids = repeat(0)
+        if whole:
+            return None
+        (atom_ids,), block_ids = atom_id_columns(s, p), repeat(0)
     else:
-        block_ids = map(blocks.atom_ids.__getitem__, members)
-    counts = Counter(zip(block_ids, map(p.atom_ids.__getitem__, members)))
-    atoms = p.atoms
-    cuts = (pair for pair, n in counts.items() if n < atoms[pair[1]].bit_count())
-    return min(cuts, default=None)
+        atom_ids, block_ids = atom_id_columns(s, p, blocks)
+    if whole and len(set(zip(block_ids, atom_ids))) == len(p):
+        return None
+    counts, sizes = Counter(zip(block_ids, atom_ids)), p.sizes
+    return min((pair for pair, n in counts.items() if n < sizes[pair[1]]), default=None)
 
 
 def subset_in_field(s: int, p: Partition) -> bool:

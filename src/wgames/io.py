@@ -337,7 +337,7 @@ def _model_chunks(model: WModel) -> Iterator[str]:
         for coords in product(*lines)
     ]
     for n, (agent, part) in enumerate(model.information):
-        atoms: list[list[str]] = [[] for _ in part.atoms]
+        atoms: list[list[str]] = [[] for _ in range(len(part))]
         for text, aid in zip(configs, part.atom_ids):
             atoms[aid].append(text)
         body = ",\n".join("        [\n" + ",\n".join(a) + "\n        ]" for a in atoms)

@@ -27,6 +27,7 @@ pushforward unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -34,7 +35,7 @@ from itertools import product
 from operator import and_, or_
 from typing import Callable, Iterable
 
-from .fields import Configuration, ConfigurationSpace, SpaceMismatch, iter_bits
+from .fields import Configuration, ConfigurationSpace, SpaceMismatch, atom_id_columns, iter_bits
 from .model import WModel
 from .playability import PlayabilityError, _first_pair, strategy_mask
 from .recall import (
@@ -139,7 +140,9 @@ def _law(
 
     for omega, block, belief_mass in zip(model.nature.labels, blocks, belief):
         mass = sum(map(masses.__getitem__, block), Fraction(0))
-        bad = block if mass != belief_mass else _first_pair(model, block, together)
+        bad = block if mass != belief_mass else None
+        if bad is None and len(block) > 1:  # a pair needs two configurations with mass
+            bad = _first_pair(model, block, together)
         if bad is not None:
             raise PlayabilityError(None, omega, tuple(map(space.config, bad)))
     return PushforwardDistribution(space, tuple(masses), tuple(masses.values()))
@@ -214,7 +217,7 @@ def _laws_by_atom(
     """
     space, info = model.space, model.info_of(agents[-1])
     coords = [space.agent_pos(b) + 1 for b in agents]
-    joint: list[dict[tuple[int, ...], Fraction]] = [{} for _ in info.atoms]
+    joint: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(len(info))]
     for i, w in zip(q.indices, q.weights):
         masses, u = joint[info.atom_ids[i]], tuple(space.digit(i, c) for c in coords)
         masses[u] = masses.get(u, 0) + w
@@ -246,13 +249,15 @@ def conditional_kernel(
     _require_recall(model, player, phi)
     laws = _laws_by_atom(model, _law(model, nu, mixed_all), kappa.sequence)
     carrier = tuple(product(*[model.actions_of(b).labels for b in kappa.sequence]))
-    cell = ordering_cell(model, phi, kappa)
+    info = model.info_of(kappa.last)
+    # an atom lies in the cell iff the cell holds all of its configurations
+    held = Counter(atom_id_columns(ordering_cell(model, phi, kappa), info)[0])
     return ConditionalKernel(
         kappa,
         tuple(
             (i, RationalDistribution(carrier, laws[i][0]), laws[i][1])
-            for i, atom in enumerate(model.info_of(kappa.last).atoms)
-            if atom & cell == atom
+            for i, size in enumerate(info.sizes)
+            if held[i] == size
         ),
     )
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
-from .fields import Configuration, iter_bits, mask_of
+from .fields import Configuration, atom_id_columns, iter_bits, mask_of
 from .kuhn import PushforwardDistribution, distributions_equal, pushforward
 from .model import WModel
 from .playability import (
@@ -136,16 +136,21 @@ def find_recall_violation(
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
     predecessor action across the whole cell.
+    A prefix is skipped after one count of id pairs when no final atom
+    meets two choice atoms in its cell; any other prefix's scan returns.
     Records are atom ids of the predecessors' choice field: members that
     share the first member's are masked off, the rest compare digits.
     """
     space = model.space
     for kappa, cell in prefix_cells(model, player, phi, start=2):
         preds = kappa.sequence[:-1]
-        choice = choice_partition(model, preds)
+        choice, info = choice_partition(model, preds), model.info_of(kappa.last)
+        infos, choices = atom_id_columns(cell, info, choice)
+        if len(set(zip(infos, choices))) == len(set(infos)):
+            continue  # no information atom in the cell meets two choice atoms
         coords = [space.agent_pos(a) + 1 for a in preds]
         first_atom_pair: Optional[tuple[int, int]] = None
-        for atom in model.info_of(kappa.last).atoms:
+        for atom in info.atoms:
             piece = cell & atom
             if not piece:
                 continue
@@ -336,7 +341,7 @@ def _pin_allows(model: WModel, agent: str, atom_id: int, action: str) -> int:
     the pinned action as the agent's own coordinate."""
     space = model.space
     own = space.cylinder_mask(space.agent_pos(agent) + 1, model.actions_of(agent).index(action))
-    return space.full_mask & ~(model.info_of(agent).atoms[atom_id] & ~own)
+    return space.full_mask & ~(model.info_of(agent).atom(atom_id) & ~own)
 
 
 def certify_nonequivalence(

@@ -238,8 +238,8 @@ def _first_cut(
     first = first_cut(cell, field, conditioning)
     if first is None:
         return None
-    block = field.space.full_mask if conditioning is None else conditioning.atoms[first[0]]
-    return FieldMembershipViolation(kappa, block, cell & block, field.atoms[first[1]])
+    block = field.space.full_mask if conditioning is None else conditioning.atom(first[0])
+    return FieldMembershipViolation(kappa, block, cell & block, field.atom(first[1]))
 
 
 @dataclass(frozen=True)

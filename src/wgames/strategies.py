@@ -172,7 +172,7 @@ def validate_pure(model: WModel, strategy: PureStrategy) -> bool:
     """Total on the agent's atoms, with valid action labels everywhere."""
     info = model.info_of(strategy.agent)  # raises on unknown agent
     actions = set(model.actions_of(strategy.agent).labels)
-    if len(strategy.choice) != len(info.atoms):
+    if len(strategy.choice) != len(info):
         return False
     return all(u in actions for u in strategy.choice)
 
@@ -215,7 +215,7 @@ def validate_behavioral(model: WModel, beta: BehavioralStrategy) -> bool:
     for agent, dists in beta.kernels:
         info = model.info_of(agent)
         labels = model.actions_of(agent).labels
-        if len(dists) != len(info.atoms):
+        if len(dists) != len(info):
             return False
         if any(d.carrier != labels for d in dists):
             return False
@@ -226,14 +226,14 @@ def enumerate_pure(model: WModel, agent: str) -> list[PureStrategy]:
     """All pure strategies of one agent, lexicographic in (atom, action)."""
     info = model.info_of(agent)
     labels = model.actions_of(agent).labels
-    count = len(labels) ** len(info.atoms)
+    count = len(labels) ** len(info)
     if count > DEFAULT_ENUM_CAP:
         raise ValueError(
             f"{count} strategies for agent {agent!r} exceed the cap of {DEFAULT_ENUM_CAP}"
         )
     return [
         PureStrategy(agent, combo)
-        for combo in product(labels, repeat=len(info.atoms))
+        for combo in product(labels, repeat=len(info))
     ]
 
 
@@ -248,7 +248,7 @@ def behavioral_to_mixed(model: WModel, beta: BehavioralStrategy) -> MixedStrateg
     for agent in model.agents_of(beta.player):
         info = model.info_of(agent)
         options_per_atom = []
-        for atom_id in range(len(info.atoms)):
+        for atom_id in range(len(info)):
             dist = beta.kernel(agent, atom_id)
             options_per_atom.append(
                 [(u, w) for u, w in zip(dist.carrier, dist.weights) if w != 0]
@@ -298,5 +298,5 @@ def constant_profile(model: WModel, assignments: dict[str, str]) -> PureStrategy
         info = model.info_of(agent)
         if action not in model.actions_of(agent).labels:
             raise ValueError(f"unknown action {action!r} for {agent!r}")
-        strategies.append(PureStrategy(agent, (action,) * len(info.atoms)))
+        strategies.append(PureStrategy(agent, (action,) * len(info)))
     return PureStrategyProfile(tuple(strategies))

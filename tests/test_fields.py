@@ -1,5 +1,6 @@
 """Configuration spaces and finite partition fields."""
 
+from collections import Counter
 from itertools import chain, combinations
 from random import Random
 
@@ -27,7 +28,7 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.fields import first_cut, mask_of
+from wgames.fields import first_cut, mask_of, partition_from_labels
 from wgames.recall import Ordering, _first_cut, choice_partition
 
 from generators import to_oracle
@@ -325,18 +326,75 @@ def _check_cuts_against_oracle(rng, space, members, parts):
                 subset_in_field(outside, p)
 
 
+def _label_atoms(labels, members):
+    """Atoms of ``labels`` on ``members`` as sets, by lowest member: the
+    canonical order, worked out without the partition's column."""
+    groups = {}
+    for i in members:
+        groups.setdefault(labels[i], set()).add(i)
+    return sorted(groups.values(), key=min)
+
+
+def _reference_first_cut(s_set, atoms, blocks):
+    """Least (block id, atom id) whose piece of ``s_set`` holds some but
+    not all of the atom; ``s_set`` is one block when ``blocks`` is None."""
+    for b, block in enumerate([s_set] if blocks is None else blocks):
+        piece = s_set & block
+        for a, atom in enumerate(atoms):
+            if 0 < len(piece & atom) < len(atom):
+                return b, a
+    return None
+
+
+def test_first_cut_matches_a_set_reference_on_random_columns():
+    """``first_cut`` and ``subset_in_field`` against brute-force sets, on
+    random label columns over full and traced supports, for the empty
+    subset, the whole support and random subsets, with and without blocks."""
+    rng = Random(18)
+    seen, sizes = Counter(), set()
+    for trial in range(120):
+        space = random_space(rng, max_agents=4, max_actions=5, max_states=4, max_size=600)
+        sizes.add(space.size)
+        full = trial % 2 == 0
+        support = space.full_mask if full else rng.getrandbits(space.size) | 1
+        members = [i for i in range(space.size) if support >> i & 1]
+        columns = [[rng.randrange(1 + rng.randrange(12)) for _ in range(space.size)] for _ in range(2)]
+        p, q = (partition_from_labels(space, labels, support) for labels in columns)
+        p_atoms, q_atoms = (_label_atoms(labels, members) for labels in columns)
+        subsets = [0, support] + [mask_of(rng.sample(members, rng.randint(1, len(members)))) for _ in range(4)]
+        for s in subsets:
+            s_set = {i for i in members if s >> i & 1}
+            for blocks, block_sets in ((None, None), (q, q_atoms)):
+                want = _reference_first_cut(s_set, p_atoms, block_sets)
+                assert first_cut(s, p, blocks) == want
+                seen[full, s == support, blocks is None, want is None] += 1
+            assert subset_in_field(s, p) == (_reference_first_cut(s_set, p_atoms, None) is None)
+        if support != space.full_mask:
+            with pytest.raises(ValueError):
+                first_cut(space.full_mask, p, q)
+    # every branch of the test was reached: both support kinds, whole and
+    # partial subsets, with and without blocks, cuts found and not
+    assert len(seen) == 14, seen  # with no blocks the whole support never cuts
+    assert min(sizes) <= 3 and max(sizes) >= 400, sorted(sizes)
+
+
 def _assert_same_partition(built, reference):
     assert built.atoms == reference.atoms
     assert built.atom_ids == reference.atom_ids
     assert built.support == reference.support
 
 
-def random_space(rng):
-    """1–3 Nature states, 1–5 agents with 1–3 actions each."""
-    nature = FiniteSet("nature", tuple(f"w{k}" for k in range(rng.randint(1, 3))))
-    agents = tuple(f"a{k}" for k in range(rng.randint(1, 5)))
-    actions = tuple(FiniteSet(a, tuple("LMR"[: rng.randint(1, 3)])) for a in agents)
-    return ConfigurationSpace(nature=nature, agents=agents, actions=actions)
+def random_space(rng, max_agents=5, max_actions=3, max_states=3, max_size=None):
+    """1–``max_states`` Nature states, 1–``max_agents`` agents with
+    1–``max_actions`` actions each; with ``max_size``, redrawn until the
+    space has 2 to ``max_size`` configurations."""
+    while True:
+        nature = FiniteSet("nature", tuple(f"w{k}" for k in range(rng.randint(1, max_states))))
+        agents = tuple(f"a{k}" for k in range(rng.randint(1, max_agents)))
+        actions = tuple(FiniteSet(a, tuple("LMRST"[: rng.randint(1, max_actions)])) for a in agents)
+        space = ConfigurationSpace(nature=nature, agents=agents, actions=actions)
+        if max_size is None or 2 <= space.size <= max_size:
+            return space
 
 
 def test_digit_columns_read_like_digits():

@@ -386,6 +386,11 @@ def _violation_cases():
         yield random_causal_model(rng), None
         yield random_partition_model(rng, max_agents=4, max_atoms=6), None
         yield random_state_ordered_model(rng)
+    for seed in range(120):  # wider information, where one count may skip a prefix
+        draw = Random(f"violation-scan/{seed}")
+        yield random_partition_model(
+            draw, max_nature=3, max_agents=4, max_actions=3, max_atoms=8, min_actions=1 + seed % 2
+        ), None
     for k in (5, 6, 7):
         model = sequential_model(k)
         ids = model.agents_of("dm")

@@ -14,6 +14,7 @@ from itertools import islice
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 
 from wgames import (
     ConfigurationOrdering,
@@ -36,6 +37,8 @@ from wgames import (
     search_recall_ordering,
     sequential_model,
 )
+from wgames import cli
+from wgames.io import model_digest, parse_model
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION
 
 from generators import (
@@ -436,3 +439,26 @@ def test_sequential_12_search_finds_the_declared_order_within_budget():
     assert result.outcome == "found" and result.nodes == 1
     assert result.ordering == constant_ordering(model, "dm", model.agents_of("dm"))
     assert elapsed < 3.0, f"sequential-12 search took {elapsed:.2f}s"
+
+
+def test_recall_paths_build_no_information_atom_masks(tmp_path, monkeypatch):
+    """A partition is its atom-id column: the digest, the three prefix
+    checks along the identity and ``recall --search`` on the exported
+    sequential-7 model pass without building one information atom mask."""
+    text = CliRunner().invoke(cli.main, ["examples", "export", "sequential-7"]).stdout
+    model = parse_model(text)
+    model_digest(model)
+    phi = constant_ordering(model, "dm", model.agents_of("dm"))
+    assert check_perfect_recall(model, "dm", phi).holds
+    assert check_partial_causality(model, "dm", phi).holds
+    assert find_recall_violation(model, "dm", phi) is None
+    parsed = [model]
+    monkeypatch.setattr(cli, "parse_model", lambda text: parsed.append(parse_model(text)) or parsed[-1])
+    path = tmp_path / "sequential-7.json"
+    path.write_text(text)
+    result = CliRunner().invoke(cli.main, ["recall", str(path), "--player", "dm", "--search"])
+    assert result.exit_code == 0 and len(parsed) == 2
+    for m in parsed:
+        assert [a for a, part in m.information if "_atoms" in vars(part)] == []
+    assert model.info_of("t1").atoms  # the masks are still there to read
+    assert "_atoms" in vars(model.info_of("t1"))
