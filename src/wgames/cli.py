@@ -4,15 +4,18 @@ Exit codes are uniform across subcommands: 0 when the checked property
 holds (or the computation succeeded), 1 when it fails and a witness is
 reported, 2 for input or usage errors, 3 when a search budget ran out and
 the answer is unknown.  Reports go to stdout; timing, when requested, goes
-to stderr so stdout stays bit-identical across runs.
+to stderr so stdout stays bit-identical across runs.  Usage errors are
+reported in argparse's format (usage line, then message) on stderr, with
+nothing on stdout.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
+import sys
 import time
 from pathlib import Path
-
-import click
 
 from .corpus import corpus_model, corpus_names
 from .fields import SpaceTooLarge
@@ -57,54 +60,46 @@ from .strategies import (
     restrict_profile,
 )
 
-_MODEL_ARG = click.argument(
-    "model_file", metavar="MODEL", type=click.Path(exists=True, dir_okay=False, path_type=Path)
-)
-_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+
+class UsageError(Exception):
+    """Bad input found after parsing; reported like a parse error (exit 2)."""
 
 
-@click.group()
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "structured"]),
-    default="human",
-    show_default=True,
-    help="Report style on stdout.",
-)
-@click.option("--timing", is_flag=True, help="Print elapsed wall time to stderr.")
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Accepted for compatibility; laws are computed in one thread, "
-    "and the count does not change any result.",
-)
-@click.pass_context
-def main(ctx: click.Context, fmt: str, timing: bool, threads: int) -> None:
-    """Exact analyses of finite games in product form."""
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
-    ctx.obj = {"format": fmt, "timing": timing, "threads": threads, "t0": time.perf_counter()}
+def _existing_file(text: str) -> Path:
+    try:
+        os.stat(text)
+    except (OSError, ValueError):  # missing, unreachable, name too long, NUL byte
+        raise argparse.ArgumentTypeError(f"file {text!r} does not exist") from None
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    return Path(text)
 
 
-def _emit(ctx: click.Context, command: str, model: WModel, outcome: str, details: dict, code: int) -> None:
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _emit(args, command: str, model: WModel, outcome: str, details: dict, code: int) -> None:
     report = AnalysisReport(command, model_digest(model), outcome, details)
-    click.echo(emit_report(report, ctx.obj["format"]), nl=False)
-    if ctx.obj["timing"]:
-        elapsed = time.perf_counter() - ctx.obj["t0"]
-        click.echo(f"elapsed: {elapsed:.6f}s", err=True)
-    ctx.exit(code)
+    sys.stdout.write(emit_report(report, args.format))
+    if args.timing:
+        print(f"elapsed: {time.perf_counter() - args.t0:.6f}s", file=sys.stderr)
+    raise SystemExit(code)
 
 
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except OSError as err:
-        raise click.UsageError(f"{path}: {err.strerror or err}")
+        raise UsageError(f"{path}: {err.strerror or err}")
     except UnicodeDecodeError as err:
-        raise click.UsageError(f"{path}: not UTF-8 text (byte {err.start})")
+        raise UsageError(f"{path}: not UTF-8 text (byte {err.start})")
 
 
 def _parse_file(parse, path: Path, *context):
@@ -112,13 +107,13 @@ def _parse_file(parse, path: Path, *context):
     try:
         return parse(_read(path), *context)
     except ModelFormatError as err:
-        raise click.UsageError(f"{path}: {err}")
+        raise UsageError(f"{path}: {err}")
 
 
 def _load_ordering(path: Path, model: WModel, player: str):
     phi = _parse_file(parse_ordering, path, model)
     if phi.player != player:
-        raise click.UsageError(
+        raise UsageError(
             f"{path}: ordering is for player {phi.player!r}, not {player!r}"
         )
     return phi
@@ -126,7 +121,7 @@ def _load_ordering(path: Path, model: WModel, player: str):
 
 def _require_player(model: WModel, player: str) -> None:
     if player not in model.player_names:
-        raise click.UsageError(f"unknown player {player!r}")
+        raise UsageError(f"unknown player {player!r}")
 
 
 def _player_strategies(model: WModel, loaded: list) -> list:
@@ -147,65 +142,58 @@ def _player_strategies(model: WModel, loaded: list) -> list:
                     continue
                 own = restrict_profile(strategy, model.agents_of(name))
                 if own.agents != frozenset(model.agents_of(name)):
-                    raise click.UsageError(
+                    raise UsageError(
                         f"profile covers only part of player {name!r}"
                     )
                 out.append(deterministic_mixed(name, own))
         else:
-            raise click.UsageError("unsupported strategy input")
+            raise UsageError("unsupported strategy input")
     try:
         one_strategy_per_player(model, out)
     except ValueError as err:
-        raise click.UsageError(str(err))
+        raise UsageError(str(err))
     return out
 
 
-def _law(ctx: click.Context, model: WModel, nu, strategies: list):
+def _law(args, model: WModel, nu, strategies: list):
     """Closed-loop law; behavioral strategies are never expanded to plans."""
     beta = next((s for s in strategies if isinstance(s, BehavioralStrategy)), None)
     try:
         if beta is None:
-            return pushforward(model, nu, strategies, threads=ctx.obj["threads"])
+            return pushforward(model, nu, strategies, threads=args.threads)
         return behavioral_pushforward(model, nu, beta, [s for s in strategies if s is not beta])
     except PlayabilityError as err:
-        raise click.UsageError(f"profiles in the support are not solvable: {err}")
+        raise UsageError(f"profiles in the support are not solvable: {err}")
 
 
 def _one_of_ordering_or_search(ordering, search: bool) -> None:
     if (ordering is None) == (not search):
-        raise click.UsageError("give exactly one of --ordering or --search")
+        raise UsageError("give exactly one of --ordering or --search")
 
 
 # ── subcommands ─────────────────────────────────────────────────────────
 
 
-@main.command()
-@_MODEL_ARG
-@click.pass_context
-def validate(ctx: click.Context, model_file: Path) -> None:
+def validate(args) -> None:
     """Parse and validate MODEL, reporting its shape."""
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
     details = {
         "nature-states": len(model.nature),
         "agents": len(model.agent_ids),
         "players": len(model.player_names),
         "configurations": model.space.size,
     }
-    _emit(ctx, "validate", model, "valid", details, 0)
+    _emit(args, "validate", model, "valid", details, 0)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--profile", "profile_file", type=_FILE, required=True, help="Pure strategy profile for every agent.")
-@click.pass_context
-def solve(ctx: click.Context, model_file: Path, profile_file: Path) -> None:
+def solve(args) -> None:
     """Solve the closed loop of a pure profile at every Nature state."""
-    model = _parse_file(parse_model, model_file)
-    strategy = _parse_file(parse_strategy, profile_file, model)
+    model = _parse_file(parse_model, args.model)
+    strategy = _parse_file(parse_strategy, args.profile, model)
     if not isinstance(strategy, PureStrategyProfile):
-        raise click.UsageError(f"{profile_file}: solve needs a pure-profile strategy")
+        raise UsageError(f"{args.profile}: solve needs a pure-profile strategy")
     if strategy.agents != frozenset(model.agent_ids):
-        raise click.UsageError(f"{profile_file}: profile must cover every agent")
+        raise UsageError(f"{args.profile}: profile must cover every agent")
     try:
         table = solution_map(model, strategy)
     except PlayabilityError as err:
@@ -214,164 +202,128 @@ def solve(ctx: click.Context, model_file: Path, profile_file: Path) -> None:
             "solution-count": len(err.solutions),
             "solutions": [config_payload(h) for h in err.solutions],
         }
-        _emit(ctx, "solve", model, "unsolvable", details, 1)
-        return
+        _emit(args, "solve", model, "unsolvable", details, 1)
     details = {
         "solutions": [
             {"nature-state": w, "configuration": config_payload(h)}
             for w, h in table.rows
         ]
     }
-    _emit(ctx, "solve", model, "solved", details, 0)
+    _emit(args, "solve", model, "solved", details, 0)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--witness", "want_witness", is_flag=True, help="Include the failing profile and its solution set.")
-@click.pass_context
-def playability(ctx: click.Context, model_file: Path, want_witness: bool) -> None:
+def playability(args) -> None:
     """Decide whether every pure profile has a unique closed-loop solution."""
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
     report = check_playability(model)
     if report.playable:
-        _emit(ctx, "playability", model, "playable", {}, 0)
+        _emit(args, "playability", model, "playable", {}, 0)
     details = {}
-    if want_witness:
+    if args.witness:
         details["witness"] = playability_witness_payload(model, report.witness)
-    _emit(ctx, "playability", model, "not-playable", details, 1)
+    _emit(args, "playability", model, "not-playable", details, 1)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--player", required=True, help="Player whose recall is checked.")
-@click.option("--ordering", "ordering_file", type=_FILE, help="Configuration-ordering to check.")
-@click.option("--search", is_flag=True, help="Search for an ordering with perfect recall.")
-@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
-@click.pass_context
-def recall(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
+def recall(args) -> None:
     """Check perfect recall along an ordering, or search for one."""
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
+    player = args.player
     _require_player(model, player)
-    _one_of_ordering_or_search(ordering_file, search)
-    if ordering_file is not None:
-        phi = _load_ordering(ordering_file, model, player)
+    _one_of_ordering_or_search(args.ordering, args.search)
+    if args.ordering is not None:
+        phi = _load_ordering(args.ordering, model, player)
         report = check_perfect_recall(model, player, phi)
         if report.holds:
-            _emit(ctx, "recall", model, "holds", {"player": player}, 0)
+            _emit(args, "recall", model, "holds", {"player": player}, 0)
         details = {
             "player": player,
             "violation": field_violation_payload(model, report.violation),
         }
-        _emit(ctx, "recall", model, "fails", details, 1)
-    result = search_recall_ordering(model, player, budget)
+        _emit(args, "recall", model, "fails", details, 1)
+    result = search_recall_ordering(model, player, args.budget)
     if result.outcome == "found":
         details = {
             "player": player,
             "ordering": ordering_payload(result.ordering, model),
             "nodes": result.nodes,
         }
-        _emit(ctx, "recall", model, "holds", details, 0)
+        _emit(args, "recall", model, "holds", details, 0)
     if result.outcome == "none":
-        _emit(ctx, "recall", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
-    _emit(ctx, "recall", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
+        _emit(args, "recall", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
+    _emit(args, "recall", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--player", required=True, help="Player whose ordering is checked.")
-@click.option("--ordering", "ordering_file", type=_FILE, required=True, help="Configuration-ordering to check.")
-@click.pass_context
-def causality(ctx: click.Context, model_file: Path, player: str, ordering_file: Path) -> None:
+def causality(args) -> None:
     """Check partial causality of an ordering."""
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
+    player = args.player
     _require_player(model, player)
-    phi = _load_ordering(ordering_file, model, player)
+    phi = _load_ordering(args.ordering, model, player)
     report = check_partial_causality(model, player, phi)
     if report.holds:
-        _emit(ctx, "causality", model, "holds", {"player": player}, 0)
+        _emit(args, "causality", model, "holds", {"player": player}, 0)
     details = {
         "player": player,
         "violation": field_violation_payload(model, report.violation),
     }
-    _emit(ctx, "causality", model, "fails", details, 1)
+    _emit(args, "causality", model, "fails", details, 1)
 
 
-@main.command("pushforward")
-@_MODEL_ARG
-@click.option("--nu", "nu_file", type=_FILE, required=True, help="Belief over Nature states.")
-@click.option("--strategy", "strategy_files", type=_FILE, multiple=True, required=True, help="Strategy file; repeat to cover every player.")
-@click.pass_context
-def pushforward_cmd(ctx: click.Context, model_file: Path, nu_file: Path, strategy_files) -> None:
+def pushforward_cmd(args) -> None:
     """Exact closed-loop law under a belief and one strategy per player."""
-    model = _parse_file(parse_model, model_file)
-    nu = _parse_file(parse_belief, nu_file, model)
-    loaded = [_parse_file(parse_strategy, f, model) for f in strategy_files]
-    law = _law(ctx, model, nu, _player_strategies(model, loaded))
+    model = _parse_file(parse_model, args.model)
+    nu = _parse_file(parse_belief, args.nu, model)
+    loaded = [_parse_file(parse_strategy, f, model) for f in args.strategy]
+    law = _law(args, model, nu, _player_strategies(model, loaded))
     details = {"belief": belief_payload(nu), "law": pushforward_payload(law)}
-    _emit(ctx, "pushforward", model, "computed", details, 0)
+    _emit(args, "pushforward", model, "computed", details, 0)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--player", required=True, help="Player whose strategy is transformed.")
-@click.option("--nu", "nu_file", type=_FILE, required=True, help="Belief over Nature states.")
-@click.option("--strategy", "strategy_files", type=_FILE, multiple=True, required=True, help="Strategy file; repeat to cover every player.")
-@click.option("--ordering", "ordering_file", type=_FILE, help="Perfect-recall ordering to disintegrate along.")
-@click.option("--search", is_flag=True, help="Search for a perfect-recall ordering first.")
-@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget.")
-@click.option("--verify", "verify_flag", is_flag=True, help="Check that the transform preserves the closed-loop law.")
-@click.pass_context
-def kuhn(ctx: click.Context, model_file: Path, player: str, nu_file: Path, strategy_files, ordering_file, search: bool, budget: int, verify_flag: bool) -> None:
+def kuhn(args) -> None:
     """Behavioral strategy with the same closed-loop law as the mixed one."""
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
+    player = args.player
     _require_player(model, player)
-    nu = _parse_file(parse_belief, nu_file, model)
-    loaded = [_parse_file(parse_strategy, f, model) for f in strategy_files]
+    nu = _parse_file(parse_belief, args.nu, model)
+    loaded = [_parse_file(parse_strategy, f, model) for f in args.strategy]
     strategies = _player_strategies(model, loaded)
-    _one_of_ordering_or_search(ordering_file, search)
-    if ordering_file is not None:
-        phi = _load_ordering(ordering_file, model, player)
+    _one_of_ordering_or_search(args.ordering, args.search)
+    if args.ordering is not None:
+        phi = _load_ordering(args.ordering, model, player)
         report = check_perfect_recall(model, player, phi)
         if not report.holds:
             details = {
                 "player": player,
                 "violation": field_violation_payload(model, report.violation),
             }
-            _emit(ctx, "kuhn", model, "no-recall", details, 1)
+            _emit(args, "kuhn", model, "no-recall", details, 1)
     else:
-        result = search_recall_ordering(model, player, budget)
+        result = search_recall_ordering(model, player, args.budget)
         if result.outcome == "none":
-            _emit(ctx, "kuhn", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
+            _emit(args, "kuhn", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
         if result.outcome == "unknown":
-            _emit(ctx, "kuhn", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
+            _emit(args, "kuhn", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
         phi = result.ordering
-    law = _law(ctx, model, nu, strategies)
+    law = _law(args, model, nu, strategies)
     beta = behavioral_from_law(model, player, law)
     details = {
         "player": player,
         "ordering": ordering_payload(phi, model),
         "behavioral": strategy_payload(beta),
     }
-    if verify_flag:
+    if args.verify:
         others = [s for s in strategies if s.player != player]
         try:
             preserved = transform_preserves_law(model, beta, nu, others, law)
         except PlayabilityError as err:
-            raise click.UsageError(f"profiles in the support are not solvable: {err}")
+            raise UsageError(f"profiles in the support are not solvable: {err}")
         details["verified"] = preserved
         if not preserved:
-            _emit(ctx, "kuhn", model, "law-changed", details, 1)
-    _emit(ctx, "kuhn", model, "transformed", details, 0)
+            _emit(args, "kuhn", model, "law-changed", details, 1)
+    _emit(args, "kuhn", model, "transformed", details, 0)
 
 
-@main.command()
-@_MODEL_ARG
-@click.option("--player", required=True, help="Player whose recall failure is certified.")
-@click.option("--ordering", "ordering_file", type=_FILE, help="Partially causal ordering to scan.")
-@click.option("--search", is_flag=True, help="Search the partially causal orderings.")
-@click.option("--budget", type=click.IntRange(min=1), default=200_000, show_default=True, help="Search node budget, shared by both searches.")
-@click.pass_context
-def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, search: bool, budget: int) -> None:
+def necessity(args) -> None:
     """Certify that a recall violation blocks any behavioral equivalent.
 
     With --ordering the given ordering must be partially causal; the scan
@@ -385,9 +337,10 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
     (exit 0); only when there is none is the violation of the first causal
     ordering that has one certified.  One node budget covers both searches.
     """
-    model = _parse_file(parse_model, model_file)
+    model = _parse_file(parse_model, args.model)
+    player = args.player
     _require_player(model, player)
-    _one_of_ordering_or_search(ordering_file, search)
+    _one_of_ordering_or_search(args.ordering, args.search)
 
     def certify(phi, violation):
         details = {
@@ -398,67 +351,152 @@ def necessity(ctx: click.Context, model_file: Path, player: str, ordering_file, 
         try:
             nu, focus, opponents = build_witness(model, player, violation)
         except NoWitness:
-            _emit(ctx, "necessity", model, "undecided", details, 3)
+            _emit(args, "necessity", model, "undecided", details, 3)
         cert = certify_nonequivalence(model, player, nu, focus, opponents)
         if cert is None or not verify_certificate(model, player, cert):
-            _emit(ctx, "necessity", model, "undecided", details, 3)
+            _emit(args, "necessity", model, "undecided", details, 3)
         details["certificate"] = certificate_payload(model, cert)
-        _emit(ctx, "necessity", model, "certified", details, 1)
+        _emit(args, "necessity", model, "certified", details, 1)
 
-    if ordering_file is not None:
-        phi = _load_ordering(ordering_file, model, player)
+    if args.ordering is not None:
+        phi = _load_ordering(args.ordering, model, player)
         causal = check_partial_causality(model, player, phi)
         if not causal.holds:
-            raise click.UsageError(
-                f"{ordering_file}: ordering is not partially causal for {player!r}"
-            )
+            raise UsageError(f"{args.ordering}: ordering is not partially causal for {player!r}")
         violation = find_recall_violation(model, player, phi)
         if violation is None:
             if check_perfect_recall(model, player, phi).holds:
-                _emit(ctx, "necessity", model, "no-violation", {"player": player}, 0)
-            _emit(ctx, "necessity", model, "undecided", {"player": player}, 3)
+                _emit(args, "necessity", model, "no-violation", {"player": player}, 0)
+            _emit(args, "necessity", model, "undecided", {"player": player}, 3)
         certify(phi, violation)
 
-    nodes = NodeBudget(budget)
+    nodes = NodeBudget(args.budget)
     any_causal = False
     try:
         for phi in iter_causal_orderings(model, player, nodes, recall=True):
             details = {"player": player, "ordering": ordering_payload(phi, model)}
-            _emit(ctx, "necessity", model, "no-violation", details, 0)
+            _emit(args, "necessity", model, "no-violation", details, 0)
         for phi in iter_causal_orderings(model, player, nodes):
             any_causal = True
             violation = find_recall_violation(model, player, phi)
             if violation is not None:
                 certify(phi, violation)
     except SearchBudgetExhausted:
-        _emit(ctx, "necessity", model, "unknown", {"player": player}, 3)
+        _emit(args, "necessity", model, "unknown", {"player": player}, 3)
     outcome = "undecided" if any_causal else "no-causal-ordering"
-    _emit(ctx, "necessity", model, outcome, {"player": player}, 3)
+    _emit(args, "necessity", model, outcome, {"player": player}, 3)
 
 
-@main.group()
-def examples() -> None:
-    """Built-in example models."""
-
-
-@examples.command("list")
-def examples_list() -> None:
+def examples_list(args) -> None:
     """Names of the built-in examples."""
     for name in corpus_names():
-        click.echo(name)
+        print(name)
 
 
-@examples.command("export")
-@click.argument("name")
-def examples_export(name: str) -> None:
+def examples_export(args) -> None:
     """Write an example model as canonical JSON to stdout."""
     try:
-        model = corpus_model(name)
+        model = corpus_model(args.name)
     except KeyError:
-        raise click.UsageError(f"unknown example {name!r}")
+        raise UsageError(f"unknown example {args.name!r}")
     except SpaceTooLarge as err:
-        raise click.UsageError(str(err))
-    click.echo(serialize_model(model), nl=False)
+        raise UsageError(str(err))
+    sys.stdout.write(serialize_model(model))
+
+
+# ── parser ──────────────────────────────────────────────────────────────
+
+
+class _Parser(argparse.ArgumentParser):
+    """Only --help asks for help, and no option is ever abbreviated;
+    subcommand parsers are of the same class."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _add_command(subparsers, name: str, run, model: bool = True) -> argparse.ArgumentParser:
+    """Subcommand ``name`` that calls ``run(args)``; its docstring is the help."""
+    doc = run.__doc__ or ""
+    parser = subparsers.add_parser(name, help=doc.partition("\n")[0], description=doc)
+    parser.set_defaults(run=run, parser=parser)
+    if model:
+        parser.add_argument("model", metavar="MODEL", type=_existing_file, help="Model file.")
+    return parser
+
+
+def _add_search(parser, search_help: str, budget_help: str = "Search node budget") -> None:
+    parser.add_argument("--search", action="store_true", help=search_help)
+    parser.add_argument("--budget", type=_at_least_one, default=200_000, help=f"{budget_help} (default: 200000).")
+
+
+def _add_law_inputs(parser) -> None:
+    parser.add_argument("--nu", type=_existing_file, required=True, help="Belief over Nature states.")
+    parser.add_argument("--strategy", type=_existing_file, action="append", required=True, help="Strategy file; repeat to cover every player.")
+
+
+def _build_parser(prog: str = "wgames") -> argparse.ArgumentParser:
+    """The parser of every subcommand; parsed arguments carry ``run``, the
+    subcommand's function, and ``parser``, the subparser that took them."""
+    top = _Parser(prog=prog, description="Exact analyses of finite games in product form.")
+    top.add_argument("--format", choices=("human", "structured"), default="human", help="Report style on stdout (default: human).")
+    top.add_argument("--timing", action="store_true", help="Print elapsed wall time to stderr.")
+    top.add_argument(
+        "--threads", type=_at_least_one, default=1,
+        help="Accepted for compatibility; laws are computed in one thread, and the count does not change any result (default: 1).",
+    )
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    _add_command(commands, "validate", validate)
+    p = _add_command(commands, "solve", solve)
+    p.add_argument("--profile", type=_existing_file, required=True, help="Pure strategy profile for every agent.")
+    p = _add_command(commands, "playability", playability)
+    p.add_argument("--witness", action="store_true", help="Include the failing profile and its solution set.")
+
+    p = _add_command(commands, "recall", recall)
+    p.add_argument("--player", required=True, help="Player whose recall is checked.")
+    p.add_argument("--ordering", type=_existing_file, help="Configuration-ordering to check.")
+    _add_search(p, "Search for an ordering with perfect recall.")
+
+    p = _add_command(commands, "causality", causality)
+    p.add_argument("--player", required=True, help="Player whose ordering is checked.")
+    p.add_argument("--ordering", type=_existing_file, required=True, help="Configuration-ordering to check.")
+
+    _add_law_inputs(_add_command(commands, "pushforward", pushforward_cmd))
+    p = _add_command(commands, "kuhn", kuhn)
+    p.add_argument("--player", required=True, help="Player whose strategy is transformed.")
+    _add_law_inputs(p)
+    p.add_argument("--ordering", type=_existing_file, help="Perfect-recall ordering to disintegrate along.")
+    _add_search(p, "Search for a perfect-recall ordering first.")
+    p.add_argument("--verify", action="store_true", help="Check that the transform preserves the closed-loop law.")
+
+    p = _add_command(commands, "necessity", necessity)
+    p.add_argument("--player", required=True, help="Player whose recall failure is certified.")
+    p.add_argument("--ordering", type=_existing_file, help="Partially causal ordering to scan.")
+    _add_search(p, "Search the partially causal orderings.", "Search node budget, shared by both searches")
+
+    examples = commands.add_parser("examples", help="Built-in example models.", description="Built-in example models.")
+    listing = examples.add_subparsers(dest="example_command", metavar="COMMAND", required=True)
+    _add_command(listing, "list", examples_list, model=False)
+    _add_command(listing, "export", examples_export, model=False).add_argument("name", metavar="NAME")
+    return top
+
+
+# Built once, at import: the first command of a process does not pay for it.
+_PARSER = _build_parser()
+
+
+def main(argv=None, prog_name: str = "wgames") -> None:
+    """Run one command line (``sys.argv[1:]`` by default).  Always ends in
+    ``SystemExit`` with the exit code; ``--help`` exits 0."""
+    parser = _PARSER if prog_name == "wgames" else _build_parser(prog_name)
+    args = parser.parse_args(argv, argparse.Namespace(t0=time.perf_counter()))
+    try:
+        args.run(args)
+    except UsageError as err:
+        args.parser.error(str(err))
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ index into digits or digits into an index.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, groupby, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+
+from .record import Record
 
 DEFAULT_SPACE_CAP = 10**7
 
@@ -56,14 +57,15 @@ def mask_of(indices: Sequence[int]) -> int:
     return int.from_bytes(octets, "little")
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     """Named finite label set (Nature states or one agent's actions);
     ``digits`` maps each label to its position."""
 
+    _fields = ("name", "labels")
+    __slots__ = _fields + ("digits",)
     name: str
     labels: tuple[str, ...]
-    digits: dict[str, int] = field(init=False, repr=False, compare=False)
+    digits: dict[str, int]
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -83,8 +85,7 @@ class FiniteSet:
             raise ValueError(f"{self.name}: unknown label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class ConfigurationSpace:
+class ConfigurationSpace(Record):
     """Canonical enumeration of all configurations of a model.
 
     ``agents`` lists agent ids in declared order; ``actions[i]`` is the
@@ -102,17 +103,17 @@ class ConfigurationSpace:
     every index (``column``) is built on request.  The hash is kept.
     """
 
+    _fields = ("nature", "agents", "actions")
+    __slots__ = _fields + ("keys", "labels", "digits", "sizes", "strides", "size", "_pos", "_hash")
     nature: FiniteSet
     agents: tuple[str, ...]
     actions: tuple[FiniteSet, ...]
-    keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    digits: tuple[dict[str, int], ...] = field(init=False, repr=False, compare=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    size: int = field(init=False, repr=False, compare=False)
-    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    keys: tuple[str, ...]
+    labels: tuple[tuple[str, ...], ...]
+    digits: tuple[dict[str, int], ...]
+    sizes: tuple[int, ...]
+    strides: tuple[int, ...]
+    size: int
 
     def __post_init__(self) -> None:
         if len(self.agents) != len(self.actions):
@@ -190,10 +191,10 @@ class ConfigurationSpace:
             yield Configuration(self, i)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """One Nature state plus one action per agent, by canonical index."""
 
+    __slots__ = ("space", "index")
     space: ConfigurationSpace
     index: int
 
@@ -217,10 +218,10 @@ class Configuration:
         return f"Configuration({inner})"
 
 
-@dataclass(frozen=True)
-class CoordinateSet:
+class CoordinateSet(Record):
     """A choice of coordinates: optionally Nature, plus a set of agents."""
 
+    __slots__ = ("include_nature", "agents")
     include_nature: bool
     agents: frozenset[str]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -34,6 +33,7 @@ from .fields import (
 )
 from .model import WModel
 from .recall import ConfigurationOrdering, Ordering, constant_ordering
+from .record import Record
 from .strategies import (
     BehavioralStrategy,
     MixedStrategy,
@@ -305,27 +305,37 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
     return partition_from_labels(space, labels)
 
 
+def _block(brackets: str, items: list[str], pad: str) -> str:
+    """JSON array or object of indented ``items``, as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+
+def _strings(values, pad: str) -> str:
+    return _block("[]", [f"{pad}  {json.dumps(v)}" for v in values], pad)
+
+
 def _model_chunks(model: WModel) -> Iterator[str]:
     """The canonical text of a model, piece by piece.
 
-    The head (nature, agents, players) goes through ``json.dumps``.  Each
-    configuration object is formatted once, from one line per coordinate
-    value whose strings ``json.dumps`` escapes, and then joined into the
-    atoms of every agent, one chunk per agent.  The pieces add up to what
-    ``json.dumps(payload, indent=2)`` writes for the full payload.
+    Every string goes through ``json.dumps`` one at a time and the layout
+    is written here, for the head (nature, agents, players) as for the
+    configurations.  Each configuration object is formatted once, from one
+    line per coordinate value, and each atom of each agent is one chunk.
+    The pieces add up to what ``json.dumps(payload, indent=2)`` writes for
+    the full payload.
     """
-    head = json.dumps(
-        {
-            "nature": {"states": list(model.nature.labels)},
-            "agents": [
-                {"id": a, "actions": list(acts.labels)} for a, acts in model.agents
-            ],
-            "players": {name: list(members) for name, members in model.players},
-        },
-        indent=2,
+    agents = [
+        f'    {{\n      "id": {json.dumps(a)},\n      "actions": {_strings(acts.labels, "      ")}\n    }}'
+        for a, acts in model.agents
+    ]
+    players = [f"    {json.dumps(name)}: {_strings(members, '    ')}" for name, members in model.players]
+    yield (
+        f'{{\n  "nature": {{\n    "states": {_strings(model.nature.labels, "    ")}\n  }},\n'
+        f'  "agents": {_block("[]", agents, "  ")},\n  "players": {_block("{}", players, "  ")},\n'
+        '  "information": {'
     )
-    # reopen the head object: drop its closing "\n}"
-    yield head[:-2] + ',\n  "information": {'
     space = model.space
     lines = [
         [f"            {json.dumps(key)}: {json.dumps(label)}" for label in labels]
@@ -340,9 +350,11 @@ def _model_chunks(model: WModel) -> Iterator[str]:
         atoms: list[list[str]] = [[] for _ in range(len(part))]
         for text, aid in zip(configs, part.atom_ids):
             atoms[aid].append(text)
-        body = ",\n".join("        [\n" + ",\n".join(a) + "\n        ]" for a in atoms)
         sep = ",\n" if n else "\n"
-        yield f'{sep}    {json.dumps(agent)}: {{\n      "atoms": [\n{body}\n      ]\n    }}'
+        yield f'{sep}    {json.dumps(agent)}: {{\n      "atoms": [\n'
+        for k, atom in enumerate(atoms):
+            yield ("        [\n" if k == 0 else ",\n        [\n") + ",\n".join(atom) + "\n        ]"
+        yield "\n      ]\n    }"
     yield "\n  }\n}\n"
 
 
@@ -687,10 +699,10 @@ def certificate_payload(model: WModel, cert) -> dict:
 # ── analysis reports ────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     """Outcome of one CLI analysis, serializable both ways."""
 
+    __slots__ = ("command", "model", "outcome", "details")
     command: str
     model: str
     outcome: str

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
@@ -44,6 +43,7 @@ from .recall import (
     check_perfect_recall,
     ordering_cell,
 )
+from .record import Record
 from .strategies import (
     MixedStrategy,
     RationalDistribution,
@@ -52,11 +52,11 @@ from .strategies import (
 )
 
 
-@dataclass(frozen=True)
-class PushforwardDistribution:
+class PushforwardDistribution(Record):
     """Exact law over configurations: ``indices`` are the configuration
     indices with nonzero mass, ascending, and ``weights`` their masses."""
 
+    __slots__ = ("space", "indices", "weights")
     space: ConfigurationSpace
     indices: tuple[int, ...]
     weights: tuple[Fraction, ...]
@@ -184,8 +184,7 @@ def expected_utility(
 # ── conditional kernels and the transform ───────────────────────────────
 
 
-@dataclass(frozen=True)
-class ConditionalKernel:
+class ConditionalKernel(Record):
     """Conditional law of the prefix agents' actions on each atom.
 
     ``entries`` lists, for every atom of the last agent's information field
@@ -193,6 +192,7 @@ class ConditionalKernel:
     (ordered like the prefix), and whether any sample reached the atom.
     """
 
+    __slots__ = ("kappa", "entries")
     kappa: Ordering
     entries: tuple[tuple[int, RationalDistribution, bool], ...]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import (
@@ -11,10 +10,10 @@ from .fields import (
     Partition,
     build_space,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WModel:
+class WModel(Record):
     """A finite game in product form.
 
     ``agents`` is an ordered tuple of (agent id, action set); ``players``
@@ -25,6 +24,8 @@ class WModel:
     built on first use; ``==``, ``hash`` and ``repr`` ignore them.
     """
 
+    _fields = ("nature", "agents", "players", "information")
+    __slots__ = _fields + ("_space", "_derived", "__weakref__")
     nature: FiniteSet
     agents: tuple[tuple[str, FiniteSet], ...]
     players: tuple[tuple[str, tuple[str, ...]], ...]

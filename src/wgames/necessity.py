@@ -9,7 +9,6 @@ in a region the target law never visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
@@ -24,6 +23,7 @@ from .playability import (
     strategy_mask,
 )
 from .recall import ConfigurationOrdering, Ordering, choice_partition, prefix_cells
+from .record import Record
 from .strategies import (
     MixedStrategy,
     PureStrategy,
@@ -47,8 +47,7 @@ class NoWitness(ValueError):
     strategies."""
 
 
-@dataclass(frozen=True)
-class RecallViolation:
+class RecallViolation(Record):
     """Two configurations a late agent cannot tell apart although their
     predecessor records differ.
 
@@ -57,6 +56,7 @@ class RecallViolation:
     predecessor's information atom (``predecessor-information-differs``).
     """
 
+    __slots__ = ("ordering", "h_plus", "h_minus", "case")
     ordering: Ordering
     h_plus: Configuration
     h_minus: Configuration
@@ -73,8 +73,7 @@ class RecallViolation:
             raise ValueError(f"unknown case tag {self.case!r}")
 
 
-@dataclass(frozen=True)
-class NonEquivalenceCertificate:
+class NonEquivalenceCertificate(Record):
     """Machine-checkable proof that no behavioral strategy of ``player``
     reproduces ``target``.
 
@@ -85,6 +84,8 @@ class NonEquivalenceCertificate:
     ``profile`` together with ``opponent_plans`` at ``omega``.
     """
 
+    __slots__ = ("player", "nu", "focus", "opponents", "target", "forced", "omega", "opponent_plans",
+                 "pins", "reachable", "exhibited", "profile")
     player: str
     nu: RationalDistribution
     focus: MixedStrategy

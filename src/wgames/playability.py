@@ -22,7 +22,6 @@ no agent splits costs O(|g|·|agents|) operations on |g|-bit masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
@@ -37,6 +36,7 @@ from .fields import (
     partition_refines,
 )
 from .model import WModel
+from .record import Record
 from .strategies import (
     PureStrategy,
     PureStrategyProfile,
@@ -67,16 +67,16 @@ class PlayabilityError(ValueError):
             )
 
 
-@dataclass(frozen=True)
-class PlayabilityWitness:
+class PlayabilityWitness(Record):
+    __slots__ = ("profile", "omega", "count", "solutions")
     profile: PureStrategyProfile
     omega: str
     count: int
     solutions: tuple[Configuration, ...]
 
 
-@dataclass(frozen=True)
-class PlayabilityReport:
+class PlayabilityReport(Record):
+    __slots__ = ("playable", "witness")
     playable: bool
     witness: Optional[PlayabilityWitness]
 
@@ -87,10 +87,10 @@ class PlayabilityReport:
             raise ValueError("failure reports need a non-unique witness")
 
 
-@dataclass(frozen=True)
-class SolutionMapTable:
+class SolutionMapTable(Record):
     """Unique closed-loop solution per Nature state, in Nature order."""
 
+    __slots__ = ("profile", "rows")
     profile: PureStrategyProfile
     rows: tuple[tuple[str, Configuration], ...]
 

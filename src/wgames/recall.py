@@ -22,7 +22,6 @@ the causality sweep meets them (see :func:`_iter_valid_orderings`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional
 
@@ -37,16 +36,17 @@ from .fields import (
     partition_from_labels,
 )
 from .model import WModel
+from .record import Record
 
 
 class SearchBudgetExhausted(RuntimeError):
     """An ordering search ran out of nodes before reaching a verdict."""
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(Record):
     """An injective, nonempty sequence of some of a player's agents."""
 
+    __slots__ = ("player", "sequence")
     player: str
     sequence: tuple[str, ...]
 
@@ -79,11 +79,11 @@ def restrict_ordering(rho: Ordering, k: int) -> Ordering:
     return Ordering(rho.player, rho.sequence[:k])
 
 
-@dataclass(frozen=True)
-class ConfigurationOrdering:
+class ConfigurationOrdering(Record):
     """The agents' order at each configuration: one disjoint ``(ordering,
     mask)`` cell per order that occurs, sorted by lowest configuration."""
 
+    __slots__ = ("player", "cells")
     player: str
     cells: tuple[tuple[Ordering, int], ...]
 
@@ -214,8 +214,7 @@ def causality_ground(model: WModel, player: str, predecessors) -> Partition:
     return derived[key]
 
 
-@dataclass(frozen=True)
-class FieldMembershipViolation:
+class FieldMembershipViolation(Record):
     """A cell piece that fails to be measurable where the check demands it.
 
     ``conditioning_atom`` is the atom the cell was intersected with (the
@@ -223,6 +222,7 @@ class FieldMembershipViolation:
     and ``offending_atom`` an atom of the target field that the piece cuts.
     """
 
+    __slots__ = ("kappa", "conditioning_atom", "subset", "offending_atom")
     kappa: Ordering
     conditioning_atom: int
     subset: int
@@ -242,8 +242,8 @@ def _first_cut(
     return FieldMembershipViolation(kappa, block, cell & block, field.atom(first[1]))
 
 
-@dataclass(frozen=True)
-class RecallReport:
+class RecallReport(Record):
+    __slots__ = ("holds", "ordering", "violation")
     holds: bool
     ordering: ConfigurationOrdering
     violation: Optional[FieldMembershipViolation]
@@ -396,10 +396,10 @@ def _iter_valid_orderings(
             yield ConfigurationOrdering(player, tuple((Ordering(player, c), m) for c, m in leaves))
 
 
-@dataclass(frozen=True)
-class OrderingSearch:
+class OrderingSearch(Record):
     """Outcome of an ordering search: found / none / unknown plus cost."""
 
+    __slots__ = ("outcome", "ordering", "nodes")
     outcome: str
     ordering: Optional[ConfigurationOrdering]
     nodes: int

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
 from .fields import Partition
 from .model import WModel
+from .record import Record
 
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class RationalDistribution:
+class RationalDistribution(Record):
     """Finitely supported exact distribution over an ordered carrier."""
 
+    __slots__ = ("carrier", "weights")
     carrier: tuple
     weights: tuple[Fraction, ...]
 
@@ -66,14 +66,14 @@ class RationalDistribution:
         return self.as_map() == other.as_map()
 
 
-@dataclass(frozen=True)
-class PureStrategy:
+class PureStrategy(Record):
     """One agent's information-measurable decision rule.
 
     ``choice[k]`` is the action taken on atom ``k`` of the agent's
     information partition; constancy on atoms is exactly measurability.
     """
 
+    __slots__ = ("agent", "choice")
     agent: str
     choice: tuple[str, ...]
 
@@ -81,10 +81,10 @@ class PureStrategy:
         return self.choice[atom_id]
 
 
-@dataclass(frozen=True)
-class PureStrategyProfile:
+class PureStrategyProfile(Record):
     """One pure strategy per agent of some agent subset."""
 
+    __slots__ = ("strategies",)
     strategies: tuple[PureStrategy, ...]
 
     def __post_init__(self) -> None:
@@ -110,14 +110,14 @@ class PureStrategyProfile:
         return PureStrategyProfile(self.strategies + other.strategies)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(Record):
     """Player-level randomization over pure sub-profiles.
 
     May correlate the player's agents; zero-weight entries are forbidden
     so strategy equality is structural.
     """
 
+    __slots__ = ("player", "support")
     player: str
     support: tuple[tuple[PureStrategyProfile, Fraction], ...]
 
@@ -142,8 +142,7 @@ class MixedStrategy:
         return self.support[0][0].agents
 
 
-@dataclass(frozen=True)
-class BehavioralStrategy:
+class BehavioralStrategy(Record):
     """Per-agent independent randomization, one kernel per information atom.
 
     ``kernels`` holds, for each of the player's agents in model order, the
@@ -151,6 +150,7 @@ class BehavioralStrategy:
     information partition.
     """
 
+    __slots__ = ("player", "kernels")
     player: str
     kernels: tuple[tuple[str, tuple[RationalDistribution, ...]], ...]
 

@@ -14,7 +14,6 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from wgames import (
     PureStrategy,
@@ -35,6 +34,7 @@ from wgames import (
 )
 from wgames.cli import main
 
+from clirunner import CliRunner
 import oracles
 import test_properties
 from generators import (

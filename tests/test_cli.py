@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from wgames import (
     behavioral_to_mixed,
@@ -21,6 +23,7 @@ from wgames import (
 )
 from wgames.cli import main
 
+from clirunner import CliRunner
 from generators import random_behavioral, random_belief, random_mixed
 
 
@@ -928,3 +931,133 @@ def test_export_of_sequential_past_the_cap_is_exit_2(runner):
     assert unknown.exit_code == 2
     assert isinstance(unknown.exception, SystemExit)
     assert "unknown example" in unknown.stderr
+
+
+def contract_args(tmp_path):
+    """Command lines of three subcommands on alice-bob-ordered."""
+    model = write_model(tmp_path, "alice-bob-ordered")
+    order = write_json(
+        tmp_path, "order.json", {"kind": "ordering", "player": "team", "sequence": ["alice", "bob"]}
+    )
+    return {
+        "recall": ["recall", model, "--player", "team", "--search"],
+        "causality": ["causality", model, "--player", "team", "--ordering", order],
+        "validate": ["validate", model],
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kuhn", "{model}", "--player", "team", "--nu", "{nu}", "--strategy", "{mixed}", "--search", "--verif"],
+        ["recall", "{model}", "--player", "team", "--searc"],
+        ["recall", "{model}", "--play", "team", "--search"],
+        ["--form", "structured", "validate", "{model}"],
+    ],
+)
+def test_abbreviated_options_are_exit_2(runner, tmp_path, args):
+    files = {
+        "model": write_model(tmp_path, "alice-bob-ordered"),
+        "nu": write_json(tmp_path, "nu.json", {"*": "1"}),
+        "mixed": write_json(tmp_path, "mixed.json", CORRELATED),
+    }
+    result = runner.invoke(main, [a.format(**files) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "budget-0", "threads-0", "missing-file", "long-file-name", "nul-in-file-name", "directory",
+        "unknown-command", "missing-option", "short-help",
+    ],
+)
+def test_usage_errors_are_exit_2_without_traceback(runner, tmp_path, case):
+    args = contract_args(tmp_path)
+    argv = {
+        "budget-0": args["recall"] + ["--budget", "0"],
+        "threads-0": ["--threads", "0"] + args["validate"],
+        "missing-file": ["validate", str(tmp_path / "missing.json")],
+        "long-file-name": ["validate", "m" * 5000],
+        "nul-in-file-name": ["validate", "model\0.json"],
+        "directory": ["causality", args["validate"][1], "--player", "team", "--ordering", str(tmp_path)],
+        "unknown-command": ["analyse", args["validate"][1]],
+        "missing-option": args["causality"][:-2],
+        "short-help": ["-h"],
+    }[case]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert result.stderr
+    assert "Traceback" not in result.output
+
+
+# Every option, argument and subcommand that ``--help`` must name.
+HELP_NAMES = {
+    (): ["--help", "--format", "--timing", "--threads", "validate", "solve", "playability",
+         "recall", "causality", "pushforward", "kuhn", "necessity", "examples"],
+    ("validate",): ["--help", "MODEL"],
+    ("solve",): ["--help", "MODEL", "--profile"],
+    ("playability",): ["--help", "MODEL", "--witness"],
+    ("recall",): ["--help", "MODEL", "--player", "--ordering", "--search", "--budget"],
+    ("causality",): ["--help", "MODEL", "--player", "--ordering"],
+    ("pushforward",): ["--help", "MODEL", "--nu", "--strategy"],
+    ("kuhn",): ["--help", "MODEL", "--player", "--nu", "--strategy", "--ordering", "--search",
+                "--budget", "--verify"],
+    ("necessity",): ["--help", "MODEL", "--player", "--ordering", "--search", "--budget"],
+    ("examples",): ["--help", "list", "export"],
+    ("examples", "list"): ["--help"],
+    ("examples", "export"): ["--help", "NAME"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_NAMES))
+def test_help_names_every_option(runner, command):
+    result = runner.invoke(main, [*command, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    for name in HELP_NAMES[command]:
+        assert name in result.stdout, name
+
+
+def test_mutated_command_lines_keep_the_exit_code_contract(runner, tmp_path):
+    """Seeded command lines on corpus models with one token dropped,
+    duplicated or swapped: the exit code stays in 0..3, nothing escapes
+    as an exception and a second run prints the same stdout."""
+    bases = []
+    for name in ("alice-bob-ordered", "alice-bob-nature", "sequential-3", "witsenhausen-noncausal"):
+        (tmp_path / name).mkdir()
+        for command in ("recall", "necessity", "causality", "validate", "playability", "kuhn", "export"):
+            bases.append(golden_args(tmp_path / name, name, command))
+    rng = Random("mutated-command-lines")
+    codes = Counter()
+    for case in range(200):
+        argv = list(rng.choice(bases))
+        i, j = rng.randrange(len(argv)), rng.randrange(len(argv))
+        how = rng.choice(("drop", "duplicate", "swap"))
+        if how == "drop":
+            del argv[i]
+        elif how == "duplicate":
+            argv.insert(j, argv[i])
+        else:
+            argv[i], argv[j] = argv[j], argv[i]
+        runs = [runner.invoke(main, argv) for _ in range(2)]
+        for run in runs:
+            assert run.exit_code in (0, 1, 2, 3), (argv, run.output)
+            assert run.exception is None or isinstance(run.exception, SystemExit), (argv, repr(run.exception))
+            assert "Traceback" not in run.stderr, (argv, run.stderr)
+        assert runs[0].stdout == runs[1].stdout, argv
+        codes[runs[0].exit_code] += 1
+    assert {0, 1, 2} <= set(codes), codes
+
+
+def test_importing_the_cli_loads_no_code_generator():
+    """The CLI's import graph stays off click, dataclasses, inspect and ast
+    (``-S``: no site hooks of the environment load anything first)."""
+    code = "import sys, wgames.cli; print(sorted({'click', 'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -11,13 +11,11 @@ to them.
 
 import json
 from collections import Counter
-from dataclasses import replace
 from itertools import islice, permutations
 from fractions import Fraction
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from wgames import (
     ConfigurationSpace,
@@ -52,6 +50,7 @@ from wgames.fields import iter_bits
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION, RecallViolation
 from wgames.recall import prefix_cells
 
+from clirunner import CliRunner
 from generators import random_causal_model, random_partition_model, random_state_ordered_model
 
 
@@ -256,13 +255,13 @@ def test_tampered_certificates_fail_verification():
     assert verify_certificate(model, "duo", cert)
 
     other_nu = RationalDistribution(("w0", "w1"), (Fraction(1, 3), Fraction(2, 3)))
-    assert not verify_certificate(model, "duo", replace(cert, nu=other_nu))
+    assert not verify_certificate(model, "duo", cert.replace(nu=other_nu))
 
     flipped = tuple(
         (a, z, "0" if u == "1" else u) for a, z, u in cert.pins
     )
     if flipped != cert.pins:
-        assert not verify_certificate(model, "duo", replace(cert, pins=flipped))
+        assert not verify_certificate(model, "duo", cert.replace(pins=flipped))
 
 
 def test_witness_needs_two_final_actions():

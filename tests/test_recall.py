@@ -9,12 +9,10 @@ ordered and coin-toss variants both recall perfectly along the constant
 import gc
 import time
 import weakref
-from dataclasses import replace
 from itertools import islice
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from wgames import (
     ConfigurationOrdering,
@@ -41,6 +39,7 @@ from wgames import cli
 from wgames.io import model_digest, parse_model
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION
 
+from clirunner import CliRunner
 from generators import (
     config_tuple,
     oracle_phi,
@@ -394,7 +393,7 @@ def _nonconstant_cases(rng, count):
                 info = tuple(
                     (a, sees_all if a in own else part) for a, part in model.information
                 )
-                model = replace(model, information=info)
+                model = model.replace(information=info)
             table = [None] * model.space.size
             for atom in random_partition(rng, model.space, 4).atoms:
                 rho = Ordering(player, tuple(rng.sample(own, len(own))))

@@ -18,7 +18,6 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from wgames import (
     BehavioralStrategy,
@@ -51,6 +50,7 @@ from wgames.cli import main
 from wgames.io import strategy_payload
 from wgames.playability import _first_pair
 
+from clirunner import CliRunner
 from generators import deep_recall_model, random_behavioral, random_belief, random_partition_model
 
 
