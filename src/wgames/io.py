@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Optional, Union
@@ -40,6 +39,8 @@ from .strategies import (
     PureStrategy,
     PureStrategyProfile,
     RationalDistribution,
+    format_fraction,
+    over_lcm,
 )
 
 Strategy = Union[PureStrategyProfile, MixedStrategy, BehavioralStrategy]
@@ -100,31 +101,33 @@ def _label_list(value, path: str) -> tuple[str, ...]:
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?\Z")
 
 
-def parse_fraction(value, path: str) -> Fraction:
-    """Exact rational from a "p/q" (or integer "p") string."""
+def _ratio(value, path: str) -> tuple[int, int]:
+    """Exact rational from a "p/q" (or integer "p") string, as the ints p, q."""
     text = _as_string(value, path)
     if not _RATIONAL.match(text):
         raise ModelFormatError(path, f"not a rational: {text!r}")
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return int(num), int(den or 1)
     except ValueError:  # an integer longer than Python converts from a string
         raise ModelFormatError(path, f"rational of {len(text)} characters has too many digits")
 
 
-def _weight(value, path: str) -> Fraction:
+def _weight(value, path: str) -> tuple[int, int]:
     """A probability weight: a rational that is not negative."""
-    weight = parse_fraction(value, path)
-    if weight < 0:
-        raise ModelFormatError(path, f"negative weight {format_fraction(weight)}")
-    return weight
+    num, den = _ratio(value, path)
+    if num < 0:
+        raise ModelFormatError(path, f"negative weight {format_fraction(Fraction(num, den))}")
+    return num, den
 
 
-def format_fraction(value: Fraction) -> str:
-    """Exact "p/q" (or "p") text of any rational.  ``str`` refuses ints
-    past the interpreter's digit limit (4,300 digits by default), so the
-    terms are written through ``Decimal``, which is exact at any length."""
-    num, den = (str(Decimal(n)) for n in Fraction(value).as_integer_ratio())
-    return num if den == "1" else f"{num}/{den}"
+def _distribution(carrier: tuple, weights: list[tuple[int, int]], path: str) -> RationalDistribution:
+    """The distribution of parsed weights over ``carrier``; a row that does
+    not sum to 1 is reported at ``path``."""
+    try:
+        return RationalDistribution.of_ratios(carrier, *over_lcm(weights))
+    except ValueError as err:
+        raise ModelFormatError(path, str(err)) from None
 
 
 def _weights_payload(dist: RationalDistribution) -> dict:
@@ -139,6 +142,8 @@ def _loads(text: str):
         raise ModelFormatError("$", f"invalid JSON: {err.msg} (line {err.lineno})")
     except RecursionError:
         raise ModelFormatError("$", "JSON nested too deeply to parse")
+    except ValueError:  # a number literal longer than Python converts to an int
+        raise ModelFormatError("$", "invalid JSON: a number has too many digits")
 
 
 # ── configurations on the wire ──────────────────────────────────────────
@@ -241,13 +246,14 @@ def parse_model(text: str) -> WModel:
             raise ModelFormatError("$.information", f"unknown agent {agent!r}")
 
     information: list[tuple[str, Partition]] = []
+    known: dict[tuple, int] = {}  # configuration indices by their items, shared by the agents
     for agent in ids:
         path = f"$.information.{agent}"
         spec = _as_object(info_obj[agent], path)
         if set(spec) == {"observes"}:
             part = _parse_observes(spec["observes"], f"{path}.observes", space)
         elif set(spec) == {"atoms"}:
-            part = _parse_atoms(spec["atoms"], f"{path}.atoms", space)
+            part = _parse_atoms(spec["atoms"], f"{path}.atoms", space, known)
         else:
             raise ModelFormatError(path, "expected exactly one of 'observes', 'atoms'")
         information.append((agent, part))
@@ -284,7 +290,22 @@ def _parse_observes(value, path: str, space: ConfigurationSpace) -> Partition:
     return cylinder_partition(space, CoordinateSet.of(include_nature, watched))
 
 
-def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
+def _known_index(value, path: str, space: ConfigurationSpace, known: dict) -> int:
+    """``_config_index``, remembered by the configuration's items: every
+    agent's atoms list all of H again."""
+    if type(value) is not dict:
+        return _config_index(value, path, space)
+    key = tuple(value.items())
+    try:
+        return known[key]
+    except KeyError:
+        index = known[key] = _config_index(value, path, space)
+        return index
+    except TypeError:  # an unhashable label, which _config_index reports
+        return _config_index(value, path, space)
+
+
+def _parse_atoms(value, path: str, space: ConfigurationSpace, known: dict) -> Partition:
     """Partition from explicit atoms, read as one atom id per configuration."""
     atom_lists = _as_list(value, path)
     labels = [-1] * space.size
@@ -294,7 +315,7 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace) -> Partition:
         if not entries:
             raise ModelFormatError(atom_path, "empty atom")
         for j, cfg in enumerate(entries):
-            index = _config_index(cfg, f"{atom_path}[{j}]", space)
+            index = _known_index(cfg, f"{atom_path}[{j}]", space, known)
             if labels[index] >= 0:
                 same = labels[index] == aid
                 reason = "duplicate configuration in atom" if same else "atoms overlap"
@@ -431,24 +452,18 @@ def parse_strategy(text: str, model: WModel) -> Strategy:
             raise ModelFormatError("$.player", f"unknown player {player!r}")
         own = frozenset(model.agents_of(player))
         support = []
-        total = Fraction(0)
         for i, entry in enumerate(_as_list(top["support"], "$.support")):
             path = f"$.support[{i}]"
             obj = _as_object(entry, path)
             _exact_keys(obj, path, {"weight", "profile"})
-            weight = parse_fraction(obj["weight"], f"{path}.weight")
+            weight = Fraction(*_ratio(obj["weight"], f"{path}.weight"))
             profile = _parse_profile(obj["profile"], f"{path}.profile", model)
             if profile.agents != own:
                 raise ModelFormatError(
                     f"{path}.profile",
                     f"must cover exactly the agents of player {player!r}",
                 )
-            total += weight
             support.append((profile, weight))
-        if total != 1:
-            raise ModelFormatError(
-                "$.support", f"weights sum to {format_fraction(total)}"
-            )
         try:
             return MixedStrategy(player, tuple(support))
         except ValueError as err:
@@ -484,16 +499,8 @@ def parse_strategy(text: str, model: WModel) -> Strategy:
                         raise ModelFormatError(
                             row_path, f"unknown action {action!r} for agent {agent!r}"
                         )
-                weights = tuple(
-                    _weight(obj[u], f"{row_path}.{u}") if u in obj else Fraction(0)
-                    for u in labels
-                )
-                if sum(weights, Fraction(0)) != 1:
-                    raise ModelFormatError(
-                        row_path,
-                        f"weights sum to {format_fraction(sum(weights, Fraction(0)))}",
-                    )
-                dists.append(RationalDistribution(labels, weights))
+                weights = [_weight(obj[u], f"{row_path}.{u}") if u in obj else (0, 1) for u in labels]
+                dists.append(_distribution(labels, weights, row_path))
             kernels.append((agent, tuple(dists)))
         return BehavioralStrategy(player, tuple(kernels))
 
@@ -545,12 +552,7 @@ def parse_belief(text: str, model: WModel) -> RationalDistribution:
     carrier = tuple(w for w in model.nature.labels if w in obj)
     if not carrier:
         raise ModelFormatError("$", "belief must name at least one state")
-    weights = tuple(_weight(obj[w], f"$.{w}") for w in carrier)
-    if sum(weights, Fraction(0)) != 1:
-        raise ModelFormatError(
-            "$", f"weights sum to {format_fraction(sum(weights, Fraction(0)))}"
-        )
-    return RationalDistribution(carrier, weights)
+    return _distribution(carrier, [_weight(obj[w], f"$.{w}") for w in carrier], "$")
 
 
 def serialize_belief(nu: RationalDistribution) -> str:

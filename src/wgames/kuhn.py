@@ -16,8 +16,10 @@ atoms is the conditional law of its action given the atom.  That is the
 disintegration along a perfect-recall configuration-ordering, because
 perfect recall puts each atom inside one prefix cell on which the
 predecessors' atoms and actions are constant.
-All weights are exact rationals; distribution equality is literal
-equality, never tolerance.
+All weights are exact and computed in integers: a mass is the product of
+the numerators over that of the denominators of the rows it uses, reduced
+once, and masses are summed by :func:`~wgames.strategies.exact_sum`.
+Distribution equality is literal equality, never tolerance.
 
 Atoms that no drawn profile reaches carry no constraint; they receive the
 uniform kernel, which is a total, canonical choice that leaves every
@@ -45,10 +47,12 @@ from .recall import (
 )
 from .record import Record
 from .strategies import (
+    BehavioralStrategy,
     MixedStrategy,
     RationalDistribution,
-    BehavioralStrategy,
+    exact_sum,
     one_strategy_per_player,
+    over_lcm,
 )
 
 
@@ -103,33 +107,32 @@ def _law(
         raise ValueError("belief is not carried by Nature states")
     by_player = one_strategy_per_player(model, strategies)
     space = model.space
-    belief = list((dict.fromkeys(model.nature.labels, Fraction(0)) | nu.as_map()).values())
+    belief = list((dict.fromkeys(model.nature.labels, 0) | dict(zip(nu.carrier, nu.nums))).values())
     # Nature is the most significant digit: its blocks are contiguous runs
     reach = int("".join(("1" if w else "0") * space.strides[0] for w in reversed(belief)), 2)
-    kernels = []  # (atom ids, coordinate, weights per atom) per behavioral agent
-    plans = []  # (agreement mask, weight) per plan, per mixed player
+    base = nu.den  # times each mixed player's denominator
+    kernels = []  # (atom ids, coordinate, row per atom) per behavioral agent
+    plans = []  # (agreement mask, numerator) per plan, per mixed player
     for s in by_player.values():
         if isinstance(s, BehavioralStrategy):
-            kernels += [
-                (model.info_of(a).atom_ids, space.agent_pos(a) + 1, [k.weights for k in ks])
-                for a, ks in s.kernels
-            ]
+            kernels += [(model.info_of(a).atom_ids, space.agent_pos(a) + 1, ks) for a, ks in s.kernels]
         else:
-            plans.append(
-                [(reduce(and_, map(partial(strategy_mask, model), p.strategies)), w) for p, w in s.support]
-            )
+            masks = (reduce(and_, map(partial(strategy_mask, model), p.strategies)) for p, _ in s.support)
+            plans.append(list(zip(masks, s.nums)))
             reach &= reduce(or_, (m for m, _ in plans[-1]))
+            base *= s.den
     masses: dict[int, Fraction] = {}
     blocks: list[list[int]] = [[] for _ in belief]  # configurations with mass, per Nature state
     for i in iter_bits(reach):
         d = space.digit(i, 0)
-        w = belief[d]
+        num, den = belief[d], base
         for ids, coord, rows in kernels:
-            w *= rows[ids[i]][space.digit(i, coord)]
+            row = rows[ids[i]]
+            num, den = num * row.nums[space.digit(i, coord)], den * row.den
         for masks in plans:
-            w *= sum(p for m, p in masks if m >> i & 1)
-        if w != 0:
-            masses[i] = w
+            num *= sum(p for m, p in masks if m >> i & 1)
+        if num != 0:  # reduced once, over the denominators of the rows it uses
+            masses[i] = Fraction(num, den)
             blocks[d].append(i)
 
     def together(i: int, j: int) -> bool:
@@ -139,8 +142,8 @@ def _law(
         return all(any(m & both == both for m, _ in masks) for masks in plans)
 
     for omega, block, belief_mass in zip(model.nature.labels, blocks, belief):
-        mass = sum(map(masses.__getitem__, block), Fraction(0))
-        bad = block if mass != belief_mass else None
+        num, den = exact_sum(map(masses.__getitem__, block))
+        bad = block if num * nu.den != belief_mass * den else None
         if bad is None and len(block) > 1:  # a pair needs two configurations with mass
             bad = _first_pair(model, block, together)
         if bad is not None:
@@ -207,26 +210,28 @@ def _require_recall(model: WModel, player: str, phi: ConfigurationOrdering) -> N
 
 
 def _laws_by_atom(
-    model: WModel, q: PushforwardDistribution, agents: tuple[str, ...]
-) -> list[tuple[tuple[Fraction, ...], bool]]:
+    model: WModel, q: PushforwardDistribution, agents: tuple[str, ...], carrier: tuple
+) -> list[tuple[RationalDistribution, bool]]:
     """Law of the actions of ``agents`` given each atom of the last one.
 
-    Each law is a row of weights over the action tuples in lexicographic
-    order (the first agent's action most significant), read off ``q``; on
-    atoms ``q`` does not reach it is uniform and flagged unreached.
+    Each law is over ``carrier``, the action tuples in lexicographic order
+    (the first agent's action most significant): per atom, each tuple's
+    mass under ``q``, divided by their sum.  It is uniform and flagged
+    unreached on atoms ``q`` does not reach.
     """
     space, info = model.space, model.info_of(agents[-1])
     coords = [space.agent_pos(b) + 1 for b in agents]
-    joint: list[dict[tuple[int, ...], Fraction]] = [{} for _ in range(len(info))]
+    joint: list[dict[int, list[Fraction]]] = [{} for _ in range(len(info))]
     for i, w in zip(q.indices, q.weights):
-        masses, u = joint[info.atom_ids[i]], tuple(space.digit(i, c) for c in coords)
-        masses[u] = masses.get(u, 0) + w
-    digits = list(product(*(range(space.sizes[c]) for c in coords)))
+        u = 0  # the position in carrier of the action tuple at i
+        for c in coords:
+            u = u * space.sizes[c] + space.digit(i, c)
+        joint[info.atom_ids[i]].setdefault(u, []).append(w)
     laws = []
     for masses in joint:
-        law = masses or dict.fromkeys(digits, 1)  # uniform where q does not reach
-        total = sum(law.values(), Fraction(0))
-        laws.append((tuple(law.get(u, 0) / total for u in digits), bool(masses)))
+        sums = (exact_sum(masses[u]) if u in masses else (0, 1) for u in range(len(carrier)))
+        nums = over_lcm(sums)[0] if masses else (1,) * len(carrier)
+        laws.append((RationalDistribution.of_ratios(carrier, nums, sum(nums)), bool(masses)))
     return laws
 
 
@@ -247,19 +252,13 @@ def conditional_kernel(
     actions it shows: this is the law of the plan components too.
     """
     _require_recall(model, player, phi)
-    laws = _laws_by_atom(model, _law(model, nu, mixed_all), kappa.sequence)
     carrier = tuple(product(*[model.actions_of(b).labels for b in kappa.sequence]))
+    laws = _laws_by_atom(model, _law(model, nu, mixed_all), kappa.sequence, carrier)
     info = model.info_of(kappa.last)
     # an atom lies in the cell iff the cell holds all of its configurations
     held = Counter(atom_id_columns(ordering_cell(model, phi, kappa), info)[0])
-    return ConditionalKernel(
-        kappa,
-        tuple(
-            (i, RationalDistribution(carrier, laws[i][0]), laws[i][1])
-            for i, size in enumerate(info.sizes)
-            if held[i] == size
-        ),
-    )
+    entries = tuple((i, *laws[i]) for i, size in enumerate(info.sizes) if held[i] == size)
+    return ConditionalKernel(kappa, entries)
 
 
 def kuhn_transform(
@@ -287,9 +286,8 @@ def behavioral_from_law(model: WModel, player: str, q: PushforwardDistribution) 
     """
     kernels = []
     for agent in model.agents_of(player):
-        labels = model.actions_of(agent).labels
-        laws = _laws_by_atom(model, q, (agent,))
-        kernels.append((agent, tuple(RationalDistribution(labels, row) for row, _ in laws)))
+        laws = _laws_by_atom(model, q, (agent,), model.actions_of(agent).labels)
+        kernels.append((agent, tuple(law for law, _ in laws)))
     return BehavioralStrategy(player, tuple(kernels))
 
 

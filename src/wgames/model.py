@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fields import (
+    DEFAULT_SPACE_CAP,
     ConfigurationSpace,
     FiniteSet,
     Partition,
@@ -32,7 +33,11 @@ class WModel(Record):
     information: tuple[tuple[str, Partition], ...]
 
     def __post_init__(self) -> None:
-        space = build_space(self.nature, self.agents)  # rejects duplicate agent ids
+        # the space the partitions were built on, when it is this model's
+        space = getattr(self.information[0][1], "space", None) if self.information else None
+        key = (self.nature, tuple(a for a, _ in self.agents), tuple(acts for _, acts in self.agents))
+        if space is None or (space.nature, space.agents, space.actions) != key or space.size > DEFAULT_SPACE_CAP:
+            space = build_space(self.nature, self.agents)  # rejects duplicate agent ids and applies the cap
         object.__setattr__(self, "_space", space)
         object.__setattr__(self, "_derived", {})
         agent_ids = list(space.agents)

@@ -3,6 +3,33 @@
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Callable
+
+
+def _initializer(cls: type) -> Callable:
+    """The ``__init__`` of a record class.
+
+    A call with one positional argument per field sets each slot through
+    its own setter, which bypasses the ``__setattr__`` that raises; any
+    other call is matched to the fields first.  ``__post_init__`` is
+    called only when the class defines one.  The setters are paired with
+    their positions once, here: a loop over a ``zip`` of the setters and
+    the arguments takes half as long again as a frozen dataclass's
+    generated ``__init__`` on two fields, this loop about as long.
+    """
+    setters = tuple(enumerate(getattr(cls, f).__set__ for f in cls._fields))
+    arity = len(setters)
+    post = None if cls.__post_init__ is Record.__post_init__ else cls.__post_init__
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != arity:
+            args = self._arguments(args, kwargs)
+        for k, set_field in setters:
+            set_field(self, args[k])
+        if post is not None:
+            post(self)
+
+    return __init__
 
 
 class Record:
@@ -22,20 +49,23 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = vars(cls).get("_fields", vars(cls)["__slots__"])
         cls._key = attrgetter(*cls._fields)
+        if "__init__" not in vars(cls):
+            cls.__init__ = _initializer(cls)
 
-    def __init__(self, *args, **kwargs) -> None:
-        name, fields = type(self).__name__, self._fields
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        """All fields' values in order, from positional and keyword arguments."""
+        name, fields = cls.__name__, cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        for field, value in zip(fields, args):
-            object.__setattr__(self, field, value)
+        values = list(args)
         for field in fields[len(args):]:
             if field not in kwargs:
                 raise TypeError(f"{name}() missing argument {field!r}")
-            object.__setattr__(self, field, kwargs.pop(field))
+            values.append(kwargs.pop(field))
         if kwargs:
             raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(kwargs)}")
-        self.__post_init__()
+        return tuple(values)
 
     def __post_init__(self) -> None:
         pass

@@ -1,9 +1,15 @@
-"""Pure, mixed, and behavioral strategies with exact rational weights."""
+"""Pure, mixed, and behavioral strategies with exact rational weights.
+
+A row of weights is held as integer numerators over one denominator, in
+lowest terms, and is checked once, in integers, where it is built.
+"""
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from typing import Iterable
 
 from .fields import Partition
@@ -13,44 +19,112 @@ from .record import Record
 DEFAULT_ENUM_CAP = 10**6
 
 
-class RationalDistribution(Record):
-    """Finitely supported exact distribution over an ordered carrier."""
+def over_lcm(ratios: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Ratios p/q as integer numerators over the lcm of the q."""
+    ratios = tuple(ratios)
+    den = lcm(*{q for _, q in ratios})
+    return tuple(p * (den // q) for p, q in ratios), den
 
-    __slots__ = ("carrier", "weights")
+
+def exact_sum(weights: Iterable[Fraction]) -> tuple[int, int]:
+    """Exact sum of rationals as a numerator and a denominator.
+
+    The terms are added as integers over a running denominator.  A term
+    whose denominator does not divide it first brings the sum to lowest
+    terms, then puts it over the lcm, so terms that cancel (the masses of
+    an atom's successors) keep the denominator small.
+    """
+    num, den = 0, 1
+    for w in weights:
+        d = w.denominator
+        if den % d:
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            scale = d // gcd(den, d)
+            num, den = num * scale, den * scale
+        num += w.numerator * (den // d)
+    return num, den
+
+
+def format_fraction(value: Fraction) -> str:
+    """Exact "p/q" (or "p") text of any rational.  ``str`` refuses ints
+    past the interpreter's digit limit (4,300 digits by default), so the
+    terms are written through ``Decimal``, which is exact at any length."""
+    num, den = (str(Decimal(n)) for n in Fraction(value).as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _check_sum(nums: tuple[int, ...], den: int) -> None:
+    total = sum(nums)
+    if total != den:
+        raise ValueError(f"weights sum to {format_fraction(Fraction(total, den))}")
+
+
+class RationalDistribution(Record):
+    """Finitely supported exact distribution over an ordered carrier.
+
+    The weights are held as integer numerators ``nums`` over one
+    denominator ``den``, in lowest terms, and checked once, in integers.
+    The constructor takes the weights as exact numbers; :meth:`of_ratios`
+    takes the integers and leaves the ``Fraction`` ``weights`` to be made
+    on first read.
+    """
+
+    _fields = ("carrier", "weights")
+    __slots__ = _fields + ("nums", "den")
     carrier: tuple
     weights: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
-        if len(self.carrier) != len(self.weights):
+        weights = tuple(map(Fraction, self.weights))
+        object.__setattr__(self, "weights", weights)
+        self._take(*over_lcm(w.as_integer_ratio() for w in weights))
+
+    @classmethod
+    def of_ratios(cls, carrier: tuple, nums: tuple[int, ...], den: int) -> "RationalDistribution":
+        """The distribution of the weights ``nums`` over ``den`` on ``carrier``."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "carrier", carrier)
+        dist._take(nums, den)
+        return dist
+
+    def _take(self, nums: tuple[int, ...], den: int) -> None:
+        if len(self.carrier) != len(nums):
             raise ValueError("carrier and weights must align")
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier entries must be distinct")
-        ws = tuple(Fraction(w) for w in self.weights)
-        if any(w < 0 for w in ws):
+        if nums and min(nums) < 0:
             raise ValueError("negative weight")
-        if sum(ws, Fraction(0)) != 1:
-            raise ValueError(f"weights sum to {sum(ws, Fraction(0))}, expected 1")
-        object.__setattr__(self, "weights", ws)
+        _check_sum(nums, den)
+        g = gcd(den, *nums)  # lowest terms
+        if g > 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __getattr__(self, name: str):
+        # reached only for unset slots: ``weights`` is made on first read
+        if name != "weights":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = tuple(Fraction(n, self.den) for n in self.nums)
+        object.__setattr__(self, "weights", weights)
+        return weights
 
     @staticmethod
     def point(carrier: Iterable, item) -> "RationalDistribution":
         carrier = tuple(carrier)
-        return RationalDistribution(
-            carrier, tuple(Fraction(1 if c == item else 0) for c in carrier)
-        )
+        return RationalDistribution.of_ratios(carrier, tuple(int(c == item) for c in carrier), 1)
 
     @staticmethod
     def uniform(carrier: Iterable) -> "RationalDistribution":
         carrier = tuple(carrier)
-        w = Fraction(1, len(carrier))
-        return RationalDistribution(carrier, (w,) * len(carrier))
+        return RationalDistribution.of_ratios(carrier, (1,) * len(carrier), len(carrier))
 
     @staticmethod
     def from_map(mapping: dict) -> "RationalDistribution":
-        items = tuple(mapping.items())
-        return RationalDistribution(
-            tuple(k for k, _ in items), tuple(Fraction(v) for _, v in items)
-        )
+        return RationalDistribution(tuple(mapping), tuple(mapping.values()))
 
     def weight(self, item) -> Fraction:
         try:
@@ -117,25 +191,27 @@ class MixedStrategy(Record):
     so strategy equality is structural.
     """
 
-    __slots__ = ("player", "support")
+    _fields = ("player", "support")
+    __slots__ = _fields + ("nums", "den")
     player: str
     support: tuple[tuple[PureStrategyProfile, Fraction], ...]
+    nums: tuple[int, ...]  # the weights over one denominator ``den``
+    den: int
 
     def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("empty support")
         entries = tuple((p, Fraction(w)) for p, w in self.support)
+        nums, den = over_lcm(w.as_integer_ratio() for _, w in entries)
+        _check_sum(nums, den)  # an empty support sums to 0
         agent_sets = {p.agents for p, _ in entries}
         if len(agent_sets) != 1:
             raise ValueError("support profiles cover different agent sets")
         if len({p for p, _ in entries}) != len(entries):
             raise ValueError("duplicate support profile")
-        for _, w in entries:
-            if w <= 0:
-                raise ValueError("support weights must be positive")
-        if sum(w for _, w in entries) != 1:
-            raise ValueError("support weights must sum to 1")
+        if min(nums) <= 0:
+            raise ValueError("support weights must be positive")
         object.__setattr__(self, "support", entries)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @property
     def agents(self) -> frozenset[str]:

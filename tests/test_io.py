@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from wgames import (
     AnalysisReport,
+    CoordinateSet,
     ModelFormatError,
+    build_space,
     constant_ordering,
     corpus_model,
     corpus_names,
+    cylinder_partition,
     emit_report,
     model_digest,
     parse_belief,
@@ -26,6 +29,8 @@ from wgames import (
     serialize_model,
     serialize_ordering,
     serialize_strategy,
+    trace_partition,
+    trivial_partition,
 )
 from wgames.io import mask_payload
 from wgames.recall import ConfigurationOrdering, Ordering
@@ -160,6 +165,63 @@ def test_space_over_the_cap_fails_fast():
     with pytest.raises(ModelFormatError) as err:
         parse_model(json.dumps(payload))
     assert err.value.path == "$.agents"
+
+
+def test_parsed_model_builds_its_space_once(monkeypatch):
+    """The model reuses the space its partitions were built on."""
+    import wgames.io
+    import wgames.model
+
+    calls = []
+
+    def counted(nature, agents):
+        calls.append(nature)
+        return build_space(nature, agents)
+
+    monkeypatch.setattr(wgames.io, "build_space", counted)
+    monkeypatch.setattr(wgames.model, "build_space", counted)
+    model = parse_model(serialize_model(corpus_model("alice-bob-nature")))
+    assert len(calls) == 1
+    assert all(part.space is model.space for _, part in model.information)
+
+
+def test_parse_model_decodes_each_configuration_once(monkeypatch):
+    """Every agent's atoms list all of H; a configuration is decoded once,
+    whatever order its keys come in."""
+    import wgames.io
+
+    model = sequential_model(3)
+    text = serialize_model(model)
+    calls = []
+    decode = wgames.io._config_index
+
+    def counted(value, path, space):
+        calls.append(path)
+        return decode(value, path, space)
+
+    monkeypatch.setattr(wgames.io, "_config_index", counted)
+    assert parse_model(text) == model
+    assert len(calls) == model.space.size
+    payload = json.loads(text)
+    for spec in payload["information"].values():
+        spec["atoms"] = [[dict(reversed(h.items())) for h in atom] for atom in spec["atoms"]]
+    assert parse_model(json.dumps(payload)) == model
+
+
+def test_model_checks_the_space_of_every_partition():
+    model = corpus_model("alice-bob-nature")
+    (alice, part), (bob, _) = model.information
+    foreign = corpus_model("alice-bob-simultaneous").info_of("bob")
+    for information in (((alice, foreign), (bob, part)), ((alice, part), (bob, foreign))):
+        with pytest.raises(ValueError, match="built on a foreign space"):
+            model.replace(information=information)
+    partial = trace_partition(trivial_partition(model.space), 0b1111)
+    with pytest.raises(ValueError, match="does not cover the space"):
+        model.replace(information=((alice, partial), (bob, part)))
+    # an equal space built apart is this model's space
+    again = build_space(model.nature, model.agents)
+    rebuilt = model.replace(information=((alice, cylinder_partition(again, CoordinateSet.of(True, ()))), (bob, part)))
+    assert rebuilt.space == model.space
 
 
 def test_parse_rejects_non_json():
@@ -418,6 +480,20 @@ def test_deeply_nested_input_is_a_format_error():
         with pytest.raises(ModelFormatError) as err:
             parse(deep)
         assert err.value.path == "$"
+
+
+def test_json_numbers_past_the_digit_limit_are_format_errors():
+    model = corpus_model("alice-bob-nature")
+    number = "9" * 4400  # more digits than int() converts
+    texts = {
+        parse_model: '{"nature": ' + number + "}",
+        parse_belief: '{"heads": ' + number + "}",
+        parse_strategy: '{"kind": ' + number + "}",
+    }
+    for parse, text in texts.items():
+        with pytest.raises(ModelFormatError) as err:
+            parse(text) if parse is parse_model else parse(text, model)
+        assert str(err.value) == "$: invalid JSON: a number has too many digits"
 
 
 def test_weights_with_too_many_digits_are_addressed():
