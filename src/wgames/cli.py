@@ -171,6 +171,25 @@ def _one_of_ordering_or_search(ordering, search: bool) -> None:
         raise UsageError("give exactly one of --ordering or --search")
 
 
+def _recall_ordering(args, command: str, model: WModel, player: str, fails: str):
+    """The --ordering checked for perfect recall, with None, or the ordering
+    --search finds, with its node count.  Any other answer is reported:
+    ``fails`` with the violation or no-ordering (exit 1), or unknown (3)."""
+    _one_of_ordering_or_search(args.ordering, args.search)
+    if args.ordering is not None:
+        phi = _load_ordering(args.ordering, model, player)
+        report = check_perfect_recall(model, player, phi)
+        if not report.holds:
+            details = {"player": player, "violation": field_violation_payload(model, report.violation)}
+            _emit(args, command, model, fails, details, 1)
+        return phi, None
+    result = search_recall_ordering(model, player, args.budget)
+    if result.outcome != "found":
+        outcome, code = ("no-ordering", 1) if result.outcome == "none" else ("unknown", 3)
+        _emit(args, command, model, outcome, {"player": player, "nodes": result.nodes}, code)
+    return result.ordering, result.nodes
+
+
 # ── subcommands ─────────────────────────────────────────────────────────
 
 
@@ -229,28 +248,11 @@ def recall(args) -> None:
     model = _parse_file(parse_model, args.model)
     player = args.player
     _require_player(model, player)
-    _one_of_ordering_or_search(args.ordering, args.search)
-    if args.ordering is not None:
-        phi = _load_ordering(args.ordering, model, player)
-        report = check_perfect_recall(model, player, phi)
-        if report.holds:
-            _emit(args, "recall", model, "holds", {"player": player}, 0)
-        details = {
-            "player": player,
-            "violation": field_violation_payload(model, report.violation),
-        }
-        _emit(args, "recall", model, "fails", details, 1)
-    result = search_recall_ordering(model, player, args.budget)
-    if result.outcome == "found":
-        details = {
-            "player": player,
-            "ordering": ordering_payload(result.ordering, model),
-            "nodes": result.nodes,
-        }
-        _emit(args, "recall", model, "holds", details, 0)
-    if result.outcome == "none":
-        _emit(args, "recall", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
-    _emit(args, "recall", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
+    phi, nodes = _recall_ordering(args, "recall", model, player, "fails")
+    if nodes is None:
+        _emit(args, "recall", model, "holds", {"player": player}, 0)
+    details = {"player": player, "ordering": ordering_payload(phi, model), "nodes": nodes}
+    _emit(args, "recall", model, "holds", details, 0)
 
 
 def causality(args) -> None:
@@ -287,23 +289,7 @@ def kuhn(args) -> None:
     nu = _parse_file(parse_belief, args.nu, model)
     loaded = [_parse_file(parse_strategy, f, model) for f in args.strategy]
     strategies = _player_strategies(model, loaded)
-    _one_of_ordering_or_search(args.ordering, args.search)
-    if args.ordering is not None:
-        phi = _load_ordering(args.ordering, model, player)
-        report = check_perfect_recall(model, player, phi)
-        if not report.holds:
-            details = {
-                "player": player,
-                "violation": field_violation_payload(model, report.violation),
-            }
-            _emit(args, "kuhn", model, "no-recall", details, 1)
-    else:
-        result = search_recall_ordering(model, player, args.budget)
-        if result.outcome == "none":
-            _emit(args, "kuhn", model, "no-ordering", {"player": player, "nodes": result.nodes}, 1)
-        if result.outcome == "unknown":
-            _emit(args, "kuhn", model, "unknown", {"player": player, "nodes": result.nodes}, 3)
-        phi = result.ordering
+    phi, _ = _recall_ordering(args, "kuhn", model, player, "no-recall")
     law = _law(args, model, nu, strategies)
     beta = behavioral_from_law(model, player, law)
     details = {

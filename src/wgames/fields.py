@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, groupby, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .record import Record
@@ -402,12 +403,17 @@ def _require_same_space(p: Partition, q: Partition) -> None:
         raise SpaceMismatch("partitions live on different spaces")
 
 
+def atoms_inside(p: Partition, q: Partition) -> set[int]:
+    """Ids of the atoms of ``p`` that lie inside one atom of ``q``: the ``p``
+    labels that pair with one ``q`` label, counted over one set of pairs."""
+    _require_same_space(p, q)
+    counts = Counter(map(itemgetter(0), set(zip(p.atom_ids, q.atom_ids))))
+    return {aid for aid, n in counts.items() if n == 1 and aid >= 0}
+
+
 def partition_refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every atom of ``fine`` lies inside one atom of ``coarse``:
-    no fine label pairs with two coarse labels."""
-    _require_same_space(fine, coarse)
-    fine_ids = fine.atom_ids
-    return len(set(zip(fine_ids, coarse.atom_ids))) == len(set(fine_ids))
+    """True iff every atom of ``fine`` lies inside one atom of ``coarse``."""
+    return len(atoms_inside(fine, coarse)) == len(fine)
 
 
 def partition_join(p: Partition, q: Partition) -> Partition:

@@ -138,9 +138,12 @@ def find_recall_violation(
     tag is only sound when configurations sharing a final atom share every
     predecessor action across the whole cell.
     A prefix is skipped after one count of id pairs when no final atom
-    meets two choice atoms in its cell; any other prefix's scan returns.
-    Records are atom ids of the predecessors' choice field: members that
-    share the first member's are masked off, the rest compare digits.
+    meets two choice atoms in its cell.  Any other prefix returns after one
+    pass over the same id columns: the first member x of each final atom
+    in the cell is paired with every later member y whose choice atom
+    differs, and the least (actions agree, atom id, y) is the answer.
+    Pairing with x loses nothing: a pair that differs in actions or
+    records has a member that differs from x in the same way.
     """
     space = model.space
     for kappa, cell in prefix_cells(model, player, phi, start=2):
@@ -150,27 +153,14 @@ def find_recall_violation(
         if len(set(zip(infos, choices))) == len(set(infos)):
             continue  # no information atom in the cell meets two choice atoms
         coords = [space.agent_pos(a) + 1 for a in preds]
-        first_atom_pair: Optional[tuple[int, int]] = None
-        for atom in info.atoms:
-            piece = cell & atom
-            if not piece:
-                continue
-            # The first differing pair in (x, y) order always has x = the
-            # piece's first member: a pair that differs in actions or
-            # records has a member that differs from x in the same way.
-            x = (piece & -piece).bit_length() - 1
-            for y in iter_bits(piece & ~choice.atoms[choice.atom_ids[x]]):
-                if any(space.digit(x, c) != space.digit(y, c) for c in coords):
-                    return RecallViolation(kappa, space.config(x), space.config(y), CASE_ACTION)
-                if first_atom_pair is None:
-                    first_atom_pair = (x, y)
-        if first_atom_pair is not None:
-            return RecallViolation(
-                kappa,
-                space.config(first_atom_pair[0]),
-                space.config(first_atom_pair[1]),
-                CASE_INFORMATION,
-            )
+        firsts: dict[int, tuple[int, int]] = {}  # information atom id -> first member, its choice id
+        pairs = []
+        for y, z, c in zip(iter_bits(cell), infos, choices):
+            x, cx = firsts.setdefault(z, (y, c))
+            if c != cx:
+                pairs.append((all(space.digit(x, k) == space.digit(y, k) for k in coords), z, y, x))
+        agree, _, y, x = min(pairs)
+        return RecallViolation(kappa, space.config(x), space.config(y), CASE_INFORMATION if agree else CASE_ACTION)
     return None
 
 
@@ -285,31 +275,22 @@ def build_witness(
     nb = len(model.info_of(b))
     nc = len(model.info_of(c))
 
-    def plan(flip_b: bool, react_c: bool) -> PureStrategyProfile:
+    def plan(flipped: bool) -> PureStrategyProfile:
+        """h_plus's actions, but b plays its own on zb only and u_bar off it;
+        flipped, b plays u_bar on zb only and c plays h_minus's on zc."""
         strategies = []
         for a in focus_agents:
             if a == b:
-                on, off = (u_bar, h_plus.action(b)) if flip_b else (
-                    h_plus.action(b),
-                    u_bar,
-                )
+                on, off = (u_bar, h_plus.action(b)) if flipped else (h_plus.action(b), u_bar)
                 choice = tuple(on if z == zb else off for z in range(nb))
-            elif a == c:
-                if react_c:
-                    choice = tuple(
-                        h_minus.action(c) if z == zc else h_plus.action(c)
-                        for z in range(nc)
-                    )
-                else:
-                    choice = (h_plus.action(c),) * nc
+            elif a == c and flipped:
+                choice = tuple(h_minus.action(c) if z == zc else h_plus.action(c) for z in range(nc))
             else:
                 choice = (h_plus.action(a),) * len(model.info_of(a))
             strategies.append(PureStrategy(a, choice))
         return PureStrategyProfile(tuple(strategies))
 
-    focus = _half_mixture(
-        player, plan(flip_b=False, react_c=False), plan(flip_b=True, react_c=True)
-    )
+    focus = _half_mixture(player, plan(False), plan(True))
     return nu, focus, tuple(opponents)
 
 

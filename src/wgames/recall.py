@@ -17,17 +17,21 @@ candidate agent's information atoms for recall, ground-field atoms for
 causality, information atoms that are unions of ground atoms for both), so
 every completed assignment passes the corresponding checks and nothing
 valid is skipped.  The search for both yields its orderings in the order
-the causality sweep meets them (see :func:`_iter_valid_orderings`).
+the causality sweep meets them (see :func:`_iter_valid_orderings`).  The
+checks and the searches decide measurability the same way, by counting
+(atom id, label) pairs over atom-id columns (``first_cut`` and
+``atoms_inside`` in :mod:`wgames.fields`).
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import compress, permutations
 from typing import Iterator, Optional
 
 from .fields import (
     CoordinateSet,
     Partition,
+    atoms_inside,
     cylinder_partition,
     first_cut,
     first_seen,
@@ -333,24 +337,31 @@ def _iter_valid_orderings(
     in the lexicographic order of their configuration-to-agent map, whatever
     the block size; hence "both" mode yields its orderings in the order the
     causality sweep meets them.  Claims and cells wait on explicit stacks,
-    not calls.  The ground test runs once per (prefix, block) in a search.
+    not calls.  The ids of the blocks an agent may claim after a prefix are
+    counted over atom-id columns (:func:`atoms_inside`) when the agent is
+    first tried there, once per (prefix, agent), so a claim tests one id
+    and reads one block mask.
     """
     agents = model.agents_of(player)
     spend = budget.spend
-    recall = mode != "causality"  # the choice field of no agent is trivial
-    unions: dict[tuple[tuple[str, ...], int], bool] = {}  # (prefix, block) -> in its ground field
+    claimable: dict[tuple[str, ...], list] = {}  # prefix -> per agent outside it, once tried: row below
 
-    def in_ground(prefix: tuple[str, ...], unit: int) -> bool:
-        if (prefix, unit) not in unions:
-            unions[prefix, unit] = first_cut(unit, causality_ground(model, player, prefix)) is None
-        return unions[prefix, unit]
+    def row(prefix: tuple[str, ...], a: str) -> tuple:
+        """Masks and ids of the blocks ``a`` may take after ``prefix``, and the ids it may claim."""
+        info = model.info_of(a)
+        ground = causality_ground(model, player, prefix) if mode != "recall" else None
+        if mode == "causality":
+            return ground.atoms, ground.atom_ids, atoms_inside(ground, info)
+        ok = atoms_inside(info, choice_partition(model, prefix))
+        if mode == "both":  # less the I_a atoms that a ground atom crosses
+            crossing = set(ground.atom_ids).difference(atoms_inside(ground, info))
+            ok -= set(compress(info.atom_ids, map(crossing.__contains__, ground.atom_ids)))
+        return info.atoms, info.atom_ids, ok
 
     def splits(prefix: tuple[str, ...], cell: int) -> Iterator[list]:
         """Splits of ``cell`` among the agents outside ``prefix``, as (child, part) pairs."""
         remaining = [a for a in agents if a not in prefix]
-        field = choice_partition(model, prefix) if recall else causality_ground(model, player, prefix)
-        pairs = [(model.info_of(a), field) if recall else (field, model.info_of(a)) for a in remaining]
-        units = [(b.atoms, b.atom_ids, w.atoms, w.atom_ids) for b, w in pairs]  # block, field it lies in
+        units = claimable.setdefault(prefix, [None] * len(remaining))
         acc = [0] * len(remaining)
         claims: list[tuple[int, int, int]] = []  # (unassigned before, agent, block)
         unassigned, j = cell, 0
@@ -359,11 +370,11 @@ def _iter_valid_orderings(
                 h = (unassigned & -unassigned).bit_length() - 1
                 for j in range(j, len(units)):
                     spend()
-                    atoms, atom_ids, within, within_ids = units[j]
+                    if units[j] is None:
+                        units[j] = row(prefix, remaining[j])
+                    atoms, atom_ids, ok = units[j]
                     unit = atoms[atom_ids[h]]
-                    if not (unit & ~unassigned or unit & ~within[within_ids[h]]) and (
-                        mode != "both" or in_ground(prefix, unit)
-                    ):
+                    if atom_ids[h] in ok and not unit & ~unassigned:
                         break
                 else:
                     unit = 0  # no agent can claim h's block

@@ -8,9 +8,12 @@ construction order anywhere in the result; the analyses must rediscover
 it.  ``random_state_ordered_model`` lets the play order depend on the
 Nature state and returns the matching non-constant perfect-recall ordering.
 ``random_partition_model`` drops the discipline entirely and is only
-guaranteed to be a valid model.
+guaranteed to be a valid model.  ``mutated_json`` makes one edit to a wire
+document, for the fuzz tests of the parsers.
 """
 
+import copy
+import json
 from random import Random
 
 from wgames import (
@@ -347,3 +350,42 @@ def random_behavioral(rng: Random, model, player):
                 )
         kernels.append((agent, tuple(dists)))
     return BehavioralStrategy(player, tuple(kernels))
+
+
+# ── mutated wire documents ─────────────────────────────────────────────
+
+MUTATIONS = ("rewrite", "delete", "rename", "append", "text")
+
+
+def _positions(node, path=()):
+    """Paths to every value inside a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def mutated_json(doc, at: int, how: str, junk, renames) -> str:
+    """The JSON text of ``doc`` with one edit at position ``at``: the value
+    there rewritten to ``junk``, deleted, its key renamed to one of
+    ``renames``, or copied to the end of its list; or, with "text", one
+    character of the text replaced by ``junk`` when it is a string, else cut."""
+    doc = copy.deepcopy(doc)
+    if how == "text":
+        text = json.dumps(doc)
+        at %= len(text)
+        return text[:at] + (junk if isinstance(junk, str) else "") + text[at + 1 :]
+    positions = list(_positions(doc))
+    *steps, key = positions[at % len(positions)]
+    parent = doc
+    for step in steps:
+        parent = parent[step]
+    if how == "delete":
+        del parent[key]
+    elif how == "rename" and isinstance(parent, dict):
+        parent[renames[at % len(renames)]] = parent.pop(key)
+    elif how == "append" and isinstance(parent, list):
+        parent.append(copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(junk)
+    return json.dumps(doc)

@@ -12,7 +12,6 @@ files to the parsers and to ``wgames pushforward``.  Both are seeded:
 hypothesis runs derandomized, with no example database.
 """
 
-import copy
 import json
 import re
 from fractions import Fraction
@@ -40,7 +39,7 @@ from wgames.cli import main
 from wgames.kuhn import behavioral_from_law
 
 from clirunner import CliRunner
-from generators import config_tuple, oracle_mixed, random_causal_model, random_profile, to_oracle
+from generators import MUTATIONS, config_tuple, mutated_json, oracle_mixed, random_causal_model, random_profile, to_oracle
 from oracles import behavioral_plans as definitional_plans
 from oracles import pushforward as definitional_pushforward
 
@@ -196,39 +195,7 @@ JUNK = (
     "9" * 4400, "nan", "inf", 0.5, 1, -1, True, None, [], {}, ["1/2"], {"T": "1"},
     "T", "B", "L", "heads", "team", "mixed", "behavioral", "kind",
 )
-HOWS = ("rewrite", "delete", "rename", "append", "text")
 RENAMES = ("x", "T", "B", "R", "heads", "tails", "weight", "profile", "kind", "")
-
-
-def _positions(node, path=()):
-    """Paths to every value inside a JSON document, the root excluded."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield path + (key,)
-        yield from _positions(child, path + (key,))
-
-
-def mutated(name: str, at: int, how: str, junk) -> str:
-    """The text of document ``name`` with one edit at position ``at``."""
-    doc = copy.deepcopy(VALID[name])
-    if how == "text":  # one character of the JSON text replaced by junk text, or cut
-        text = json.dumps(doc)
-        at %= len(text)
-        return text[:at] + (junk if isinstance(junk, str) else "") + text[at + 1 :]
-    positions = list(_positions(doc))
-    *steps, key = positions[at % len(positions)]
-    parent = doc
-    for step in steps:
-        parent = parent[step]
-    if how == "delete":
-        del parent[key]
-    elif how == "rename" and isinstance(parent, dict):
-        parent[RENAMES[at % len(RENAMES)]] = parent.pop(key)
-    elif how == "append" and isinstance(parent, list):
-        parent.append(copy.deepcopy(parent[key]))
-    else:
-        parent[key] = copy.deepcopy(junk)
-    return json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +211,7 @@ def fuzz_files(tmp_path_factory):
 @given(
     name=st.sampled_from(sorted(VALID)),
     at=st.integers(min_value=0, max_value=10**6),
-    how=st.sampled_from(HOWS),
+    how=st.sampled_from(MUTATIONS),
     junk=st.one_of(st.sampled_from(JUNK), st.text(max_size=6), st.integers(), st.floats()),
 )
 @example(name="nu", at=0, how="rewrite", junk="1/0")
@@ -265,7 +232,7 @@ def test_mutated_weight_files_fail_only_as_format_errors(fuzz_files, name, at, h
     """The parsers raise ModelFormatError and nothing else; ``pushforward``
     exits 2 on what they reject and 0 on what they accept, never prints a
     traceback and prints the same stdout twice."""
-    text = mutated(name, at, how, junk)
+    text = mutated_json(VALID[name], at, how, junk, RENAMES)
     try:
         (parse_belief if name == "nu" else parse_strategy)(text, FUZZ_MODEL)
         codes = (0,)  # still well formed

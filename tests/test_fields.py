@@ -28,7 +28,7 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.fields import first_cut, mask_of, partition_from_labels
+from wgames.fields import atoms_inside, first_cut, mask_of, partition_from_labels
 from wgames.recall import Ordering, _first_cut, choice_partition
 
 from generators import to_oracle
@@ -347,9 +347,10 @@ def _reference_first_cut(s_set, atoms, blocks):
 
 
 def test_first_cut_matches_a_set_reference_on_random_columns():
-    """``first_cut`` and ``subset_in_field`` against brute-force sets, on
-    random label columns over full and traced supports, for the empty
-    subset, the whole support and random subsets, with and without blocks."""
+    """``first_cut``, ``subset_in_field`` and ``atoms_inside`` against
+    brute-force sets, on random label columns over full and traced supports,
+    for the empty subset, the whole support and random subsets, with and
+    without blocks."""
     rng = Random(18)
     seen, sizes = Counter(), set()
     for trial in range(120):
@@ -361,6 +362,7 @@ def test_first_cut_matches_a_set_reference_on_random_columns():
         columns = [[rng.randrange(1 + rng.randrange(12)) for _ in range(space.size)] for _ in range(2)]
         p, q = (partition_from_labels(space, labels, support) for labels in columns)
         p_atoms, q_atoms = (_label_atoms(labels, members) for labels in columns)
+        assert atoms_inside(p, q) == {a for a, atom in enumerate(p_atoms) if any(atom <= b for b in q_atoms)}
         subsets = [0, support] + [mask_of(rng.sample(members, rng.randint(1, len(members)))) for _ in range(4)]
         for s in subsets:
             s_set = {i for i in members if s >> i & 1}

@@ -3,10 +3,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wgames import (
     AnalysisReport,
@@ -32,10 +33,12 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.io import mask_payload
+from wgames.io import config_payload, mask_payload
 from wgames.recall import ConfigurationOrdering, Ordering
 
 from generators import (
+    MUTATIONS,
+    mutated_json,
     random_belief,
     random_causal_model,
     random_mixed,
@@ -450,6 +453,64 @@ def test_ordering_assignments_must_cover():
     with pytest.raises(ModelFormatError) as err:
         parse_ordering(json.dumps(payload), model)
     assert "no ordering for configuration" in str(err.value)
+
+
+# ── ordering files, mutated ────────────────────────────────────────────
+
+ORDERING_JUNK = (
+    "ordering", "team", "dm", "principal", "alice", "bob", "t1", "t3", "a", "nature", "heads", "w1",
+    "T", "0", "*", "", [], {}, None, 0, -1, 1.5, True, ["alice", "alice"], ["t1", "t2"], ["bob", 1],
+    {"nature": "*"}, {"nature": "heads", "alice": "T"}, "[" * 3000, "9" * 4400,
+)
+ORDERING_RENAMES = ("sequence", "assignments", "configuration", "player", "kind", "nature", "alice", "t1", "")
+
+
+def _ordering_document(model, player: str, form: str) -> dict:
+    """A valid ordering file: the player's agents in declared order, or one
+    assignment per configuration cycling through their permutations."""
+    own = model.agents_of(player)
+    if form == "constant":
+        return {"kind": "ordering", "player": player, "sequence": list(own)}
+    orders = list(permutations(own))
+    assignments = [
+        {"configuration": config_payload(model.space.config(i)), "sequence": list(orders[i % len(orders)])}
+        for i in range(model.space.size)
+    ]
+    return {"kind": "ordering", "player": player, "assignments": assignments}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(corpus_names()),
+    which=st.integers(min_value=0, max_value=1),
+    form=st.sampled_from(["constant", "per-configuration"]),
+    at=st.integers(min_value=0, max_value=10**6),
+    how=st.sampled_from(MUTATIONS),
+    junk=st.one_of(st.sampled_from(ORDERING_JUNK), st.text(max_size=6), st.integers(), st.floats()),
+)
+@example(name="sequential-3", which=0, form="constant", at=2, how="rewrite", junk=["t1", "t2"])
+@example(name="sequential-3", which=0, form="constant", at=4, how="append", junk=None)
+@example(name="alice-bob-nature", which=0, form="constant", at=1, how="rewrite", junk="dm")
+@example(name="alice-bob-nature", which=0, form="per-configuration", at=3, how="append", junk=None)
+@example(name="alice-bob-nature", which=0, form="per-configuration", at=3, how="delete", junk=None)
+@example(name="alice-bob-nature", which=0, form="per-configuration", at=5, how="rewrite", junk="*")
+@example(name="alice-bob-nature", which=0, form="per-configuration", at=4, how="rewrite", junk={"nature": "heads"})
+@example(name="stackelberg", which=1, form="per-configuration", at=6, how="rename", junk=None)
+@example(name="witsenhausen-noncausal", which=0, form="per-configuration", at=40, how="text", junk="[" * 3000)
+@example(name="principal-agent-hidden-type", which=1, form="constant", at=20, how="text", junk="9" * 4400)
+def test_mutated_orderings_fail_only_as_format_errors(name, which, form, at, how, junk):
+    """``parse_ordering`` alone, on one edit of a valid constant or
+    per-configuration file of a corpus model: it raises ModelFormatError
+    and nothing else, and what it accepts round-trips."""
+    model = corpus_model(name)
+    player = model.player_names[which % len(model.player_names)]
+    doc = _ordering_document(model, player, form)
+    assert parse_ordering(json.dumps(doc), model).player == player
+    try:
+        phi = parse_ordering(mutated_json(doc, at, how, junk, ORDERING_RENAMES), model)
+    except ModelFormatError:
+        return
+    assert parse_ordering(serialize_ordering(phi, model), model) == phi
 
 
 def test_report_round_trip():

@@ -7,6 +7,7 @@ ordered and coin-toss variants both recall perfectly along the constant
 """
 
 import gc
+import hashlib
 import time
 import weakref
 from itertools import islice
@@ -38,10 +39,12 @@ from wgames import (
 from wgames import cli
 from wgames.io import model_digest, parse_model
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION
+from wgames.recall import NodeBudget
 
 from clirunner import CliRunner
 from generators import (
     config_tuple,
+    deep_recall_model,
     oracle_phi,
     random_causal_model,
     random_partition,
@@ -163,6 +166,49 @@ def test_search_budget_exhaustion_is_unknown():
     result = search_recall_ordering(model, "team", budget=1)
     assert result.outcome == "unknown"
     assert result.ordering is None
+
+
+def test_deep_recall_search_node_counts():
+    """The general search's node counts on the model no constant ordering
+    serves: found in 6,935 nodes with three silent agents, and out of the
+    default 200,000 with four."""
+    found = search_recall_ordering(deep_recall_model(3), "P")
+    assert (found.outcome, found.nodes) == ("found", 6935)
+    assert not found.ordering.is_constant
+    assert check_perfect_recall(deep_recall_model(3), "P", found.ordering).holds
+    unknown = search_recall_ordering(deep_recall_model(4), "P")
+    assert (unknown.outcome, unknown.nodes) == ("unknown", 200_000)
+
+
+def _first_orderings(model, player, recall, count=3):
+    """Cells of the first ``count`` orderings of one causal sweep, then the
+    nodes it spent (or "unknown" when the budget ran out)."""
+    budget, found = NodeBudget(20_000), []
+    try:
+        for phi in islice(iter_causal_orderings(model, player, budget, recall=recall), count):
+            found.append(repr(phi.cells))
+    except SearchBudgetExhausted:
+        return found, "unknown"
+    return found, budget.spent
+
+
+# sha256 over random_partition_model seeds 0-299, every player: the recall
+# search's (outcome, nodes) and the first three orderings of the causal
+# sweep without and with recall
+SEARCH_DIGEST = "48627c6e21833d8004a24a2fea7d416f93eab0cc6d655d98068b55fdde4b4c22"
+
+
+def test_searches_are_pinned_on_random_partition_models():
+    """Node counts and the orderings met, in order, of all three search
+    modes; a change to the search that keeps every report must keep this."""
+    h = hashlib.sha256()
+    for seed in range(300):
+        model = random_partition_model(Random(seed))
+        for player in model.player_names:
+            r = search_recall_ordering(model, player, 20_000)
+            sweeps = [_first_orderings(model, player, recall) for recall in (False, True)]
+            h.update(repr((seed, player, r.outcome, r.nodes, sweeps)).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
 
 
 def test_violation_subset_fails_oracle_membership():
