@@ -15,13 +15,21 @@ ids, a trace's the atom id.  Only keys given as functions
 (:func:`partition_from_key`) label one configuration per call.
 ``ConfigurationSpace`` owns the index encoding: no other module turns an
 index into digits or digits into an index.
+
+A field generated by coordinates (a cylinder field) records its
+coordinate set as ``Partition.generators``; every other partition records
+None.  The joins of cylinder fields are the cylinder fields over the union
+of their coordinates, so the coordinate set can key a table of fields (see
+:func:`wgames.recall.cylinder_field`).  A cylinder's column needs no
+grouping: its canonical atom ids are the mixed-radix values of the chosen
+digits.  ``generators`` is metadata: equality and hash read only the atoms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, groupby, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .record import Record
@@ -241,6 +249,10 @@ class Partition:
     builds one, ``atoms`` all of them on first read, then kept.  Ids number
     atoms by first occurrence, so (space, atom ids, support) is canonical:
     equality and the kept hash read it.  Partitions are immutable.
+    ``generators`` is the coordinate set whose cylinder field this is, when
+    :func:`cylinder_partition` built it, and None otherwise; it stays
+    outside equality and hash, so a cylinder and the same atoms given any
+    other way are equal.
 
     The constructor checks atom masks given by hand: it labels each
     configuration with its given atom, rejects empty, overlapping or
@@ -252,6 +264,7 @@ class Partition:
     atom_ids: tuple[int, ...]
     sizes: tuple[int, ...]
     support: int
+    generators: Optional[CoordinateSet]
 
     def __init__(self, space: ConfigurationSpace, atoms: Sequence[int], support: int = -1) -> None:
         size = space.size
@@ -337,9 +350,15 @@ def partition_from_labels(
         index = [-1] * space.size
         for i, aid in zip(members, ids):
             index[i] = aid
-    part = object.__new__(Partition)
     # a Counter keeps first-occurrence order, which is atom id order
-    part.__dict__.update(space=space, atom_ids=tuple(index), sizes=tuple(Counter(ids).values()), support=support)
+    return _partition(space, tuple(index), tuple(Counter(ids).values()), support, None)
+
+
+def _partition(
+    space: ConfigurationSpace, atom_ids: tuple, sizes: tuple, support: int, generators: Optional[CoordinateSet]
+) -> Partition:
+    part = object.__new__(Partition)
+    part.__dict__.update(space=space, atom_ids=atom_ids, sizes=sizes, support=support, generators=generators)
     return part
 
 
@@ -381,21 +400,29 @@ def build_space(
 
 
 def cylinder_partition(space: ConfigurationSpace, coords: CoordinateSet) -> Partition:
-    """Field generated by the chosen coordinates.
+    """Field generated by the chosen coordinates, with ``coords`` as its
+    ``generators``.
 
     Two configurations share an atom iff they agree on Nature (when
     included) and on every listed agent's action.  Empty coordinates give
-    the trivial partition.
+    the trivial partition.  The canonical atom id is the mixed-radix value
+    of the chosen digits, Nature most significant, since atoms first occur
+    in that order; so the column is built from the last coordinate up, a
+    chosen coordinate laying out one shifted copy of the column below it
+    per digit and any other repeating it, and every atom has the same size.
     """
-    chosen = sorted(space.agent_pos(a) + 1 for a in coords.agents)
+    chosen = {space.agent_pos(a) + 1 for a in coords.agents}
     if coords.include_nature:
-        chosen.insert(0, 0)
-    # mixed-radix values, Nature most significant, are in canonical order
-    labels = [0] * space.size
-    for c in chosen:
+        chosen.add(0)
+    ids, n = [0], 1  # atom ids over the coordinates below, and their count
+    for c in range(len(space.sizes) - 1, -1, -1):
         radix = space.sizes[c]
-        labels = [label * radix + d for label, d in zip(labels, space.column(c))]
-    return partition_from_labels(space, labels)
+        if c in chosen:
+            ids = list(chain.from_iterable(map(add, ids, repeat(d * n)) for d in range(radix)))
+            n *= radix
+        else:
+            ids *= radix
+    return _partition(space, tuple(ids), (space.size // n,) * n, space.full_mask, coords)
 
 
 def _require_same_space(p: Partition, q: Partition) -> None:

@@ -4,9 +4,12 @@ Everything on the wire is exact: rationals travel as "p/q" strings and
 configurations as explicit coordinate objects.  Serialization is canonical
 (declared orders everywhere), so equal objects produce identical bytes.
 Every JSON text this module writes has the layout of ``json.dumps(payload,
-indent=2)`` plus a newline, with non-ASCII characters escaped; the model
-text is assembled in pieces (see :func:`serialize_model`) but keeps that
-layout byte for byte, so the model digest never drifts.
+indent=2)`` plus a newline, with non-ASCII characters escaped.  One
+recursive writer (:func:`_dumps`) lays that out, quoting strings with the
+escaper ``json`` itself uses, so no text goes through the pure-Python
+encoder that ``json.dumps`` takes whenever it indents; the model text is
+assembled in pieces (see :func:`serialize_model`) but keeps that layout
+byte for byte, so the model digest never drifts.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Optional, Union
 
 from .fields import (
@@ -144,6 +148,44 @@ def _loads(text: str):
         raise ModelFormatError("$", "JSON nested too deeply to parse")
     except ValueError:  # a number literal longer than Python converts to an int
         raise ModelFormatError("$", "invalid JSON: a number has too many digits")
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested at
+    indentation ``pad``: the same layout, escapes and number text, written
+    by one recursion over C string operations."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{_quote(k if isinstance(k, str) else _literal(k))}: {_dumps(v, inner)}" for k, v in value.items()
+        )
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _dumps(v, inner) for v in value)
+        return f"[\n{items}\n{pad}]"
+    return _literal(value)
+
+
+def _literal(value) -> str:
+    """A number, boolean or null as ``json`` writes it (a non-string
+    object key is this text, quoted)."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ── configurations on the wire ──────────────────────────────────────────
@@ -326,40 +368,25 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace, known: dict) -> Pa
     return partition_from_labels(space, labels)
 
 
-def _block(brackets: str, items: list[str], pad: str) -> str:
-    """JSON array or object of indented ``items``, as ``json.dumps(indent=2)`` lays it out."""
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
-
-
-def _strings(values, pad: str) -> str:
-    return _block("[]", [f"{pad}  {json.dumps(v)}" for v in values], pad)
-
-
 def _model_chunks(model: WModel) -> Iterator[str]:
     """The canonical text of a model, piece by piece.
 
-    Every string goes through ``json.dumps`` one at a time and the layout
-    is written here, for the head (nature, agents, players) as for the
-    configurations.  Each configuration object is formatted once, from one
-    line per coordinate value, and each atom of each agent is one chunk.
-    The pieces add up to what ``json.dumps(payload, indent=2)`` writes for
-    the full payload.
+    The head (nature, agents, players) is written by :func:`_dumps`; the
+    layout of the information is written here, with every label quoted
+    once.  Each configuration object is formatted once, from one line per
+    coordinate value, and each atom of each agent is one chunk.  The pieces
+    add up to what ``json.dumps(payload, indent=2)`` writes for the full
+    payload.
     """
-    agents = [
-        f'    {{\n      "id": {json.dumps(a)},\n      "actions": {_strings(acts.labels, "      ")}\n    }}'
-        for a, acts in model.agents
-    ]
-    players = [f"    {json.dumps(name)}: {_strings(members, '    ')}" for name, members in model.players]
+    agents = [{"id": a, "actions": acts.labels} for a, acts in model.agents]
     yield (
-        f'{{\n  "nature": {{\n    "states": {_strings(model.nature.labels, "    ")}\n  }},\n'
-        f'  "agents": {_block("[]", agents, "  ")},\n  "players": {_block("{}", players, "  ")},\n'
+        f'{{\n  "nature": {_dumps({"states": model.nature.labels}, "  ")},\n'
+        f'  "agents": {_dumps(agents, "  ")},\n  "players": {_dumps(dict(model.players), "  ")},\n'
         '  "information": {'
     )
     space = model.space
     lines = [
-        [f"            {json.dumps(key)}: {json.dumps(label)}" for label in labels]
+        [f"            {_quote(key)}: {_quote(label)}" for label in labels]
         for key, labels in zip(space.keys, space.labels)
     ]
     # product() runs the last coordinate fastest: canonical index order
@@ -372,7 +399,7 @@ def _model_chunks(model: WModel) -> Iterator[str]:
         for text, aid in zip(configs, part.atom_ids):
             atoms[aid].append(text)
         sep = ",\n" if n else "\n"
-        yield f'{sep}    {json.dumps(agent)}: {{\n      "atoms": [\n'
+        yield f'{sep}    {_quote(agent)}: {{\n      "atoms": [\n'
         for k, atom in enumerate(atoms):
             yield ("        [\n" if k == 0 else ",\n        [\n") + ",\n".join(atom) + "\n        ]"
         yield "\n      ]\n    }"
@@ -537,7 +564,7 @@ def strategy_payload(strategy: Strategy) -> dict:
 
 
 def serialize_strategy(strategy: Strategy) -> str:
-    return json.dumps(strategy_payload(strategy), indent=2) + "\n"
+    return _dumps(strategy_payload(strategy)) + "\n"
 
 
 # ── beliefs and orderings ───────────────────────────────────────────────
@@ -556,7 +583,7 @@ def parse_belief(text: str, model: WModel) -> RationalDistribution:
 
 
 def serialize_belief(nu: RationalDistribution) -> str:
-    return json.dumps(_weights_payload(nu), indent=2) + "\n"
+    return _dumps(_weights_payload(nu)) + "\n"
 
 
 def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
@@ -605,7 +632,7 @@ def parse_ordering(text: str, model: WModel) -> ConfigurationOrdering:
 
 
 def serialize_ordering(phi: ConfigurationOrdering, model: WModel) -> str:
-    return json.dumps(ordering_payload(phi, model), indent=2) + "\n"
+    return _dumps(ordering_payload(phi, model)) + "\n"
 
 
 # ── report payloads ─────────────────────────────────────────────────────
@@ -719,7 +746,7 @@ def emit_report(report: AnalysisReport, format: str = "human") -> str:
             "outcome": report.outcome,
             "details": report.details,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     if format == "human":
         lines = [f"{report.command}: {report.outcome}  [model {report.model}]"]
         lines.extend(_human_lines(report.details, "  "))

@@ -22,7 +22,9 @@ class WModel(Record):
     agents; ``information`` assigns each agent a partition of the
     configuration space describing what the agent knows when acting.
     The model holds the fields derived from it (see :mod:`wgames.recall`),
-    built on first use; ``==``, ``hash`` and ``repr`` ignore them.
+    built on first use; ``==``, ``hash`` and ``repr`` ignore them.  Its
+    cylinder fields are kept by coordinate set, starting with the
+    information fields that record their generators.
     """
 
     _fields = ("nature", "agents", "players", "information")
@@ -58,6 +60,8 @@ class WModel(Record):
                 raise ValueError(f"information of {agent!r} built on a foreign space")
             if part.support != space.full_mask:
                 raise ValueError(f"information of {agent!r} does not cover the space")
+            if part.generators is not None:
+                self._derived.setdefault(part.generators, part)
 
     # ── lookups ─────────────────────────────────────────────────────────
 

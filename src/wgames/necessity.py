@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
-from .fields import Configuration, atom_id_columns, iter_bits, mask_of
+from .fields import Configuration, CoordinateSet, atom_id_columns, iter_bits, mask_of
 from .kuhn import PushforwardDistribution, distributions_equal, pushforward
 from .model import WModel
 from .playability import (
@@ -22,7 +22,7 @@ from .playability import (
     nature_block,
     strategy_mask,
 )
-from .recall import ConfigurationOrdering, Ordering, choice_partition, prefix_cells
+from .recall import ConfigurationOrdering, Ordering, choice_partition, cylinder_field, prefix_cells
 from .record import Record
 from .strategies import (
     MixedStrategy,
@@ -139,11 +139,13 @@ def find_recall_violation(
     predecessor action across the whole cell.
     A prefix is skipped after one count of id pairs when no final atom
     meets two choice atoms in its cell.  Any other prefix returns after one
-    pass over the same id columns: the first member x of each final atom
-    in the cell is paired with every later member y whose choice atom
-    differs, and the least (actions agree, atom id, y) is the answer.
-    Pairing with x loses nothing: a pair that differs in actions or
-    records has a member that differs from x in the same way.
+    pass over the same id columns and the predecessors' action column, the
+    atom ids of the cylinder over their action coordinates (from the
+    model's table, :func:`~wgames.recall.cylinder_field`): the first member
+    x of each final atom in the cell is paired with every later member y
+    whose choice atom differs, and the least (actions agree, atom id, y) is
+    the answer.  Pairing with x loses nothing: a pair that differs in
+    actions or records has a member that differs from x in the same way.
     """
     space = model.space
     for kappa, cell in prefix_cells(model, player, phi, start=2):
@@ -152,13 +154,13 @@ def find_recall_violation(
         infos, choices = atom_id_columns(cell, info, choice)
         if len(set(zip(infos, choices))) == len(set(infos)):
             continue  # no information atom in the cell meets two choice atoms
-        coords = [space.agent_pos(a) + 1 for a in preds]
-        firsts: dict[int, tuple[int, int]] = {}  # information atom id -> first member, its choice id
+        (actions,) = atom_id_columns(cell, cylinder_field(model, CoordinateSet.of(False, preds)))
+        firsts: dict[int, tuple[int, int, int]] = {}  # information atom id -> first member, its choice and action ids
         pairs = []
-        for y, z, c in zip(iter_bits(cell), infos, choices):
-            x, cx = firsts.setdefault(z, (y, c))
+        for y, z, c, u in zip(iter_bits(cell), infos, choices, actions):
+            x, cx, ux = firsts.setdefault(z, (y, c, u))
             if c != cx:
-                pairs.append((all(space.digit(x, k) == space.digit(y, k) for k in coords), z, y, x))
+                pairs.append((u == ux, z, y, x))
         agree, _, y, x = min(pairs)
         return RecallViolation(kappa, space.config(x), space.config(y), CASE_INFORMATION if agree else CASE_ACTION)
     return None

@@ -190,32 +190,43 @@ def prefix_cells(
             yield Ordering(player, prefix), cells[prefix]
 
 
+def cylinder_field(model: WModel, coords: CoordinateSet) -> Partition:
+    """The cylinder field over ``coords``, from the model's table of them,
+    which starts with its cylinder information fields; a miss is built
+    once per model."""
+    derived = model._derived  # type: ignore[attr-defined]
+    if coords not in derived:
+        derived[coords] = cylinder_partition(model.space, coords)
+    return derived[coords]
+
+
 def choice_partition(model: WModel, agents) -> Partition:
     """Join over ``agents`` of what each did and knew (I_a), built once per
-    model: the last of them in declared order folds its I_a atom ids and
-    action digits into the atom ids of the others' field, renumbered so
-    labels stay below |H|."""
+    model.  When every I_a is a cylinder field, the join is the cylinder over
+    their generators and the agents' own action coordinates, from the model's
+    table (:func:`cylinder_field`).  Otherwise the last of them in declared
+    order folds its I_a atom ids and action digits into the atom ids of the
+    others' field, renumbered so labels stay below |H|."""
     space, derived = model.space, model._derived  # type: ignore[attr-defined]
     key = tuple(sorted(agents, key=space.agent_pos))
     if key not in derived:
-        if not key:
-            labels = [0] * space.size
+        gens = [model.info_of(a).generators for a in key]
+        if None not in gens:
+            coords = CoordinateSet(any(g.include_nature for g in gens), frozenset(key).union(*(g.agents for g in gens)))
+            derived[key] = cylinder_field(model, coords)
         else:
             info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
             n, radix = len(info), space.sizes[coord]
             folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
-            labels = first_seen([(c * n + z) * radix + d for c, z, d in folded])
-        derived[key] = partition_from_labels(space, labels)
+            derived[key] = partition_from_labels(space, first_seen([(c * n + z) * radix + d for c, z, d in folded]))
     return derived[key]
 
 
 def causality_ground(model: WModel, player: str, predecessors) -> Partition:
-    """Cylinder field of Nature, all opponents and ``predecessors``, built once per model."""
-    key = CoordinateSet.of(True, model.opponents_of(player) + tuple(predecessors))
-    derived = model._derived  # type: ignore[attr-defined]
-    if key not in derived:
-        derived[key] = cylinder_partition(model.space, key)
-    return derived[key]
+    """Cylinder field of Nature, all opponents and ``predecessors``, from the
+    model's table (:func:`cylinder_field`): along a chain of prefixes each
+    ground is one cylinder built once, or an information field already."""
+    return cylinder_field(model, CoordinateSet.of(True, model.opponents_of(player) + tuple(predecessors)))
 
 
 class FieldMembershipViolation(Record):

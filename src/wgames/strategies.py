@@ -48,10 +48,15 @@ def exact_sum(weights: Iterable[Fraction]) -> tuple[int, int]:
 
 def format_fraction(value: Fraction) -> str:
     """Exact "p/q" (or "p") text of any rational.  ``str`` refuses ints
-    past the interpreter's digit limit (4,300 digits by default), so the
-    terms are written through ``Decimal``, which is exact at any length."""
-    num, den = (str(Decimal(n)) for n in Fraction(value).as_integer_ratio())
-    return num if den == "1" else f"{num}/{den}"
+    past the interpreter's digit limit (4,300 digits by default); only
+    then are the terms written through ``Decimal``, which is exact at any
+    length."""
+    num, den = value.as_integer_ratio()
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        num, den = str(Decimal(num)), str(Decimal(den))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def _check_sum(nums: tuple[int, ...], den: int) -> None:

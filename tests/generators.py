@@ -8,12 +8,14 @@ construction order anywhere in the result; the analyses must rediscover
 it.  ``random_state_ordered_model`` lets the play order depend on the
 Nature state and returns the matching non-constant perfect-recall ordering.
 ``random_partition_model`` drops the discipline entirely and is only
-guaranteed to be a valid model.  ``mutated_json`` makes one edit to a wire
-document, for the fuzz tests of the parsers.
+guaranteed to be a valid model.  ``observes_document`` writes a model with
+its cylinder information fields in the ``observes`` form.  ``mutated_json``
+makes one edit to a wire document, for the fuzz tests of the parsers.
 """
 
 import copy
 import json
+from itertools import chain, combinations
 from random import Random
 
 from wgames import (
@@ -25,6 +27,7 @@ from wgames import (
     cylinder_partition,
     iter_bits,
     partition_from_key,
+    serialize_model,
 )
 
 
@@ -34,6 +37,22 @@ def _space_of(nature, agents) -> ConfigurationSpace:
         agents=tuple(a for a, _ in agents),
         actions=tuple(acts for _, acts in agents),
     )
+
+
+def observes_document(model) -> dict:
+    """The wire document of ``model`` with each information field that is
+    the cylinder of some coordinates given as the ``observes`` list of the
+    smallest such set; the other fields keep their explicit atoms."""
+    doc = json.loads(serialize_model(model))
+    space = model.space
+    subsets = list(chain.from_iterable(combinations(space.keys, k) for k in range(len(space.keys) + 1)))
+    for agent, part in model.information:
+        for chosen in subsets:
+            coords = CoordinateSet.of("nature" in chosen, [c for c in chosen if c != "nature"])
+            if cylinder_partition(space, coords) == part:
+                doc["information"][agent] = {"observes": list(chosen)}
+                break
+    return doc
 
 
 # ── library -> oracle ───────────────────────────────────────────────────

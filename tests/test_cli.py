@@ -11,6 +11,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wgames import (
     behavioral_to_mixed,
@@ -24,7 +25,16 @@ from wgames import (
 from wgames.cli import main
 
 from clirunner import CliRunner
-from generators import random_behavioral, random_belief, random_mixed
+from generators import (
+    MUTATIONS,
+    mutated_json,
+    observes_document,
+    random_behavioral,
+    random_belief,
+    random_causal_model,
+    random_mixed,
+    random_partition_model,
+)
 
 
 @pytest.fixture()
@@ -554,6 +564,88 @@ def test_corpus_reports_are_golden(runner, tmp_path, name, command):
     result = runner.invoke(main, golden_args(tmp_path, name, command))
     digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
     assert (result.exit_code, digest) == GOLDEN_REPORTS[(name, command)]
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "sequential-5"])
+def test_observes_and_exported_models_give_the_same_reports(runner, tmp_path, name):
+    """The same model given with ``observes`` lists and as its ``examples
+    export`` atoms: every report is the same text, digest included, though
+    only the first form hands the analyses cylinder fields."""
+    model = corpus_model(name)
+    doc = observes_document(model)
+    observes = write_json(tmp_path, "observes.json", doc)
+    if name != "witsenhausen-noncausal":  # no agent there observes coordinates
+        assert any("observes" in spec for spec in doc["information"].values())
+    for command in ("recall", "causality", "necessity", "kuhn"):
+        args = golden_args(tmp_path, name, command)
+        exported = runner.invoke(main, args)
+        given_by_coordinates = runner.invoke(main, [observes if a.endswith(f"{name}.json") else a for a in args])
+        assert exported.exception is None or isinstance(exported.exception, SystemExit)
+        assert (given_by_coordinates.exit_code, given_by_coordinates.stdout) == (exported.exit_code, exported.stdout)
+
+
+FUZZ_COMMANDS = (
+    ("recall", "--ordering"),
+    ("recall", "--search"),
+    ("causality", "--ordering"),
+    ("necessity", "--ordering"),
+    ("necessity", "--search"),
+)
+FUZZ_RENAMES = ("sequence", "assignments", "kind", "player", "configuration", "x")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    builder=st.sampled_from(["causal", "partition"]),
+    form=st.sampled_from(["observes", "atoms"]),
+    command=st.sampled_from(FUZZ_COMMANDS),
+    budget=st.sampled_from([None, 1, 7, 60]),
+    at=st.integers(min_value=0, max_value=10**6),
+    how=st.sampled_from([None, *MUTATIONS]),
+    junk=st.one_of(st.sampled_from(["P", "O", "p1", "a1", "nature", "ordering", [], {}]), st.text(max_size=4), st.integers()),
+)
+@example(seed=0, builder="causal", form="observes", command=("recall", "--search"), budget=None, at=0, how=None, junk="P")
+@example(seed=1, builder="causal", form="atoms", command=("necessity", "--search"), budget=7, at=0, how=None, junk="P")
+@example(seed=2, builder="partition", form="observes", command=("causality", "--ordering"), budget=None, at=3, how="rewrite", junk="p1")
+@example(seed=3, builder="partition", form="atoms", command=("necessity", "--ordering"), budget=1, at=1, how="delete", junk=0)
+@example(seed=4, builder="causal", form="observes", command=("recall", "--ordering"), budget=60, at=5, how="text", junk="]")
+def test_fuzzed_analyses_keep_the_exit_code_contract(fuzz_dir, seed, builder, form, command, budget, at, how, junk):
+    """``recall``, ``causality`` and ``necessity`` on a small generated
+    model, written in either form, with an ordering file that may carry one
+    edit: the exit code is one of the contract's, nothing raises past the
+    command line, and a second run prints the same report."""
+    rng = Random(seed)
+    if builder == "causal":
+        model = random_causal_model(rng, max_nature=2, max_focus=3, max_actions=2)
+    else:
+        model = random_partition_model(rng)
+    own = list(model.agents_of("P"))
+    if rng.random() < 0.5:
+        rng.shuffle(own)
+        doc = {"kind": "ordering", "player": "P", "sequence": own}
+    else:
+        assignments = [
+            {"configuration": h.as_dict(), "sequence": rng.sample(own, len(own))} for h in model.space.configs()
+        ]
+        doc = {"kind": "ordering", "player": "P", "assignments": assignments}
+    text = serialize_model(model) if form == "atoms" else json.dumps(observes_document(model))
+    (fuzz_dir / "model.json").write_text(text)
+    (fuzz_dir / "order.json").write_text(json.dumps(doc) if how is None else mutated_json(doc, at, how, junk, FUZZ_RENAMES))
+    name, flag = command
+    args = ["--format", "structured", name, str(fuzz_dir / "model.json"), "--player", "P"]
+    args += ["--ordering", str(fuzz_dir / "order.json")] if flag == "--ordering" else ["--search"]
+    if budget is not None and name != "causality":
+        args += ["--budget", str(budget)]
+    first, second = CliRunner().invoke(main, args), CliRunner().invoke(main, args)
+    assert first.exception is None or isinstance(first.exception, SystemExit), first.exception
+    assert first.exit_code in (0, 1, 2, 3) and "Traceback" not in first.stderr
+    assert (second.exit_code, second.stdout) == (first.exit_code, first.stdout)
 
 
 # (exit code, sha256 of stdout) of ``--format structured`` laws whose weights

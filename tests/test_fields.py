@@ -1,7 +1,7 @@
 """Configuration spaces and finite partition fields."""
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from random import Random
 
 import pytest
@@ -29,7 +29,7 @@ from wgames import (
     trivial_partition,
 )
 from wgames.fields import atoms_inside, first_cut, mask_of, partition_from_labels
-from wgames.recall import Ordering, _first_cut, choice_partition
+from wgames.recall import Ordering, _first_cut, causality_ground, choice_partition
 
 from generators import to_oracle
 import oracles
@@ -383,6 +383,7 @@ def test_first_cut_matches_a_set_reference_on_random_columns():
 def _assert_same_partition(built, reference):
     assert built.atoms == reference.atoms
     assert built.atom_ids == reference.atom_ids
+    assert built.sizes == reference.sizes
     assert built.support == reference.support
 
 
@@ -409,7 +410,10 @@ def test_digit_columns_read_like_digits():
 
 def test_arithmetic_partitions_match_key_groupings():
     """Cylinders, choice fields and joins built from label columns equal
-    the partitions grouped by a key call per configuration."""
+    the partitions grouped by a key call per configuration.  A second model
+    per draw has cylinder information: its choice fields and grounds, taken
+    from its table of cylinders, equal the key groupings, and its choice
+    fields equal the folds of a twin whose information is given by labels."""
     rng = Random(16)
     for _ in range(40):
         space = random_space(rng)
@@ -435,6 +439,7 @@ def test_arithmetic_partitions_match_key_groupings():
             _assert_same_partition(
                 choice_partition(model, chosen), partition_from_key(space, records.__getitem__)
             )
+        _check_cylinder_model(rng, space, subsets)
         support = rng.getrandbits(space.size) | 1
         parts = [p for _, p in info] + [cylinder_partition(space, CoordinateSet.of(True, agents[:1]))]
         for p in parts:
@@ -443,6 +448,38 @@ def test_arithmetic_partitions_match_key_groupings():
                     p_s, q_s = trace_partition(p, s), trace_partition(q, s)
                     pair = partition_from_key(space, lambda i: (p_s.atom_ids[i], q_s.atom_ids[i]), s)
                     _assert_same_partition(partition_join(p_s, q_s), pair)
+
+
+def _check_cylinder_model(rng, space, subsets):
+    agents = space.agents
+    cut = rng.randint(1, len(agents))
+    players = (("P", agents[:cut]),) + ((("O", agents[cut:]),) if cut < len(agents) else ())
+    gens = [CoordinateSet.of(rng.random() < 0.5, [b for b in agents if rng.random() < 0.5]) for _ in agents]
+    cylinders = [cylinder_partition(space, g) for g in gens]
+    assert [p.generators for p in cylinders] == gens
+
+    def with_information(parts):
+        return WModel(
+            nature=space.nature,
+            agents=tuple(zip(agents, space.actions)),
+            players=players,
+            information=tuple(zip(agents, parts)),
+        )
+
+    model = with_information(cylinders)
+    twin = with_information([partition_from_labels(space, p.atom_ids) for p in cylinders])
+    assert twin == model and all(p.generators is None for _, p in twin.information)
+    for chosen in subsets:
+        records = model.choice_records(chosen, range(space.size))
+        built = choice_partition(model, chosen)
+        assert built.generators is not None
+        _assert_same_partition(built, partition_from_key(space, records.__getitem__))
+        _assert_same_partition(built, choice_partition(twin, chosen))
+    for k in range(cut + 1):
+        for prefix in permutations(agents[:cut], k):
+            coords = [0, *sorted(space.agent_pos(a) + 1 for a in agents[cut:] + prefix)]
+            reference = partition_from_key(space, lambda i: tuple(space.digit(i, c) for c in coords))
+            _assert_same_partition(causality_ground(model, "P", prefix), reference)
 
 
 def test_equal_spaces_and_partitions_built_apart_hash_equal():

@@ -33,7 +33,7 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.io import config_payload, mask_payload
+from wgames.io import _dumps, config_payload, mask_payload
 from wgames.recall import ConfigurationOrdering, Ordering
 
 from generators import (
@@ -511,6 +511,30 @@ def test_mutated_orderings_fail_only_as_format_errors(name, which, form, at, how
     except ModelFormatError:
         return
     assert parse_ordering(serialize_ordering(phi, model), model) == phi
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none(), st.floats()), inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+)
+@example({"k\u00e9y": ["\u2603", "\n\"\\", 1.5, float("nan"), float("-inf"), -(10**30)], 2: {}, True: [], None: ()})
+def test_writer_lays_out_what_json_dumps_indents(value):
+    """The structured writer is ``json.dumps(value, indent=2)`` byte for
+    byte: layout, escapes, number text and non-string keys."""
+    assert _dumps(value) == json.dumps(value, indent=2)
 
 
 def test_report_round_trip():

@@ -266,6 +266,18 @@ def test_fields_are_built_once_per_model():
         assert mine == theirs and mine is not theirs
 
 
+def test_grounds_along_the_identity_are_the_information_fields():
+    """In ``sequential-6`` agent t(k+1) observes Nature and t1..tk, so the
+    ground of the prefix t1..tk and the choice field of t1..tk are the
+    cylinder t(k+1) already holds: the model's table hands out that field."""
+    model = sequential_model(6)
+    ids = model.agents_of("dm")
+    for k, agent in enumerate(ids):
+        assert causality_ground(model, "dm", ids[:k]) is model.info_of(agent)
+        if k:
+            assert choice_partition(model, ids[:k]) is model.info_of(agent)
+
+
 def test_analysed_model_is_freed_with_its_fields():
     model = sequential_model(4)
     player = "dm"
