@@ -20,15 +20,21 @@ A field generated by coordinates (a cylinder field) records its
 coordinate set as ``Partition.generators``; every other partition records
 None.  The joins of cylinder fields are the cylinder fields over the union
 of their coordinates, so the coordinate set can key a table of fields (see
-:func:`wgames.recall.cylinder_field`).  A cylinder's column needs no
-grouping: its canonical atom ids are the mixed-radix values of the chosen
-digits.  ``generators`` is metadata: equality and hash read only the atoms.
+:func:`wgames.recall.cylinder_field`), and it decides refinement: the
+cylinder over A refines the cylinder over B iff every coordinate of B
+outside A has radix 1 (:func:`cylinder_refines`), so refinement and cut
+tests between two cylinders over the whole space read no column.  A
+cylinder given some other way gets its generators back from
+:func:`as_cylinder`.  A cylinder's column needs no grouping: its canonical
+atom ids are the mixed-radix values of the chosen digits.  ``generators``
+is metadata: equality and hash read only the atoms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, groupby, repeat
+from math import prod
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -252,7 +258,9 @@ class Partition:
     ``generators`` is the coordinate set whose cylinder field this is, when
     :func:`cylinder_partition` built it, and None otherwise; it stays
     outside equality and hash, so a cylinder and the same atoms given any
-    other way are equal.
+    other way are equal.  Between two partitions that carry generators,
+    refinement and the cuts of the whole space are decided from the
+    coordinate sets alone (:func:`cylinder_refines`).
 
     The constructor checks atom masks given by hand: it labels each
     configuration with its given atom, rejects empty, overlapping or
@@ -374,11 +382,13 @@ def partition_from_key(
 
 
 def trivial_partition(space: ConfigurationSpace) -> Partition:
-    return partition_from_labels(space, [0] * space.size)
+    """The cylinder over no coordinates: one atom."""
+    return cylinder_partition(space, CoordinateSet.of(False, ()))
 
 
 def complete_partition(space: ConfigurationSpace) -> Partition:
-    return partition_from_labels(space, range(space.size))
+    """The cylinder over every coordinate: one atom per configuration."""
+    return cylinder_partition(space, CoordinateSet.of(True, space.agents))
 
 
 # ── operations ──────────────────────────────────────────────────────────
@@ -425,15 +435,50 @@ def cylinder_partition(space: ConfigurationSpace, coords: CoordinateSet) -> Part
     return _partition(space, tuple(ids), (space.size // n,) * n, space.full_mask, coords)
 
 
+def as_cylinder(p: Partition) -> Partition:
+    """The cylinder partition equal to ``p``, with its generators, when
+    ``p`` is a cylinder field over the whole space; else ``p``.
+
+    A cylinder's canonical atom id at the configuration that moves only
+    coordinate c off configuration 0 is nonzero iff c (of radix 2 or more)
+    generates it, so one read per coordinate names the only candidate set,
+    and one comparison of columns decides."""
+    space, ids = p.space, p.atom_ids
+    if p.generators is not None or p.support != space.full_mask:
+        return p
+    chosen = [c for c, (stride, radix) in enumerate(zip(space.strides, space.sizes)) if radix > 1 and ids[stride]]
+    if len(p) != prod(space.sizes[c] for c in chosen):
+        return p
+    cylinder = cylinder_partition(space, CoordinateSet(0 in chosen, frozenset(space.keys[c] for c in chosen if c)))
+    return cylinder if cylinder.atom_ids == ids else p
+
+
+def cylinder_refines(fine: Partition, coarse: Partition) -> Optional[bool]:
+    """Does ``fine`` refine ``coarse``, read off their coordinate sets; None
+    unless both carry generators.  The cylinder over A refines the cylinder
+    over B iff every coordinate of B outside A, Nature included, has radix 1:
+    an atom over A holds every digit of the others."""
+    a, b = fine.generators, coarse.generators
+    if a is None or b is None:
+        return None
+    space = fine.space
+    radix1 = space.sizes[0] == 1 or a.include_nature or not b.include_nature
+    return radix1 and all(len(space.actions_of(x)) == 1 for x in b.agents - a.agents)
+
+
 def _require_same_space(p: Partition, q: Partition) -> None:
     if p.space != q.space or p.support != q.support:
         raise SpaceMismatch("partitions live on different spaces")
 
 
 def atoms_inside(p: Partition, q: Partition) -> set[int]:
-    """Ids of the atoms of ``p`` that lie inside one atom of ``q``: the ``p``
+    """Ids of the atoms of ``p`` that lie inside one atom of ``q``: all or
+    none between cylinders (:func:`cylinder_refines`), else the ``p``
     labels that pair with one ``q`` label, counted over one set of pairs."""
     _require_same_space(p, q)
+    refines = cylinder_refines(p, q)
+    if refines is not None:
+        return set(range(len(p))) if refines else set()
     counts = Counter(map(itemgetter(0), set(zip(p.atom_ids, q.atom_ids))))
     return {aid for aid, n in counts.items() if n == 1 and aid >= 0}
 
@@ -484,7 +529,10 @@ def first_cut(
     atom's configurations.  So the members of ``s`` are counted per
     (block id, atom id), and the least pair whose count falls short of its
     atom's size is the first cut.  When ``s`` is the whole support there is
-    none iff each atom meets one block.  ``blocks`` must cover ``s``.
+    none iff each atom meets one block; between cylinders that is read off
+    their coordinate sets (:func:`cylinder_refines`), and a cut is then
+    (0, 0), as configuration 0 lies in block 0 and atom 0.  ``blocks`` must
+    cover ``s``.
     """
     if s & ~p.support:
         raise ValueError("configuration outside the partition support")
@@ -493,6 +541,8 @@ def first_cut(
         if whole:
             return None
         (atom_ids,), block_ids = atom_id_columns(s, p), repeat(0)
+    elif whole and (refines := cylinder_refines(p, blocks)) is not None:
+        return None if refines else (0, 0)
     else:
         atom_ids, block_ids = atom_id_columns(s, p, blocks)
     if whole and len(set(zip(block_ids, atom_ids))) == len(p):

@@ -29,6 +29,7 @@ from .fields import (
     FiniteSet,
     Partition,
     SpaceTooLarge,
+    as_cylinder,
     build_space,
     cylinder_partition,
     iter_bits,
@@ -230,6 +231,9 @@ def parse_model(text: str) -> WModel:
 
     Information is given per agent either as an ``observes`` coordinate
     list (expanded to the cylinder partition) or as explicit ``atoms``.
+    Explicit atoms that form a cylinder field are parsed as that cylinder,
+    generators included, so the model decides refinement between its
+    fields from coordinate sets whichever form it was written in.
     Every diagnostic carries the JSON path of the offending element.
     """
     top = _as_object(_loads(text), "$")
@@ -348,7 +352,8 @@ def _known_index(value, path: str, space: ConfigurationSpace, known: dict) -> in
 
 
 def _parse_atoms(value, path: str, space: ConfigurationSpace, known: dict) -> Partition:
-    """Partition from explicit atoms, read as one atom id per configuration."""
+    """Partition from explicit atoms, read as one atom id per configuration;
+    a cylinder field gets its generators back (:func:`as_cylinder`)."""
     atom_lists = _as_list(value, path)
     labels = [-1] * space.size
     for aid, configs in enumerate(atom_lists):
@@ -365,7 +370,7 @@ def _parse_atoms(value, path: str, space: ConfigurationSpace, known: dict) -> Pa
             labels[index] = aid
     if -1 in labels:
         raise ModelFormatError(path, "atoms do not cover H")
-    return partition_from_labels(space, labels)
+    return as_cylinder(partition_from_labels(space, labels))
 
 
 def _model_chunks(model: WModel) -> Iterator[str]:

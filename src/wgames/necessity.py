@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional
 
-from .fields import Configuration, CoordinateSet, atom_id_columns, iter_bits, mask_of
+from .fields import Configuration, CoordinateSet, atom_id_columns, cylinder_refines, iter_bits, mask_of
 from .kuhn import PushforwardDistribution, distributions_equal, pushforward
 from .model import WModel
 from .playability import (
@@ -137,11 +137,14 @@ def find_recall_violation(
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
     predecessor action across the whole cell.
-    A prefix is skipped after one count of id pairs when no final atom
-    meets two choice atoms in its cell.  Any other prefix returns after one
-    pass over the same id columns and the predecessors' action column, the
-    atom ids of the cylinder over their action coordinates (from the
-    model's table, :func:`~wgames.recall.cylinder_field`): the first member
+    A prefix is skipped when no final atom meets two choice atoms in its
+    cell: for a whole-space cell between cylinder fields, when the final
+    agent's field refines the choice field by their coordinate sets
+    (:func:`~wgames.fields.cylinder_refines`), else after one count of id
+    pairs.  Any other prefix returns after one pass over the same id
+    columns and the predecessors' action column, the atom ids of the
+    cylinder over their action coordinates (from the model's table,
+    :func:`~wgames.recall.cylinder_field`): the first member
     x of each final atom in the cell is paired with every later member y
     whose choice atom differs, and the least (actions agree, atom id, y) is
     the answer.  Pairing with x loses nothing: a pair that differs in
@@ -152,7 +155,8 @@ def find_recall_violation(
         preds = kappa.sequence[:-1]
         choice, info = choice_partition(model, preds), model.info_of(kappa.last)
         infos, choices = atom_id_columns(cell, info, choice)
-        if len(set(zip(infos, choices))) == len(set(infos)):
+        refines = cylinder_refines(info, choice) if cell == space.full_mask else None
+        if refines or refines is None and len(set(zip(infos, choices))) == len(set(infos)):
             continue  # no information atom in the cell meets two choice atoms
         (actions,) = atom_id_columns(cell, cylinder_field(model, CoordinateSet.of(False, preds)))
         firsts: dict[int, tuple[int, int, int]] = {}  # information atom id -> first member, its choice and action ids

@@ -18,9 +18,11 @@ causality, information atoms that are unions of ground atoms for both), so
 every completed assignment passes the corresponding checks and nothing
 valid is skipped.  The search for both yields its orderings in the order
 the causality sweep meets them (see :func:`_iter_valid_orderings`).  The
-checks and the searches decide measurability the same way, by counting
-(atom id, label) pairs over atom-id columns (``first_cut`` and
-``atoms_inside`` in :mod:`wgames.fields`).
+checks and the searches decide measurability the same way (``first_cut``
+and ``atoms_inside`` in :mod:`wgames.fields`): from the coordinate sets
+when both fields are cylinders and the cell is the whole space, as along
+a constant ordering, else by counting (atom id, label) pairs over atom-id
+columns.
 """
 
 from __future__ import annotations
@@ -348,10 +350,11 @@ def _iter_valid_orderings(
     in the lexicographic order of their configuration-to-agent map, whatever
     the block size; hence "both" mode yields its orderings in the order the
     causality sweep meets them.  Claims and cells wait on explicit stacks,
-    not calls.  The ids of the blocks an agent may claim after a prefix are
-    counted over atom-id columns (:func:`atoms_inside`) when the agent is
-    first tried there, once per (prefix, agent), so a claim tests one id
-    and reads one block mask.
+    not calls.  The ids of the blocks an agent may claim after a prefix
+    come from :func:`atoms_inside` (read off coordinate sets between
+    cylinders, else counted over atom-id columns) when the agent is first
+    tried there, once per (prefix, agent), so a claim tests one id and
+    reads one block mask.
     """
     agents = model.agents_of(player)
     spend = budget.spend
@@ -364,9 +367,13 @@ def _iter_valid_orderings(
         if mode == "causality":
             return ground.atoms, ground.atom_ids, atoms_inside(ground, info)
         ok = atoms_inside(info, choice_partition(model, prefix))
-        if mode == "both":  # less the I_a atoms that a ground atom crosses
-            crossing = set(ground.atom_ids).difference(atoms_inside(ground, info))
-            ok -= set(compress(info.atom_ids, map(crossing.__contains__, ground.atom_ids)))
+        if mode == "both":  # less the I_a atoms that a ground atom crosses: all of them when every one does
+            inside = atoms_inside(ground, info)
+            if not inside:
+                ok = set()
+            elif len(inside) < len(ground):
+                crossing = set(ground.atom_ids).difference(inside)
+                ok -= set(compress(info.atom_ids, map(crossing.__contains__, ground.atom_ids)))
         return info.atoms, info.atom_ids, ok
 
     def splits(prefix: tuple[str, ...], cell: int) -> Iterator[list]:

@@ -9,7 +9,9 @@ it.  ``random_state_ordered_model`` lets the play order depend on the
 Nature state and returns the matching non-constant perfect-recall ordering.
 ``random_partition_model`` drops the discipline entirely and is only
 guaranteed to be a valid model.  ``observes_document`` writes a model with
-its cylinder information fields in the ``observes`` form.  ``mutated_json``
+its cylinder information fields in the ``observes`` form, and
+``without_generators`` rebuilds one whose fields carry no coordinate sets,
+so every refinement test on it is counted.  ``mutated_json``
 makes one edit to a wire document, for the fuzz tests of the parsers.
 """
 
@@ -29,6 +31,7 @@ from wgames import (
     partition_from_key,
     serialize_model,
 )
+from wgames.fields import partition_from_labels
 
 
 def _space_of(nature, agents) -> ConfigurationSpace:
@@ -53,6 +56,17 @@ def observes_document(model) -> dict:
                 doc["information"][agent] = {"observes": list(chosen)}
                 break
     return doc
+
+
+def without_generators(model) -> WModel:
+    """``model`` with every information field rebuilt from its atom-id
+    column: equal fields, none with generators."""
+    return WModel(
+        nature=model.nature,
+        agents=model.agents,
+        players=model.players,
+        information=tuple((a, partition_from_labels(model.space, p.atom_ids)) for a, p in model.information),
+    )
 
 
 # ── library -> oracle ───────────────────────────────────────────────────

@@ -28,7 +28,8 @@ from wgames import (
     trace_partition,
     trivial_partition,
 )
-from wgames.fields import atoms_inside, first_cut, mask_of, partition_from_labels
+import wgames.fields as fields
+from wgames.fields import atoms_inside, cylinder_refines, first_cut, mask_of, partition_from_labels
 from wgames.recall import Ordering, _first_cut, causality_ground, choice_partition
 
 from generators import to_oracle
@@ -492,3 +493,68 @@ def test_equal_spaces_and_partitions_built_apart_hash_equal():
     for other in (q, by_hand):
         assert p is not other and p == other and hash(p) == hash(other)
     assert len({p, q, by_hand, trivial_partition(first)}) == 2
+
+
+def _random_coords(rng, space):
+    return CoordinateSet.of(rng.random() < 0.5, [a for a in space.agents if rng.random() < 0.5])
+
+
+def test_cylinders_refine_exactly_when_the_missing_coordinates_have_radix_one():
+    """The cylinder over A refines the cylinder over B iff every coordinate
+    of B outside A, Nature included, has one value; the coordinate-set test
+    agrees with counting on the same atoms given as labels."""
+    rng = Random(24)
+    seen = set()
+    for _ in range(80):
+        space = random_space(rng, max_agents=4)
+        for _ in range(6):
+            a, b = _random_coords(rng, space), _random_coords(rng, space)
+            missing = [*(b.agents - a.agents)] + ["nature"] * (b.include_nature and not a.include_nature)
+            expected = all(space.sizes[space.keys.index(c)] == 1 for c in missing)
+            p, q = cylinder_partition(space, a), cylinder_partition(space, b)
+            assert cylinder_refines(p, q) is expected
+            assert partition_refines(p, q) is expected
+            assert partition_refines(partition_from_labels(space, p.atom_ids), partition_from_labels(space, q.atom_ids)) is expected
+            seen.add((expected, bool(missing)))
+    assert seen == {(True, False), (True, True), (False, True)}  # radix-1 coordinates were met
+    assert cylinder_refines(partition_from_labels(space, p.atom_ids), q) is None
+
+
+def test_cylinder_cuts_and_blocks_match_counting_on_label_twins(monkeypatch):
+    """``first_cut`` with and without blocks, ``atoms_inside`` and
+    ``partition_refines`` give on cylinders what they give on the same
+    partitions rebuilt from labels, which carry no generators; on a cell
+    that is not the whole space the coordinate sets are not read."""
+    reads = []
+
+    def spy(fine, coarse):
+        reads.append(True)
+        return cylinder_refines(fine, coarse)
+
+    monkeypatch.setattr(fields, "cylinder_refines", spy)
+    rng = Random(2404)
+    for _ in range(120):
+        space = random_space(rng, max_agents=4, max_size=200)
+        p, q = (cylinder_partition(space, _random_coords(rng, space)) for _ in range(2))
+        p0, q0 = (partition_from_labels(space, x.atom_ids) for x in (p, q))
+        assert atoms_inside(p, q) == atoms_inside(p0, q0)
+        assert partition_refines(p, q) == partition_refines(p0, q0)
+        assert first_cut(space.full_mask, p, q) == first_cut(space.full_mask, p0, q0)
+        assert first_cut(space.full_mask, p) == first_cut(space.full_mask, p0) is None
+        for s in {rng.getrandbits(space.size) & space.full_mask, space.full_mask >> 1} - {space.full_mask}:
+            del reads[:]
+            assert first_cut(s, p, q) == first_cut(s, p0, q0)
+            assert first_cut(s, p) == first_cut(s, p0)
+            assert first_cut(s, q, p) == first_cut(s, q0, p0)
+            assert reads == []
+
+
+def test_trivial_and_complete_partitions_are_cylinders():
+    space = two_agent_space()
+    assert trivial_partition(space).generators == CoordinateSet.of(False, ())
+    assert complete_partition(space).generators == CoordinateSet.of(True, space.agents)
+    assert complete_partition(space).atom_ids == tuple(range(space.size))
+    from wgames import corpus_model
+
+    for name in ("alice-bob-simultaneous", "alice-bob-ordered"):
+        assert choice_partition(corpus_model(name), ("alice", "bob")).generators is not None

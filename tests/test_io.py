@@ -39,9 +39,11 @@ from wgames.recall import ConfigurationOrdering, Ordering
 from generators import (
     MUTATIONS,
     mutated_json,
+    observes_document,
     random_belief,
     random_causal_model,
     random_mixed,
+    random_partition_model,
     random_profile,
     random_state_ordered_model,
 )
@@ -655,3 +657,30 @@ def test_mutated_atoms_are_addressed_format_errors(name, kind, data):
     with pytest.raises(ModelFormatError) as err:
         parse_model(json.dumps(payload))
     assert err.value.path.startswith(f"$.information.{agent}.atoms")
+
+
+def _assert_cylinders_recognized(model):
+    parsed = parse_model(serialize_model(model))
+    doc = observes_document(model)
+    for (agent, part), (_, back) in zip(model.information, parsed.information):
+        assert back == part
+        assert (back.generators is not None) == ("observes" in doc["information"][agent]), agent
+        if back.generators is not None:
+            assert cylinder_partition(model.space, back.generators) == part
+
+
+def test_parsed_atoms_that_form_a_cylinder_carry_its_generators():
+    """Explicit atoms parse to the same fields, with generators exactly
+    where the field is the cylinder of some coordinate set."""
+    for name in corpus_names():
+        _assert_cylinders_recognized(corpus_model(name))
+    rng, kept_none = Random(2424), 0
+    for draw in range(200):
+        if draw % 2:
+            model = random_partition_model(rng, max_agents=4, max_atoms=6)
+            parsed = parse_model(serialize_model(model))
+            kept_none += sum(p.generators is None for _, p in parsed.information)
+        else:
+            model = random_causal_model(rng)
+        _assert_cylinders_recognized(model)
+    assert kept_none > 0

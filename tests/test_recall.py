@@ -10,7 +10,7 @@ import gc
 import hashlib
 import time
 import weakref
-from itertools import islice
+from itertools import islice, permutations
 from random import Random
 
 import pytest
@@ -23,6 +23,7 @@ from wgames import (
     check_partial_causality,
     check_perfect_recall,
     choice_partition,
+    corpus_names,
     complete_partition,
     constant_ordering,
     corpus_model,
@@ -50,6 +51,7 @@ from generators import (
     random_partition,
     random_partition_model,
     to_oracle,
+    without_generators,
 )
 import oracles
 
@@ -519,3 +521,44 @@ def test_recall_paths_build_no_information_atom_masks(tmp_path, monkeypatch):
         assert [a for a, part in m.information if "_atoms" in vars(part)] == []
     assert model.info_of("t1").atoms  # the masks are still there to read
     assert "_atoms" in vars(model.info_of("t1"))
+
+
+def _first_causal_orderings(model, player, recall):
+    try:
+        return list(islice(iter_causal_orderings(model, player, 20_000, recall=recall), 3))
+    except SearchBudgetExhausted:
+        return "unknown"
+
+
+def _recall_answers(model):
+    """Every check along every constant ordering, the recall search and the
+    first causal orderings, for every player of ``model``."""
+    answers = []
+    for player in model.player_names:
+        for sequence in permutations(model.agents_of(player)):
+            phi = constant_ordering(model, player, sequence)
+            answers += [check_perfect_recall(model, player, phi), check_partial_causality(model, player, phi)]
+            answers.append(find_recall_violation(model, player, phi))
+        found = search_recall_ordering(model, player, 20_000)
+        answers += [(found.outcome, found.nodes, found.ordering)]
+        answers += [_first_causal_orderings(model, player, recall) for recall in (False, True)]
+    return answers
+
+
+@pytest.mark.parametrize("seeds", [range(0, 150), range(150, 300)])
+def test_coordinate_sets_and_counting_give_the_same_answers_on_random_models(seeds):
+    """Fields with generators decide refinement from coordinate sets; the
+    same model with its fields rebuilt from labels counts.  Every check,
+    search and sweep answers the same, node counts included."""
+    for seed in seeds:
+        model = random_causal_model(Random(seed))
+        stripped = without_generators(model)
+        assert all(p.generators is not None for _, p in model.information)
+        assert all(p.generators is None for _, p in stripped.information)
+        assert _recall_answers(model) == _recall_answers(stripped), seed
+
+
+def test_coordinate_sets_and_counting_give_the_same_answers_on_the_corpus():
+    for name in corpus_names():
+        model = corpus_model(name)
+        assert _recall_answers(model) == _recall_answers(without_generators(model)), name
