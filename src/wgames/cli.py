@@ -4,18 +4,27 @@ Exit codes are uniform across subcommands: 0 when the checked property
 holds (or the computation succeeded), 1 when it fails and a witness is
 reported, 2 for input or usage errors, 3 when a search budget ran out and
 the answer is unknown.  Reports go to stdout; timing, when requested, goes
-to stderr so stdout stays bit-identical across runs.  Usage errors are
-reported in argparse's format (usage line, then message) on stderr, with
-nothing on stdout.
+to stderr so stdout stays bit-identical across runs.
+
+The command line is read against one table, ``_TOP``: the global options
+and the commands, each command with its function, its positionals and its
+options (how each value is read, its default, whether it is required and
+its help text).  One loop over argv reads it (:func:`_parse`), and the
+usage lines, the ``--help`` text and the error messages are all made from
+the same table.  A grammar error, or a :class:`UsageError` that a command
+raises, exits 2 with nothing on stdout and two lines on stderr: the
+command's usage line, ``usage: PROG CMD ...``, then ``PROG CMD: error:
+MESSAGE``.  ``--help`` writes to stdout only and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import time
-from pathlib import Path
+from stat import S_ISDIR
+from types import SimpleNamespace
 
 from .corpus import corpus_model, corpus_names
 from .fields import SpaceTooLarge
@@ -51,6 +60,7 @@ from .recall import (
     iter_causal_orderings,
     search_recall_ordering,
 )
+from .record import Record
 from .strategies import (
     BehavioralStrategy,
     MixedStrategy,
@@ -65,44 +75,23 @@ class UsageError(Exception):
     """Bad input found after parsing; reported like a parse error (exit 2)."""
 
 
-def _existing_file(text: str) -> Path:
-    try:
-        os.stat(text)
-    except (OSError, ValueError):  # missing, unreachable, name too long, NUL byte
-        raise argparse.ArgumentTypeError(f"file {text!r} does not exist") from None
-    if os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
-    return Path(text)
-
-
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _emit(args, command: str, model: WModel, outcome: str, details: dict, code: int) -> None:
     report = AnalysisReport(command, model_digest(model), outcome, details)
     sys.stdout.write(emit_report(report, args.format))
-    if args.timing:
-        print(f"elapsed: {time.perf_counter() - args.t0:.6f}s", file=sys.stderr)
     raise SystemExit(code)
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as err:
         raise UsageError(f"{path}: {err.strerror or err}")
     except UnicodeDecodeError as err:
         raise UsageError(f"{path}: not UTF-8 text (byte {err.start})")
 
 
-def _parse_file(parse, path: Path, *context):
+def _parse_file(parse, path: str, *context):
     """``parse(text of path, *context)``, a format error made a usage error."""
     try:
         return parse(_read(path), *context)
@@ -110,7 +99,7 @@ def _parse_file(parse, path: Path, *context):
         raise UsageError(f"{path}: {err}")
 
 
-def _load_ordering(path: Path, model: WModel, player: str):
+def _load_ordering(path: str, model: WModel, player: str):
     phi = _parse_file(parse_ordering, path, model)
     if phi.player != player:
         raise UsageError(
@@ -390,99 +379,296 @@ def examples_export(args) -> None:
     sys.stdout.write(serialize_model(model))
 
 
-# ── parser ──────────────────────────────────────────────────────────────
+# ── the command table and its parser ────────────────────────────────────
 
 
-class _Parser(argparse.ArgumentParser):
-    """Only --help asks for help, and no option is ever abbreviated;
-    subcommand parsers are of the same class."""
+class _Entry(Record):
+    """An option (``--name``) or a positional (``NAME``) of a command.
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
-        self.add_argument("--help", action="help", help="Show this message and exit.")
+    ``kind`` says how its text is read: None for a flag, which takes no
+    value; ``"text"`` as it is; ``"file"`` an existing file that is not a
+    directory; ``"files"`` the same, repeatable, kept in order; ``"count"``
+    an integer of at least 1; or a tuple of the allowed values.  Its value
+    is the attribute named by ``name`` without dashes, in lower case, and is
+    ``default`` when not given.  A positional is always required.
+    """
+
+    __slots__ = ("name", "kind", "default", "required", "help")
+    name: str
+    kind: object
+    default: object
+    required: bool
+    help: str
 
 
-def _add_command(subparsers, name: str, run, model: bool = True) -> argparse.ArgumentParser:
-    """Subcommand ``name`` that calls ``run(args)``; its docstring is the help."""
-    doc = run.__doc__ or ""
-    parser = subparsers.add_parser(name, help=doc.partition("\n")[0], description=doc)
-    parser.set_defaults(run=run, parser=parser)
+class _Command(Record):
+    """A command: ``run`` takes the parsed arguments, or is None where the
+    next positional names one of ``commands``.  ``entries`` are keyed by
+    name, ``--help`` first; positionals are filled in table order."""
+
+    __slots__ = ("help", "entries", "run", "commands")
+    help: str
+    entries: dict
+    run: object
+    commands: dict
+
+
+_HELP = _Entry("--help", None, False, False, "Show this message and exit.")
+
+
+def _entries(*entries: _Entry) -> dict:
+    return {e.name: e for e in (_HELP, *entries)}
+
+
+def _command(run, *entries: _Entry, model: bool = True) -> _Command:
+    """Leaf command calling ``run(args)``; its docstring is the help."""
     if model:
-        parser.add_argument("model", metavar="MODEL", type=_existing_file, help="Model file.")
-    return parser
+        entries = (_Entry("MODEL", "file", None, True, "Model file."), *entries)
+    return _Command(run.__doc__, _entries(*entries), run, None)
 
 
-def _add_search(parser, search_help: str, budget_help: str = "Search node budget") -> None:
-    parser.add_argument("--search", action="store_true", help=search_help)
-    parser.add_argument("--budget", type=_at_least_one, default=200_000, help=f"{budget_help} (default: 200000).")
-
-
-def _add_law_inputs(parser) -> None:
-    parser.add_argument("--nu", type=_existing_file, required=True, help="Belief over Nature states.")
-    parser.add_argument("--strategy", type=_existing_file, action="append", required=True, help="Strategy file; repeat to cover every player.")
-
-
-def _build_parser(prog: str = "wgames") -> argparse.ArgumentParser:
-    """The parser of every subcommand; parsed arguments carry ``run``, the
-    subcommand's function, and ``parser``, the subparser that took them."""
-    top = _Parser(prog=prog, description="Exact analyses of finite games in product form.")
-    top.add_argument("--format", choices=("human", "structured"), default="human", help="Report style on stdout (default: human).")
-    top.add_argument("--timing", action="store_true", help="Print elapsed wall time to stderr.")
-    top.add_argument(
-        "--threads", type=_at_least_one, default=1,
-        help="Accepted for compatibility; laws are computed in one thread, and the count does not change any result (default: 1).",
+def _search(search_help: str, budget_help: str = "Search node budget") -> tuple[_Entry, _Entry]:
+    return (
+        _Entry("--search", None, False, False, search_help),
+        _Entry("--budget", "count", 200_000, False, f"{budget_help} (default: 200000)."),
     )
-    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
-
-    _add_command(commands, "validate", validate)
-    p = _add_command(commands, "solve", solve)
-    p.add_argument("--profile", type=_existing_file, required=True, help="Pure strategy profile for every agent.")
-    p = _add_command(commands, "playability", playability)
-    p.add_argument("--witness", action="store_true", help="Include the failing profile and its solution set.")
-
-    p = _add_command(commands, "recall", recall)
-    p.add_argument("--player", required=True, help="Player whose recall is checked.")
-    p.add_argument("--ordering", type=_existing_file, help="Configuration-ordering to check.")
-    _add_search(p, "Search for an ordering with perfect recall.")
-
-    p = _add_command(commands, "causality", causality)
-    p.add_argument("--player", required=True, help="Player whose ordering is checked.")
-    p.add_argument("--ordering", type=_existing_file, required=True, help="Configuration-ordering to check.")
-
-    _add_law_inputs(_add_command(commands, "pushforward", pushforward_cmd))
-    p = _add_command(commands, "kuhn", kuhn)
-    p.add_argument("--player", required=True, help="Player whose strategy is transformed.")
-    _add_law_inputs(p)
-    p.add_argument("--ordering", type=_existing_file, help="Perfect-recall ordering to disintegrate along.")
-    _add_search(p, "Search for a perfect-recall ordering first.")
-    p.add_argument("--verify", action="store_true", help="Check that the transform preserves the closed-loop law.")
-
-    p = _add_command(commands, "necessity", necessity)
-    p.add_argument("--player", required=True, help="Player whose recall failure is certified.")
-    p.add_argument("--ordering", type=_existing_file, help="Partially causal ordering to scan.")
-    _add_search(p, "Search the partially causal orderings.", "Search node budget, shared by both searches")
-
-    examples = commands.add_parser("examples", help="Built-in example models.", description="Built-in example models.")
-    listing = examples.add_subparsers(dest="example_command", metavar="COMMAND", required=True)
-    _add_command(listing, "list", examples_list, model=False)
-    _add_command(listing, "export", examples_export, model=False).add_argument("name", metavar="NAME")
-    return top
 
 
-# Built once, at import: the first command of a process does not pay for it.
-_PARSER = _build_parser()
+_LAW_INPUTS = (
+    _Entry("--nu", "file", None, True, "Belief over Nature states."),
+    _Entry("--strategy", "files", None, True, "Strategy file; repeat to cover every player."),
+)
+
+_TOP = _Command(
+    "Exact analyses of finite games in product form.",
+    _entries(
+        _Entry("--format", ("human", "structured"), "human", False, "Report style on stdout (default: human)."),
+        _Entry("--timing", None, False, False, "Print elapsed wall time to stderr."),
+        _Entry(
+            "--threads", "count", 1, False,
+            "Accepted for compatibility; laws are computed in one thread, and the count does not change any result (default: 1).",
+        ),
+    ),
+    None,
+    {
+        "validate": _command(validate),
+        "solve": _command(solve, _Entry("--profile", "file", None, True, "Pure strategy profile for every agent.")),
+        "playability": _command(
+            playability, _Entry("--witness", None, False, False, "Include the failing profile and its solution set.")
+        ),
+        "recall": _command(
+            recall,
+            _Entry("--player", "text", None, True, "Player whose recall is checked."),
+            _Entry("--ordering", "file", None, False, "Configuration-ordering to check."),
+            *_search("Search for an ordering with perfect recall."),
+        ),
+        "causality": _command(
+            causality,
+            _Entry("--player", "text", None, True, "Player whose ordering is checked."),
+            _Entry("--ordering", "file", None, True, "Configuration-ordering to check."),
+        ),
+        "pushforward": _command(pushforward_cmd, *_LAW_INPUTS),
+        "kuhn": _command(
+            kuhn,
+            _Entry("--player", "text", None, True, "Player whose strategy is transformed."),
+            *_LAW_INPUTS,
+            _Entry("--ordering", "file", None, False, "Perfect-recall ordering to disintegrate along."),
+            *_search("Search for a perfect-recall ordering first."),
+            _Entry("--verify", None, False, False, "Check that the transform preserves the closed-loop law."),
+        ),
+        "necessity": _command(
+            necessity,
+            _Entry("--player", "text", None, True, "Player whose recall failure is certified."),
+            _Entry("--ordering", "file", None, False, "Partially causal ordering to scan."),
+            *_search("Search the partially causal orderings.", "Search node budget, shared by both searches"),
+        ),
+        "examples": _Command(
+            "Built-in example models.",
+            _entries(),
+            None,
+            {
+                "list": _command(examples_list, model=False),
+                "export": _command(
+                    examples_export, _Entry("NAME", "text", None, True, "Name of a built-in example."), model=False
+                ),
+            },
+        ),
+    },
+)
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_option(token: str) -> bool:
+    """Whether ``token`` is an option name; a negative number is a value."""
+    return token[:1] == "-" and _NEGATIVE_NUMBER.fullmatch(token) is None
+
+
+def _dest(entry: _Entry) -> str:
+    return entry.name.lstrip("-").lower()
+
+
+def _spelled(entry: _Entry) -> str:
+    """``--name VALUE`` as usage and help show it."""
+    if entry.kind is None:
+        return entry.name
+    value = "{" + ",".join(entry.kind) + "}" if isinstance(entry.kind, tuple) else entry.name[2:].upper()
+    return f"{entry.name} {value}"
+
+
+def _usage(prog: str, command: _Command) -> str:
+    words = []
+    for e in command.entries.values():
+        if e.name[0] == "-":
+            words.append(_spelled(e) if e.required else f"[{_spelled(e)}]")
+    words += [e.name for e in command.entries.values() if e.name[0] != "-"]
+    if command.commands is not None:
+        words.append("COMMAND ...")
+    return f"usage: {prog} {' '.join(words)}\n"
+
+
+def _help(prog: str, command: _Command) -> str:
+    """Usage, description, then one line per positional or command and per
+    option, each with its help text from the table."""
+    description = "\n".join(line.strip() for line in command.help.strip().splitlines())
+    if command.commands is not None:
+        heading = "commands:"
+        rows = [(name, sub.help.partition("\n")[0]) for name, sub in command.commands.items()]
+    else:
+        heading = "positional arguments:"
+        rows = [(e.name, e.help) for e in command.entries.values() if e.name[0] != "-"]
+    options = [(_spelled(e), e.help) for e in command.entries.values() if e.name[0] == "-"]
+    width = max(len(left) for left, _ in rows + options) + 2
+    sections = [_usage(prog, command), description + "\n"]
+    for title, lines in ((heading, rows), ("options:", options)):
+        if lines:
+            sections.append(title + "\n" + "".join(f"  {left:<{width}}{right}\n" for left, right in lines))
+    return "\n".join(sections)
+
+
+def _fail(prog: str, command: _Command, message: str):
+    """Usage line and ``PROG: error: MESSAGE`` on stderr; exit 2."""
+    sys.stderr.write(f"{_usage(prog, command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _value(entry: _Entry, text: str):
+    """``text`` read as ``entry.kind`` says; a grammar error as its message."""
+    kind = entry.kind
+    if kind in ("file", "files"):
+        try:
+            mode = os.stat(text).st_mode
+        except (OSError, ValueError):  # missing, unreachable, name too long, NUL byte
+            raise UsageError(f"argument {entry.name}: file {text!r} does not exist") from None
+        if S_ISDIR(mode):
+            raise UsageError(f"argument {entry.name}: file {text!r} is a directory")
+    elif kind == "count":
+        try:
+            number = int(text)
+        except ValueError:
+            raise UsageError(f"argument {entry.name}: {text!r} is not an integer") from None
+        if number < 1:
+            raise UsageError(f"argument {entry.name}: must be at least 1")
+        return number
+    elif isinstance(kind, tuple) and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {entry.name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse(argv: list, prog: str) -> SimpleNamespace:
+    """The arguments of one command line, read against the table.
+
+    Global options come before the command.  ``--name value`` and
+    ``--name=value`` are the same, a repeated option keeps its last value
+    (``--strategy`` keeps them all), and ``--`` ends the options.  Grammar
+    errors exit 2 through :func:`_fail`; ``--help`` exits 0.  The result
+    also holds ``run``, ``prog`` and ``command``, the leaf command's
+    function, name and table entry.
+    """
+    args = SimpleNamespace(t0=time.perf_counter())
+    command, i, ended, extra = _TOP, 0, False, []
+    while True:
+        entries = command.entries
+        positionals = [e for e in entries.values() if e.name[0] != "-"]
+        for e in entries.values():
+            setattr(args, _dest(e), e.default)
+        given, filled, sub = set(), 0, None
+        try:
+            while i < len(argv):
+                token = argv[i]
+                i += 1
+                if not ended and token == "--":
+                    ended = True
+                elif ended or not _is_option(token):
+                    if command.commands is not None:
+                        if token not in command.commands:
+                            choices = ", ".join(map(repr, command.commands))
+                            raise UsageError(f"argument COMMAND: invalid choice: {token!r} (choose from {choices})")
+                        sub = token
+                        break
+                    if filled == len(positionals):
+                        extra.append(token)
+                    else:
+                        entry = positionals[filled]
+                        setattr(args, _dest(entry), _value(entry, token))
+                        given.add(entry.name)
+                        filled += 1
+                else:
+                    name, eq, text = token.partition("=")
+                    entry = entries.get(name)
+                    if entry is None:
+                        extra.append(token)
+                        continue
+                    if entry.kind is None:
+                        if eq:
+                            raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+                        if entry is _HELP:
+                            sys.stdout.write(_help(prog, command))
+                            raise SystemExit(0)
+                        setattr(args, _dest(entry), True)
+                        continue
+                    if not eq:
+                        if i == len(argv) or _is_option(argv[i]):
+                            raise UsageError(f"argument {name}: expected one argument")
+                        text = argv[i]
+                        i += 1
+                    value = _value(entry, text)
+                    if entry.kind == "files":
+                        value = [*(getattr(args, _dest(entry)) or ()), value]
+                    setattr(args, _dest(entry), value)
+                    given.add(name)
+            if sub is None:
+                missing = [e.name for e in entries.values() if e.required and e.name not in given]
+                if command.commands is not None:
+                    missing.append("COMMAND")
+                if missing:
+                    raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+                if extra:
+                    raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        except UsageError as err:
+            _fail(prog, command, str(err))
+        if sub is None:
+            args.run, args.prog, args.command = command.run, prog, command
+            return args
+        command, prog = command.commands[sub], f"{prog} {sub}"
 
 
 def main(argv=None, prog_name: str = "wgames") -> None:
     """Run one command line (``sys.argv[1:]`` by default).  Always ends in
-    ``SystemExit`` with the exit code; ``--help`` exits 0."""
-    parser = _PARSER if prog_name == "wgames" else _build_parser(prog_name)
-    args = parser.parse_args(argv, argparse.Namespace(t0=time.perf_counter()))
+    ``SystemExit`` with the exit code; ``--help`` exits 0.  With
+    ``--timing`` every command that runs to its end, whatever its exit
+    code, prints its elapsed time on stderr."""
+    args = _parse(sys.argv[1:] if argv is None else list(argv), prog_name)
+    code = 0
     try:
         args.run(args)
     except UsageError as err:
-        args.parser.error(str(err))
-    raise SystemExit(0)
+        _fail(args.prog, args.command, str(err))
+    except SystemExit as done:
+        code = done.code
+    if args.timing:
+        print(f"elapsed: {time.perf_counter() - args.t0:.6f}s", file=sys.stderr)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

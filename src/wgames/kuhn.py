@@ -8,6 +8,8 @@ configuration's actions at the atoms it reaches.  Checks on each Nature
 block make sure that every drawn profile has exactly one closed-loop
 solution, which makes that product the law; the pair check is the search
 that also decides playability (:func:`wgames.playability._first_pair`).
+Where no player is mixed, its verdict depends only on the block's
+configurations with mass, so the model keeps it for the next law.
 A law is held as the ascending configuration indices that carry mass and
 their exact weights (:class:`PushforwardDistribution`).
 The transform reads the focus player's kernels off one law, which it is
@@ -141,11 +143,18 @@ def _law(
         both = 1 << i | 1 << j
         return all(any(m & both == both for m, _ in masks) for masks in plans)
 
+    derived = model._derived  # type: ignore[attr-defined]
     for omega, block, belief_mass in zip(model.nature.labels, blocks, belief):
         num, den = exact_sum(map(masses.__getitem__, block))
         bad = block if num * nu.den != belief_mass * den else None
         if bad is None and len(block) > 1:  # a pair needs two configurations with mass
-            bad = _first_pair(model, block, together)
+            if plans:
+                bad = _first_pair(model, block, together)
+            else:  # every pair is kept together: the verdict is the block's, once per model
+                key = ("pair", tuple(block))
+                if key not in derived:
+                    derived[key] = _first_pair(model, block, together)
+                bad = derived[key]
         if bad is not None:
             raise PlayabilityError(None, omega, tuple(map(space.config, bad)))
     return PushforwardDistribution(space, tuple(masses), tuple(masses.values()))

@@ -22,7 +22,7 @@ from wgames import (
     serialize_ordering,
     serialize_strategy,
 )
-from wgames.cli import main
+from wgames.cli import _TOP, main
 
 from clirunner import CliRunner
 from generators import (
@@ -376,6 +376,15 @@ def test_timing_goes_to_stderr_only(runner, tmp_path):
     assert timed.stdout == silent.stdout
     assert "elapsed:" in timed.stderr
     assert "elapsed:" not in timed.stdout
+
+
+@pytest.mark.parametrize("args", [["examples", "list"], ["examples", "export", "sequential-3"]])
+def test_timing_covers_the_examples_commands(runner, args):
+    silent = runner.invoke(main, args)
+    timed = runner.invoke(main, ["--timing"] + args)
+    assert timed.exit_code == silent.exit_code == 0
+    assert timed.stdout == silent.stdout
+    assert timed.stderr.startswith("elapsed: ") and timed.stderr.count("\n") == 1
 
 
 def mutual_observation_inputs(tmp_path):
@@ -1086,6 +1095,78 @@ def test_usage_errors_are_exit_2_without_traceback(runner, tmp_path, case):
     assert "Traceback" not in result.output
 
 
+# (argv, exit code, text that stderr must hold) of command lines on
+# alice-bob-ordered, one player "team"; {model} is its file, {nu} a belief,
+# {profile} a pure profile of every agent, {dir} a directory and {missing}
+# a path that does not exist.
+GRAMMAR_CASES = {
+    "globals-before-command": (["--format", "structured", "--timing", "--threads", "2", "validate", "{model}"], 0, "elapsed:"),
+    "global-after-command": (["validate", "{model}", "--format", "structured"], 2, "unrecognized arguments: --format structured"),
+    "examples-list": (["examples", "list"], 0, ""),
+    "examples-export": (["examples", "export", "sequential-3"], 0, ""),
+    "equals-value": (["--format=structured", "recall", "{model}", "--player=team", "--search", "--budget=9"], 0, ""),
+    "empty-equals-value": (["recall", "{model}", "--player=", "--search"], 2, "unknown player ''"),
+    "flag-given-value": (["recall", "{model}", "--player", "team", "--search=yes"], 2, "argument --search: ignored explicit argument 'yes'"),
+    "global-flag-given-value": (["--timing=1", "validate", "{model}"], 2, "argument --timing: ignored explicit argument '1'"),
+    "help-given-value": (["validate", "--help=1"], 2, "argument --help: ignored explicit argument '1'"),
+    "short-help": (["-h"], 2, "the following arguments are required: COMMAND"),
+    "short-help-in-command": (["validate", "{model}", "-h"], 2, "unrecognized arguments: -h"),
+    "abbreviation": (["recall", "{model}", "--player", "team", "--searc"], 2, "unrecognized arguments: --searc"),
+    "global-abbreviation": (["--form", "structured", "validate", "{model}"], 2, "invalid choice: 'structured'"),
+    "repeated-option-keeps-last": (["recall", "{model}", "--player", "nobody", "--player", "team", "--search"], 0, ""),
+    "repeated-option-last-is-checked": (["recall", "{model}", "--player", "team", "--player", "nobody", "--search"], 2, "unknown player 'nobody'"),
+    "negative-budget": (["recall", "{model}", "--player", "team", "--search", "--budget", "-3"], 2, "argument --budget: must be at least 1"),
+    "negative-decimal-value": (["recall", "{model}", "--player", "-0.5", "--search"], 2, "unknown player '-0.5'"),
+    "option-as-value": (["recall", "{model}", "--player", "--search"], 2, "argument --player: expected one argument"),
+    "double-dash-as-value": (["recall", "{model}", "--player", "--", "--search"], 2, "argument --player: expected one argument"),
+    "double-dash-before-positional": (["validate", "--", "{model}"], 0, ""),
+    "double-dash-ends-options": (["recall", "{model}", "--player", "team", "--", "--search"], 2, "unrecognized arguments: --search"),
+    "missing-together": (["kuhn", "--search"], 2, "the following arguments are required: MODEL, --player, --nu, --strategy"),
+    "missing-option": (["causality", "{model}", "--player", "team"], 2, "the following arguments are required: --ordering"),
+    "unknown-option": (["recall", "{model}", "--player", "team", "--search", "--witness"], 2, "unrecognized arguments: --witness"),
+    "unknown-command": (["analyse", "{model}"], 2, "argument COMMAND: invalid choice: 'analyse'"),
+    "unknown-example-command": (["examples", "show"], 2, "argument COMMAND: invalid choice: 'show'"),
+    "missing-file": (["validate", "{missing}"], 2, "argument MODEL: file '{missing}' does not exist"),
+    "directory": (["solve", "{model}", "--profile", "{dir}"], 2, "argument --profile: file '{dir}' is a directory"),
+    "zero-threads": (["--threads", "0", "validate", "{model}"], 2, "argument --threads: must be at least 1"),
+    "text-budget": (["recall", "{model}", "--player", "team", "--search", "--budget", "many"], 2, "argument --budget: 'many' is not an integer"),
+    "bad-choice": (["--format", "xml", "validate", "{model}"], 2, "argument --format: invalid choice: 'xml' (choose from 'human', 'structured')"),
+    "command-usage-error": (["examples", "export", "zz"], 2, "wgames examples export: error: unknown example 'zz'"),
+    "command-mode-error": (["recall", "{model}", "--player", "team"], 2, "wgames recall: error: give exactly one of --ordering or --search"),
+    "no-command": ([], 2, "wgames: error: the following arguments are required: COMMAND"),
+    "examples-without-command": (["examples"], 2, "wgames examples: error: the following arguments are required: COMMAND"),
+    "extra-positional": (["examples", "export", "sequential-3", "sequential-4"], 2, "unrecognized arguments: sequential-4"),
+    "value-missing-at-end": (["recall", "{model}", "--search", "--player"], 2, "argument --player: expected one argument"),
+    "global-value-missing-at-end": (["--threads"], 2, "argument --threads: expected one argument"),
+    "strategies-in-order": (["pushforward", "{model}", "--nu", "{nu}", "--strategy", "{nu}", "--strategy", "{model}"], 2, "error: {nu}: "),
+    "help": (["kuhn", "--help", "--verif"], 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAMMAR_CASES))
+def test_command_line_grammar(runner, tmp_path, case):
+    argv, code, message = GRAMMAR_CASES[case]
+    model = corpus_model("alice-bob-ordered")
+    first = {a: [model.actions_of(a).labels[0]] * len(model.info_of(a)) for a in model.agent_ids}
+    files = {
+        "model": write_model(tmp_path, "alice-bob-ordered"),
+        "nu": write_json(tmp_path, "nu.json", {"*": "1"}),
+        "profile": write_json(tmp_path, "profile.json", {"kind": "pure-profile", "strategies": first}),
+        "dir": str(tmp_path),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    result = runner.invoke(main, [a.format(**files) for a in argv])
+    assert result.exit_code == code, result.output
+    assert message.format(**files) in result.stderr
+    assert "Traceback" not in result.output
+    if code == 2:
+        assert result.stdout == ""
+        usage, error = result.stderr.splitlines()
+        assert usage.startswith("usage: wgames")
+        prog = usage[len("usage: ") : usage.index(" [--help]")]
+        assert error.startswith(f"{prog}: error: ")
+
+
 # Every option, argument and subcommand that ``--help`` must name.
 HELP_NAMES = {
     (): ["--help", "--format", "--timing", "--threads", "validate", "solve", "playability",
@@ -1110,7 +1191,12 @@ def test_help_names_every_option(runner, command):
     result = runner.invoke(main, [*command, "--help"])
     assert result.exit_code == 0
     assert result.stderr == ""
-    for name in HELP_NAMES[command]:
+    table = _TOP
+    for name in command:
+        table = table.commands[name]
+    helps = [entry.help for entry in table.entries.values()]
+    helps += [sub.help.partition("\n")[0] for sub in (table.commands or {}).values()]
+    for name in HELP_NAMES[command] + helps:
         assert name in result.stdout, name
 
 
@@ -1146,10 +1232,82 @@ def test_mutated_command_lines_keep_the_exit_code_contract(runner, tmp_path):
 
 
 def test_importing_the_cli_loads_no_code_generator():
-    """The CLI's import graph stays off click, dataclasses, inspect and ast
-    (``-S``: no site hooks of the environment load anything first)."""
-    code = "import sys, wgames.cli; print(sorted({'click', 'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    """The CLI's import graph stays off click, dataclasses, inspect and ast,
+    and off argparse with the gettext and locale it loads (``-S``: no site
+    hooks of the environment load anything first)."""
+    banned = "{'click', 'dataclasses', 'inspect', 'ast', 'argparse', 'gettext', 'locale'}"
+    code = f"import sys, wgames.cli; print(sorted({banned} & set(sys.modules)))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Tokens of fuzzed command lines: every option name of the table, some
+# ``=``-joined forms, ``--``, negative numbers, values and the paths of
+# corpus files; the braced names are the files of ``token_dir``.  A fuzzed
+# line is one of FUZZ_BASES, which run to a report, with tokens inserted,
+# dropped or replaced.
+FUZZ_TOKENS = (
+    "--help", "--format", "--timing", "--threads", "--profile", "--witness", "--player", "--ordering",
+    "--search", "--budget", "--nu", "--strategy", "--verify",
+    "--format=structured", "--format=xml", "--player=team", "--player=", "--budget=3", "--budget=-2",
+    "--search=1", "--threads=2", "--strategy={profile}", "--ordering={order}",
+    "--", "-", "-h", "-1", "-0.5", "-3", "0", "2", "team", "structured", "sequential-3", "list", "export",
+    "{model}", "{nu}", "{profile}", "{order}", "{dir}", "{missing}",
+)
+FUZZ_BASES = (
+    ("--format", "structured", "validate", "{model}"),
+    ("solve", "{model}", "--profile", "{profile}"),
+    ("playability", "{model}", "--witness"),
+    ("recall", "{model}", "--player", "team", "--search"),
+    ("causality", "{model}", "--player", "team", "--ordering", "{order}"),
+    ("pushforward", "{model}", "--nu", "{nu}", "--strategy", "{profile}"),
+    ("kuhn", "{model}", "--player", "team", "--nu", "{nu}", "--strategy", "{profile}", "--search", "--verify"),
+    ("necessity", "{model}", "--player", "team", "--search", "--budget", "1"),
+    ("--timing", "examples", "list"),
+    ("examples", "export", "sequential-3"),
+)
+
+
+@pytest.fixture(scope="module")
+def token_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tokens")
+    model = corpus_model("alice-bob-ordered")
+    first = {a: [model.actions_of(a).labels[0]] * len(model.info_of(a)) for a in model.agent_ids}
+    order = {"kind": "ordering", "player": "team", "sequence": ["alice", "bob"]}
+    return {
+        "model": write_model(path, "alice-bob-ordered"),
+        "nu": write_json(path, "nu.json", {"*": "1"}),
+        "profile": write_json(path, "profile.json", {"kind": "pure-profile", "strategies": first}),
+        "order": write_json(path, "order.json", order),
+        "dir": str(path),
+        "missing": str(path / "missing.json"),
+    }
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["insert", "drop", "replace"]), st.integers(0, 12), st.sampled_from(FUZZ_TOKENS)),
+        max_size=3,
+    ),
+)
+def test_fuzzed_command_lines_keep_the_exit_code_contract(token_dir, base, edits):
+    """Command lines drawn from the table's option names and corpus files:
+    the exit code is one of the contract's, nothing raises past the
+    command line, and a second run prints the same stdout."""
+    argv = list(base)
+    for how, at, token in edits:
+        at %= len(argv) + 1
+        if how == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            argv[at : at + 1] = [] if how == "drop" else [token]
+    argv = [token.format(**token_dir) for token in argv]
+    first, second = CliRunner().invoke(main, argv), CliRunner().invoke(main, argv)
+    assert first.exception is None or isinstance(first.exception, SystemExit), (argv, first.exception)
+    assert first.exit_code in (0, 1, 2, 3), (argv, first.output)
+    assert "Traceback" not in first.stderr
+    assert (second.exit_code, second.stdout) == (first.exit_code, first.stdout), argv

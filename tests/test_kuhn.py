@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -30,12 +31,16 @@ from wgames import (
     prefix_cells,
     pushforward,
     search_recall_ordering,
+    serialize_model,
     transform_preserves_law,
     validate_belief,
 )
+import wgames.kuhn
+from wgames.cli import main
 from wgames.io import strategy_payload
 from wgames.kuhn import _first_pair
 
+from clirunner import CliRunner
 from generators import (
     config_tuple,
     oracle_mixed,
@@ -515,3 +520,65 @@ def test_law_is_the_definitional_law_or_raises(seed):
         pairs = {(index[h], index[g]) for h, g in together[omega]}
         found = _first_pair(model, block, lambda i, j: (i, j) in pairs)
         assert found == min((p for p in pairs if p[0] < p[1]), default=None)
+
+
+def test_kuhn_verify_searches_each_block_once(tmp_path, monkeypatch):
+    """With no mixed player, the second law of ``kuhn --verify`` takes each
+    Nature block's pair verdict from the first law's search."""
+    model = corpus_model("sequential-3")
+    agents = model.agents_of("dm")
+    rows = {a: [{"0": "1/3", "1": "2/3"}] * len(model.info_of(a)) for a in agents}
+    files = {
+        "model": serialize_model(model),
+        "nu": json.dumps({"w0": "1/4", "w1": "3/4"}),
+        "beta": json.dumps({"kind": "behavioral", "player": "dm", "kernels": rows}),
+        "order": json.dumps({"kind": "ordering", "player": "dm", "sequence": list(agents)}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    calls = Counter()
+    search = wgames.kuhn._first_pair
+
+    def counted(model, block, together):
+        calls[tuple(block)] += 1
+        return search(model, block, together)
+
+    monkeypatch.setattr(wgames.kuhn, "_first_pair", counted)
+    argv = ["--format", "structured", "kuhn", str(tmp_path / "model"), "--player", "dm", "--nu", str(tmp_path / "nu"),
+            "--strategy", str(tmp_path / "beta"), "--ordering", str(tmp_path / "order"), "--verify"]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["details"]["verified"] is True
+    assert len(calls) == len(model.nature.labels)
+    assert set(calls.values()) == {1}
+
+
+def test_kept_pair_verdicts_raise_as_a_fresh_search():
+    """Behavioral laws on seeded partition models, many of them unplayable:
+    a second law on the same model, which reads the pair verdicts the first
+    one kept, gives the law or PlayabilityError text of the same law on a
+    fresh copy of the model, and of its mixed expansion, whose plans make
+    every law search again."""
+
+    def outcome(model, nu, strategies):
+        try:
+            if isinstance(strategies[0], MixedStrategy):
+                return pushforward(model, nu, strategies)
+            return behavioral_pushforward(model, nu, strategies[0], strategies[1:])
+        except PlayabilityError as err:
+            return str(err)
+
+    kinds = Counter()
+    for seed in range(300):
+        rng = Random(f"kept-pair-verdicts/{seed}")
+        model = random_partition_model(rng, max_atoms=3)
+        nu = random_belief(rng, model)
+        first, second = ([random_behavioral(rng, model, p) for p in model.player_names] for _ in range(2))
+        outcome(model, nu, first)
+        kept = outcome(model, nu, second)
+        fresh = outcome(parse_model(serialize_model(model)), nu, second)
+        fresh_model = parse_model(serialize_model(model))
+        expanded = outcome(fresh_model, nu, [behavioral_to_mixed(fresh_model, s) for s in second])
+        assert kept == fresh == expanded, seed
+        kinds[isinstance(kept, str)] += 1
+    assert kinds[True] > 20 and kinds[False] > 20, kinds
