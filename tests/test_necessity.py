@@ -9,6 +9,7 @@ action, so c cannot tell the two coin outcomes apart even though b reacted
 to them.
 """
 
+import hashlib
 import json
 from collections import Counter
 from itertools import islice, permutations
@@ -42,6 +43,7 @@ from wgames import (
     pushforward,
     sequential_model,
     serialize_model,
+    serialize_ordering,
     verify_certificate,
 )
 from wgames.cli import main
@@ -412,3 +414,45 @@ def test_violation_scan_matches_the_per_atom_reference():
             assert find_recall_violation(model, player, phi) == want
             found[None if want is None else want.case] += 1
     assert min(found[None], found[CASE_ACTION], found[CASE_INFORMATION]) > 0, found
+
+
+def _golden_runs(tmp_path):
+    """(argv, exit code, stdout) of every golden CLI run: per seed a causal
+    or a partition model, its playability with witness, and per player a
+    necessity search and a necessity check along the declared agent order."""
+    model_path, ordering_path = tmp_path / "model.json", tmp_path / "ordering.json"
+    runner = CliRunner()
+    for seed in range(1000):
+        rng = Random(f"golden/{seed}")
+        if seed % 2 == 0:
+            model = random_causal_model(rng, max_nature=2, max_focus=3, max_actions=2)
+        else:
+            model = random_partition_model(rng, max_atoms=3)
+        model_path.write_text(serialize_model(model))
+        runs = [["playability", str(model_path), "--witness"]]
+        for player in model.player_names:
+            runs.append(["necessity", str(model_path), "--player", player, "--search", "--budget", "5000"])
+            phi = constant_ordering(model, player, model.agents_of(player))
+            ordering_path.write_text(serialize_ordering(phi, model))
+            runs.append(["necessity", str(model_path), "--player", player, "--ordering", str(ordering_path)])
+        for argv in runs:
+            result = runner.invoke(main, ["--format", "structured", *argv])
+            yield argv, result.exit_code, result.stdout
+
+
+# sha256 over every (exit code, stdout) of ``_golden_runs``, in order
+GOLDEN_NECESSITY_DIGEST = "04dce63adcaadf39a705d609e5cac7df1b2105ddcbb0ccb4707ca6e23f0dcc82"
+
+
+def test_golden_playability_and_necessity_reports(tmp_path):
+    digest = hashlib.sha256()
+    outcomes, cases = Counter(), Counter()
+    for argv, code, stdout in _golden_runs(tmp_path):
+        digest.update(f"{code}\n{stdout}\n".encode("utf-8"))
+        if stdout:
+            report = json.loads(stdout)
+            outcomes[report["outcome"]] += 1
+            if "--search" in argv and report["outcome"] == "certified":
+                cases[report["details"]["violation"]["case"]] += 1
+    assert cases[CASE_ACTION] > 0 and cases[CASE_INFORMATION] > 0, cases
+    assert digest.hexdigest() == GOLDEN_NECESSITY_DIGEST, (outcomes, cases)
