@@ -117,6 +117,7 @@ from .strategies import (
     behavioral_to_mixed,
     constant_profile,
     deterministic_mixed,
+    pure_profile,
     restrict_profile,
     validate_behavioral,
     validate_mixed,

@@ -144,15 +144,20 @@ def _player_strategies(model: WModel, loaded: list) -> list:
     return out
 
 
+def _solvable(compute, *args, **kwargs):
+    """``compute(*args, **kwargs)``, an unsolvable support profile made a usage error."""
+    try:
+        return compute(*args, **kwargs)
+    except PlayabilityError as err:
+        raise UsageError(f"profiles in the support are not solvable: {err}")
+
+
 def _law(args, model: WModel, nu, strategies: list):
     """Closed-loop law; behavioral strategies are never expanded to plans."""
     beta = next((s for s in strategies if isinstance(s, BehavioralStrategy)), None)
-    try:
-        if beta is None:
-            return pushforward(model, nu, strategies, threads=args.threads)
-        return behavioral_pushforward(model, nu, beta, [s for s in strategies if s is not beta])
-    except PlayabilityError as err:
-        raise UsageError(f"profiles in the support are not solvable: {err}")
+    if beta is None:
+        return _solvable(pushforward, model, nu, strategies, threads=args.threads)
+    return _solvable(behavioral_pushforward, model, nu, beta, [s for s in strategies if s is not beta])
 
 
 def _one_of_ordering_or_search(ordering, search: bool) -> None:
@@ -288,10 +293,7 @@ def kuhn(args) -> None:
     }
     if args.verify:
         others = [s for s in strategies if s.player != player]
-        try:
-            preserved = transform_preserves_law(model, beta, nu, others, law)
-        except PlayabilityError as err:
-            raise UsageError(f"profiles in the support are not solvable: {err}")
+        preserved = _solvable(transform_preserves_law, model, beta, nu, others, law)
         details["verified"] = preserved
         if not preserved:
             _emit(args, "kuhn", model, "law-changed", details, 1)

@@ -691,10 +691,7 @@ def recall_violation_payload(violation) -> dict:
 
 def playability_witness_payload(model: WModel, witness) -> dict:
     return {
-        "profile": {
-            "kind": "pure-profile",
-            "strategies": _profile_payload(witness.profile),
-        },
+        "profile": strategy_payload(witness.profile),
         "nature-state": witness.omega,
         "solution-count": witness.count,
         "solutions": [config_payload(h) for h in witness.solutions],

@@ -4,7 +4,9 @@ witness strategies admit no behavioral counterpart.
 The certificate is finite and exact: the target law forces every matching
 behavioral strategy to put positive weight on certain actions (one set per
 visited information atom), and pinning those actions traps the closed loop
-in a region the target law never visits.
+in a region the target law never visits.  It is assembled where the search
+finds it; its exhibited profile, like the witness plans, is built by
+:func:`~wgames.strategies.pure_profile`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .recall import ConfigurationOrdering, Ordering, choice_partition, cylinder_
 from .record import Record
 from .strategies import (
     MixedStrategy,
-    PureStrategy,
     PureStrategyProfile,
     RationalDistribution,
-    constant_profile,
+    deterministic_mixed,
+    pure_profile,
 )
 
 CASE_ACTION = "predecessor-action-differs"
@@ -211,11 +213,9 @@ def _replace_action(model: WModel, h: Configuration, agent: str, action: str) ->
     return model.space.config(model.space.index_of(h.nature, acts))
 
 
-def _half_mixture(
-    player: str, one: PureStrategyProfile, other: PureStrategyProfile
-) -> MixedStrategy:
+def _half_mixture(player: str, one: PureStrategyProfile, other: PureStrategyProfile) -> MixedStrategy:
     if one == other:
-        return MixedStrategy(player, ((one, Fraction(1)),))
+        return deterministic_mixed(player, one)
     return MixedStrategy(player, ((one, _HALF), (other, _HALF)))
 
 
@@ -234,70 +234,44 @@ def build_witness(
     _check_violation(model, player, violation)
     kappa = violation.ordering
     c = kappa.last
-    h_plus = violation.h_plus
-    h_minus = violation.h_minus
+    h_plus, h_minus = violation.h_plus, violation.h_minus
     if h_plus.action(c) == h_minus.action(c):
-        h_minus = _replace_action(
-            model, h_minus, c, _first_other_action(model, c, h_plus.action(c))
-        )
+        h_minus = _replace_action(model, h_minus, c, _first_other_action(model, c, h_plus.action(c)))
 
     labels = model.nature.labels
     chosen = {h_plus.nature, h_minus.nature}
     if len(chosen) == 1:
         nu = RationalDistribution.point(labels, h_plus.nature)
     else:
-        nu = RationalDistribution.from_map(
-            {w: _HALF for w in labels if w in chosen}
-        )
+        nu = RationalDistribution.from_map({w: _HALF for w in labels if w in chosen})
 
-    opponents = []
-    for q in model.player_names:
-        if q == player:
-            continue
-        own = model.agents_of(q)
-        plus = constant_profile(model, {a: h_plus.action(a) for a in own})
-        minus = constant_profile(model, {a: h_minus.action(a) for a in own})
-        opponents.append(_half_mixture(q, plus, minus))
+    def constant(h: Configuration, agents: Iterable[str]) -> PureStrategyProfile:
+        return pure_profile(model, {a: h.action(a) for a in agents}, {})
 
+    opponents = tuple(
+        _half_mixture(q, constant(h_plus, own), constant(h_minus, own))
+        for q, own in model.players if q != player
+    )
     focus_agents = model.agents_of(player)
     if violation.case == CASE_ACTION:
-        plus = constant_profile(
-            model, {a: h_plus.action(a) for a in focus_agents}
-        )
-        minus = constant_profile(
-            model, {a: h_minus.action(a) for a in focus_agents}
-        )
-        focus = _half_mixture(player, plus, minus)
-        return nu, focus, tuple(opponents)
+        focus = _half_mixture(player, constant(h_plus, focus_agents), constant(h_minus, focus_agents))
+        return nu, focus, opponents
 
     # Actions agree everywhere upstream, so some predecessor's atom must
     # differ; the plans below react to that atom instead of to an action.
-    preds = kappa.sequence[:-1]
-    records = zip(preds, *model.choice_records(preds, (h_plus.index, h_minus.index)))
-    b = next(a for a, plus, minus in records if plus[0] != minus[0])
+    # Both play h_plus's actions, but b plays its own on zb only and u_bar
+    # off it; flipped, b plays u_bar on zb only and c plays h_minus's on zc.
+    b = next(
+        a for a in kappa.sequence[:-1]
+        if model.info_of(a).atom_index(h_plus.index) != model.info_of(a).atom_index(h_minus.index)
+    )
     u_bar = _first_other_action(model, b, h_plus.action(b))
     zb = model.info_of(b).atom_index(h_plus.index)
     zc = model.info_of(c).atom_index(h_plus.index)
-    nb = len(model.info_of(b))
-    nc = len(model.info_of(c))
-
-    def plan(flipped: bool) -> PureStrategyProfile:
-        """h_plus's actions, but b plays its own on zb only and u_bar off it;
-        flipped, b plays u_bar on zb only and c plays h_minus's on zc."""
-        strategies = []
-        for a in focus_agents:
-            if a == b:
-                on, off = (u_bar, h_plus.action(b)) if flipped else (h_plus.action(b), u_bar)
-                choice = tuple(on if z == zb else off for z in range(nb))
-            elif a == c and flipped:
-                choice = tuple(h_minus.action(c) if z == zc else h_plus.action(c) for z in range(nc))
-            else:
-                choice = (h_plus.action(a),) * len(model.info_of(a))
-            strategies.append(PureStrategy(a, choice))
-        return PureStrategyProfile(tuple(strategies))
-
-    focus = _half_mixture(player, plan(False), plan(True))
-    return nu, focus, tuple(opponents)
+    plus = {a: h_plus.action(a) for a in focus_agents}
+    plan = pure_profile(model, {**plus, b: u_bar}, {(b, zb): plus[b]})
+    flipped = pure_profile(model, plus, {(b, zb): u_bar, (c, zc): h_minus.action(c)})
+    return nu, _half_mixture(player, plan, flipped), opponents
 
 
 # ── forced supports and certification ───────────────────────────────────
@@ -311,17 +285,15 @@ def forced_support(
     """
     if target.space != model.space:
         raise ValueError("target law built on a different space")
-    agents = model.agents_of(player)
-    seen: dict[tuple[str, int], set[int]] = {}
-    for record in model.choice_records(agents, target.indices):
-        for a, (z, digit) in zip(agents, record):
-            seen.setdefault((a, z), set()).add(digit)
-    ordered: dict[tuple[str, int], tuple[str, ...]] = {}
-    for a in agents:
-        labels = model.actions_of(a).labels
-        for z in sorted(z for (b, z) in seen if b == a):
-            ordered[(a, z)] = tuple(labels[d] for d in sorted(seen[(a, z)]))
-    return ordered
+    space = model.space
+    forced: dict[tuple[str, int], tuple[str, ...]] = {}
+    for a in model.agents_of(player):
+        ids, coord, labels = model.info_of(a).atom_ids, space.agent_pos(a) + 1, model.actions_of(a).labels
+        seen: dict[int, set[int]] = {}
+        for i in target.indices:
+            seen.setdefault(ids[i], set()).add(space.digit(i, coord))
+        forced.update(((a, z), tuple(labels[d] for d in sorted(seen[z]))) for z in sorted(seen))
+    return forced
 
 
 def _pin_allows(model: WModel, agent: str, atom_id: int, action: str) -> int:
@@ -378,67 +350,24 @@ def certify_nonequivalence(
                         break
                 if region == 0 or region & supp_mask:
                     continue
-                return _assemble_certificate(
-                    model, player, nu, focus, opp_list, target, forced,
-                    omega, plans, keys, assembly, region,
+                pins = dict(zip(keys, assembly))
+                first = (region & -region).bit_length() - 1
+                landed = space.config(first)
+                agents = model.agents_of(player)
+                here = {(a, model.info_of(a).atom_index(first)): landed.action(a) for a in agents}
+                firsts = {a: model.actions_of(a).labels[0] for a in agents}
+                profile = pure_profile(model, firsts, {**here, **pins})
+                merged = PureStrategyProfile(profile.strategies + sum((p.strategies for p in plans), ()))
+                solutions = closed_loop_solutions(model, merged, omega)
+                if solutions != [landed]:
+                    raise PlayabilityError(merged, omega, solutions)
+                return NonEquivalenceCertificate(
+                    player=player, nu=nu, focus=focus, opponents=opp_list, target=target,
+                    forced=tuple((*key, acts) for key, acts in forced.items()), omega=omega,
+                    opponent_plans=plans, pins=tuple((*key, u) for key, u in pins.items()),
+                    reachable=region, exhibited=landed, profile=profile,
                 )
     return None
-
-
-def _assemble_certificate(
-    model: WModel,
-    player: str,
-    nu: RationalDistribution,
-    focus: MixedStrategy,
-    opponents: tuple[MixedStrategy, ...],
-    target: PushforwardDistribution,
-    forced: dict[tuple[str, int], tuple[str, ...]],
-    omega: str,
-    plans: tuple[PureStrategyProfile, ...],
-    keys: tuple[tuple[str, int], ...],
-    assembly: tuple[str, ...],
-    region: int,
-) -> NonEquivalenceCertificate:
-    space = model.space
-    pin_map = dict(zip(keys, assembly))
-    first = (region & -region).bit_length() - 1
-    landed = space.config(first)
-    strategies = []
-    for a in model.agents_of(player):
-        info = model.info_of(a)
-        labels = model.actions_of(a).labels
-        z_here = info.atom_index(first)
-        choice = []
-        for z in range(len(info)):
-            pinned = pin_map.get((a, z))
-            if pinned is not None:
-                choice.append(pinned)
-            elif z == z_here:
-                choice.append(landed.action(a))
-            else:
-                choice.append(labels[0])
-        strategies.append(PureStrategy(a, tuple(choice)))
-    profile = PureStrategyProfile(tuple(strategies))
-    merged = profile
-    for plan in plans:
-        merged = merged.merged_with(plan)
-    solutions = closed_loop_solutions(model, merged, omega)
-    if solutions != [landed]:
-        raise PlayabilityError(merged, omega, solutions)
-    return NonEquivalenceCertificate(
-        player=player,
-        nu=nu,
-        focus=focus,
-        opponents=opponents,
-        target=target,
-        forced=tuple((a, z, forced[(a, z)]) for a, z in keys),
-        omega=omega,
-        opponent_plans=plans,
-        pins=tuple((a, z, u) for (a, z), u in zip(keys, assembly)),
-        reachable=region,
-        exhibited=landed,
-        profile=profile,
-    )
 
 
 def verify_certificate(
@@ -481,9 +410,7 @@ def verify_certificate(
         for agent, atom_id, action in cert.pins:
             if cert.profile.strategy_of(agent).action_at(atom_id) != action:
                 return False
-        merged = cert.profile
-        for plan in cert.opponent_plans:
-            merged = merged.merged_with(plan)
+        merged = PureStrategyProfile(cert.profile.strategies + sum((p.strategies for p in cert.opponent_plans), ()))
         if closed_loop_solutions(model, merged, cert.omega) != [cert.exhibited]:
             return False
     except (ValueError, KeyError, IndexError):

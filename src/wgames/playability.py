@@ -37,12 +37,7 @@ from .fields import (
 )
 from .model import WModel
 from .record import Record
-from .strategies import (
-    PureStrategy,
-    PureStrategyProfile,
-    constant_profile,
-    validate_pure,
-)
+from .strategies import PureStrategy, PureStrategyProfile, constant_profile, pure_profile, validate_pure
 
 class PlayabilityError(ValueError):
     """A sampled profile has no or several closed-loop solutions.
@@ -228,14 +223,12 @@ def check_playability(model: WModel) -> PlayabilityReport:
             break
     else:
         return PlayabilityReport(True, None)
-    strategies = []
-    for agent, *seen in zip(model.agent_ids, *model.choice_records(model.agent_ids, pair)):
-        labels = model.actions_of(agent).labels
-        choice = [labels[0]] * len(model.info_of(agent))
-        for atom, digit in seen:
-            choice[atom] = labels[digit]
-        strategies.append(PureStrategy(agent, tuple(choice)))
-    profile = PureStrategyProfile(tuple(strategies))
+    labels = {a: model.actions_of(a).labels for a in model.agent_ids}
+    profile = pure_profile(model, {a: labels[a][0] for a in labels}, {
+        (a, z): labels[a][d]
+        for record in model.choice_records(model.agent_ids, pair)
+        for a, (z, d) in zip(model.agent_ids, record)
+    })
     solutions = tuple(closed_loop_solutions(model, profile, omega))
     return PlayabilityReport(
         False, PlayabilityWitness(profile, omega, len(solutions), solutions)

@@ -372,12 +372,20 @@ def deterministic_mixed(player: str, profile: PureStrategyProfile) -> MixedStrat
     return MixedStrategy(player, ((profile, Fraction(1)),))
 
 
+def pure_profile(
+    model: WModel, actions: dict[str, str], at: dict[tuple[str, int], str]
+) -> PureStrategyProfile:
+    """Each agent in ``actions`` plays ``at[(agent, atom id)]`` where that
+    entry is given and ``actions[agent]`` on its other atoms."""
+    return PureStrategyProfile(tuple(
+        PureStrategy(agent, tuple(at.get((agent, z), action) for z in range(len(model.info_of(agent)))))
+        for agent, action in actions.items()
+    ))
+
+
 def constant_profile(model: WModel, assignments: dict[str, str]) -> PureStrategyProfile:
     """Constant plan: each listed agent plays one action on every atom."""
-    strategies = []
     for agent, action in assignments.items():
-        info = model.info_of(agent)
         if action not in model.actions_of(agent).labels:
             raise ValueError(f"unknown action {action!r} for {agent!r}")
-        strategies.append(PureStrategy(agent, (action,) * len(info)))
-    return PureStrategyProfile(tuple(strategies))
+    return pure_profile(model, assignments, {})

@@ -14,6 +14,7 @@ from wgames import (
     constant_profile,
     corpus_model,
     deterministic_mixed,
+    pure_profile,
     restrict_profile,
     validate_behavioral,
     validate_mixed,
@@ -111,6 +112,19 @@ def test_constant_profile_spans_atoms():
     assert const.strategy_of("alice").choice == ("T", "T")
     assert const.strategy_of("bob").choice == ("R",)
     with pytest.raises(ValueError):
+        constant_profile(model, {"alice": "nope"})
+
+
+def test_pure_profile_overrides_only_the_named_atoms():
+    model = corpus_model("alice-bob-ordered")
+    assert len(model.info_of("alice")) == 2 and len(model.info_of("bob")) == 1
+    profile = pure_profile(model, {"bob": "R", "alice": "T"}, {("alice", 1): "B", ("carol", 0): "X"})
+    assert [s.agent for s in profile.strategies] == ["alice", "bob"]
+    assert profile.strategy_of("alice").choice == ("T", "B")
+    assert profile.strategy_of("bob").choice == ("R",)
+    assert pure_profile(model, {"alice": "T", "bob": "R"}, {}) == constant_profile(model, {"bob": "R", "alice": "T"})
+    assert pure_profile(model, {"bob": "L"}, {("bob", 0): "R"}).strategies == (PureStrategy("bob", ("R",)),)
+    with pytest.raises(ValueError, match="unknown action 'nope' for 'alice'"):
         constant_profile(model, {"alice": "nope"})
 
 
