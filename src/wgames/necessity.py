@@ -213,7 +213,9 @@ def _replace_action(model: WModel, h: Configuration, agent: str, action: str) ->
     return model.space.config(model.space.index_of(h.nature, acts))
 
 
-def _half_mixture(player: str, one: PureStrategyProfile, other: PureStrategyProfile) -> MixedStrategy:
+def _half_mixture(
+    player: str, one: PureStrategyProfile, other: PureStrategyProfile
+) -> MixedStrategy:
     if one == other:
         return deterministic_mixed(player, one)
     return MixedStrategy(player, ((one, _HALF), (other, _HALF)))
@@ -357,7 +359,7 @@ def certify_nonequivalence(
                 here = {(a, model.info_of(a).atom_index(first)): landed.action(a) for a in agents}
                 firsts = {a: model.actions_of(a).labels[0] for a in agents}
                 profile = pure_profile(model, firsts, {**here, **pins})
-                merged = PureStrategyProfile(profile.strategies + sum((p.strategies for p in plans), ()))
+                merged = PureStrategyProfile((*profile.strategies, *(s for p in plans for s in p.strategies)))
                 solutions = closed_loop_solutions(model, merged, omega)
                 if solutions != [landed]:
                     raise PlayabilityError(merged, omega, solutions)
@@ -410,7 +412,7 @@ def verify_certificate(
         for agent, atom_id, action in cert.pins:
             if cert.profile.strategy_of(agent).action_at(atom_id) != action:
                 return False
-        merged = PureStrategyProfile(cert.profile.strategies + sum((p.strategies for p in cert.opponent_plans), ()))
+        merged = PureStrategyProfile((*cert.profile.strategies, *(s for p in cert.opponent_plans for s in p.strategies)))
         if closed_loop_solutions(model, merged, cert.omega) != [cert.exhibited]:
             return False
     except (ValueError, KeyError, IndexError):

@@ -37,7 +37,13 @@ from .fields import (
 )
 from .model import WModel
 from .record import Record
-from .strategies import PureStrategy, PureStrategyProfile, constant_profile, pure_profile, validate_pure
+from .strategies import (
+    PureStrategy,
+    PureStrategyProfile,
+    constant_profile,
+    pure_profile,
+    validate_pure,
+)
 
 class PlayabilityError(ValueError):
     """A sampled profile has no or several closed-loop solutions.
