@@ -251,8 +251,10 @@ class Partition:
     The partition is its column: ``atom_ids`` labels each configuration
     with its atom's position in canonical order (ascending lowest index;
     -1 off ``support``, the full space unless the partition is a trace),
-    and ``sizes`` counts each atom.  Masks are built on demand: ``atom``
-    builds one, ``atoms`` all of them on first read, then kept.  Ids number
+    and ``sizes`` counts each atom.  Masks are built on demand and kept:
+    ``atom`` builds the one it is asked for (or reads ``atoms`` once that is
+    built) and keeps it by id, ``atoms`` builds all of them on first read;
+    neither builds the other.  Ids number
     atoms by first occurrence, so (space, atom ids, support) is canonical:
     equality and the kept hash read it.  Partitions are immutable.
     ``generators`` is the coordinate set whose cylinder field this is, when
@@ -319,10 +321,16 @@ class Partition:
 
     def atom(self, aid: int) -> int:
         """Bitmask of one atom, from ``atoms`` once built, else from one
-        pass over the column."""
-        if "_atoms" in self.__dict__:
-            return self.__dict__["_atoms"][aid]
-        return int(bytes(map(aid.__eq__, reversed(self.atom_ids))).translate(_DIGITS), 2)
+        pass over the column, then kept by id."""
+        d = self.__dict__
+        if "_atoms" in d:
+            return d["_atoms"][aid]
+        masks = d.get("_masks")
+        if masks is None:
+            masks = d["_masks"] = {}
+        if aid not in masks:
+            masks[aid] = int(bytes(map(aid.__eq__, reversed(self.atom_ids))).translate(_DIGITS), 2)
+        return masks[aid]
 
     def atom_index(self, config_index: int) -> int:
         aid = self.atom_ids[config_index]

@@ -28,7 +28,7 @@ class WModel(Record):
     """
 
     _fields = ("nature", "agents", "players", "information")
-    __slots__ = _fields + ("_space", "_derived", "__weakref__")
+    __slots__ = _fields + ("_space", "_info", "_derived", "__weakref__")
     nature: FiniteSet
     agents: tuple[tuple[str, FiniteSet], ...]
     players: tuple[tuple[str, tuple[str, ...]], ...]
@@ -55,6 +55,7 @@ class WModel(Record):
         info_ids = [a for a, _ in self.information]
         if info_ids != agent_ids:
             raise ValueError("information must list every agent once, in order")
+        object.__setattr__(self, "_info", dict(self.information))
         for agent, part in self.information:
             if part.space != space:
                 raise ValueError(f"information of {agent!r} built on a foreign space")
@@ -77,10 +78,10 @@ class WModel(Record):
         return self.space.actions_of(agent)
 
     def info_of(self, agent: str) -> Partition:
-        for a, part in self.information:
-            if a == agent:
-                return part
-        raise ValueError(f"unknown agent {agent!r}")
+        try:
+            return self._info[agent]  # type: ignore[attr-defined]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown agent {agent!r}") from None
 
     def choice_records(
         self, agents: Sequence[str], indices: Sequence[int]

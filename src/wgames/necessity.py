@@ -24,7 +24,7 @@ from .playability import (
     nature_block,
     strategy_mask,
 )
-from .recall import ConfigurationOrdering, Ordering, choice_partition, cylinder_field, prefix_cells
+from .recall import ConfigurationOrdering, Ordering, choice_partition, cylinder_field, first_failure
 from .record import Record
 from .strategies import (
     MixedStrategy,
@@ -134,7 +134,9 @@ def find_recall_violation(
 
     Scans the prefixes of length two or more that occur in ``phi``, by
     length then in canonical agent order, atoms of the final agent's field
-    in canonical order, pairs by ascending configuration index.  Within one
+    in canonical order, pairs by ascending configuration index; the
+    verdict of a whole-space prefix is kept per model and read by every
+    later scan (:func:`~wgames.recall.first_failure`).  Within one
     prefix an action-differing pair anywhere in the cell takes precedence
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
@@ -152,24 +154,28 @@ def find_recall_violation(
     the answer.  Pairing with x loses nothing: a pair that differs in
     actions or records has a member that differs from x in the same way.
     """
+    return first_failure(model, player, phi, 2, _violation_at)
+
+
+def _violation_at(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[RecallViolation]:
+    """The violation :func:`find_recall_violation` reports at one prefix, if any."""
     space = model.space
-    for kappa, cell in prefix_cells(model, player, phi, start=2):
-        preds = kappa.sequence[:-1]
-        choice, info = choice_partition(model, preds), model.info_of(kappa.last)
-        infos, choices = atom_id_columns(cell, info, choice)
-        refines = cylinder_refines(info, choice) if cell == space.full_mask else None
-        if refines or refines is None and len(set(zip(infos, choices))) == len(set(infos)):
-            continue  # no information atom in the cell meets two choice atoms
-        (actions,) = atom_id_columns(cell, cylinder_field(model, CoordinateSet.of(False, preds)))
-        firsts: dict[int, tuple[int, int, int]] = {}  # information atom id -> first member, its choice and action ids
-        pairs = []
-        for y, z, c, u in zip(iter_bits(cell), infos, choices, actions):
-            x, cx, ux = firsts.setdefault(z, (y, c, u))
-            if c != cx:
-                pairs.append((u == ux, z, y, x))
-        agree, _, y, x = min(pairs)
-        return RecallViolation(kappa, space.config(x), space.config(y), CASE_INFORMATION if agree else CASE_ACTION)
-    return None
+    preds = prefix[:-1]
+    choice, info = choice_partition(model, preds), model.info_of(prefix[-1])
+    infos, choices = atom_id_columns(cell, info, choice)
+    refines = cylinder_refines(info, choice) if cell == space.full_mask else None
+    if refines or refines is None and len(set(zip(infos, choices))) == len(set(infos)):
+        return None  # no information atom in the cell meets two choice atoms
+    (actions,) = atom_id_columns(cell, cylinder_field(model, CoordinateSet.of(False, preds)))
+    firsts: dict[int, tuple[int, int, int]] = {}  # information atom id -> first member, its choice and action ids
+    pairs = []
+    for y, z, c, u in zip(iter_bits(cell), infos, choices, actions):
+        x, cx, ux = firsts.setdefault(z, (y, c, u))
+        if c != cx:
+            pairs.append((u == ux, z, y, x))
+    agree, _, y, x = min(pairs)
+    case = CASE_INFORMATION if agree else CASE_ACTION
+    return RecallViolation(Ordering(player, prefix), space.config(x), space.config(y), case)
 
 
 # ── witness construction ────────────────────────────────────────────────

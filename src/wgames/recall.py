@@ -8,8 +8,14 @@ causality asks that each cell, refined by the last agent's information,
 depends only on Nature, the other players' actions and the predecessors'
 actions.  Both checks quantify over atoms, which suffices for finite
 fields.  All three prefix checks (these two and the recall-violation scan)
-walk :func:`prefix_cells`: the prefixes that occur, each with its cell, in
-the canonical order of :func:`enumerate_orderings`.
+stop at the first failing prefix of one scan (:func:`first_failure`): the
+prefixes that occur, each with its cell, in the canonical order of
+:func:`enumerate_orderings`, which :func:`prefix_cells` also yields.  An
+ordering keeps its scan; a one-cell ordering's prefixes are slices of its
+sequence, each cut when the walk reaches it.  The verdict of a prefix whose
+cell is the whole space depends only on the model and the prefix, so the
+model keeps it, one table per check, and every check along any ordering,
+the ordering search's constant orderings among them, reads it there.
 
 The searches build candidate orderings cell by cell, assigning the next
 agent in whole blocks.  The target property forces the block shape (the
@@ -28,7 +34,7 @@ columns.
 from __future__ import annotations
 
 from itertools import compress, permutations
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .fields import (
     CoordinateSet,
@@ -87,9 +93,14 @@ def restrict_ordering(rho: Ordering, k: int) -> Ordering:
 
 class ConfigurationOrdering(Record):
     """The agents' order at each configuration: one disjoint ``(ordering,
-    mask)`` cell per order that occurs, sorted by lowest configuration."""
+    mask)`` cell per order that occurs, sorted by lowest configuration.
 
-    __slots__ = ("player", "cells")
+    ``_scan`` keeps the ordering's prefix scan (see :func:`prefix_cells`)
+    with the space and agent tuple it was checked against; it is no field,
+    so ``==``, ``hash``, ``repr``, ``replace`` and pickling ignore it."""
+
+    _fields = ("player", "cells")
+    __slots__ = _fields + ("_scan",)
     player: str
     cells: tuple[tuple[Ordering, int], ...]
 
@@ -110,6 +121,7 @@ class ConfigurationOrdering(Record):
             raise ValueError("one cell per ordering")
         cells = sorted(self.cells, key=lambda cell: cell[1] & -cell[1])  # so == is canonical
         object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "_scan", None)
 
     @classmethod
     def from_table(cls, player: str, table) -> ConfigurationOrdering:
@@ -170,6 +182,45 @@ def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) ->
     return sum(mask for rho, mask in phi.cells if rho.sequence[:k] == kappa.sequence)
 
 
+def _prefix_scan(
+    model: WModel, player: str, phi: ConfigurationOrdering, start: int
+) -> Iterable[tuple[tuple[str, ...], int, bool]]:
+    """``(prefix, cell, whole)`` of :func:`prefix_cells`, prefixes as agent
+    tuples and ``whole`` telling whether the cell is the whole space.
+
+    ``phi`` is checked against the model once per space and agent tuple
+    and keeps its scan.  A one-cell ordering keeps none: its prefixes are
+    slices of its sequence, cut as the caller reaches them, so a walk that
+    stops early builds no more.  Any other keeps its list of prefixes.
+    """
+    space, agents = model.space, model.agents_of(player)
+    kept = phi._scan
+    if kept is None or kept[0] is not space or kept[1] is not agents:
+        _validate_phi(model, player, phi)
+        kept = (space, agents, None if phi.is_constant else _scan_cells(agents, phi, space.full_mask))
+        object.__setattr__(phi, "_scan", kept)
+    entries = kept[2]
+    if entries is None:
+        ((rho, full),) = phi.cells
+        seq = rho.sequence
+        return ((seq[:k], full, True) for k in range(start, len(seq) + 1))
+    return entries if start == 1 else [entry for entry in entries if len(entry[0]) >= start]
+
+
+def _scan_cells(agents: tuple[str, ...], phi: ConfigurationOrdering, full: int) -> list:
+    """Every prefix of ``phi``'s orderings with the union of their cells, by
+    length and then by the agents' positions in ``agents``."""
+    pos = {a: i for i, a in enumerate(agents)}
+    entries = []
+    for k in range(1, len(agents) + 1):
+        cells: dict[tuple[str, ...], int] = {}
+        for rho, mask in phi.cells:
+            cells[rho.sequence[:k]] = cells.get(rho.sequence[:k], 0) | mask
+        for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
+            entries.append((prefix, cells[prefix], cells[prefix] == full))
+    return entries
+
+
 def prefix_cells(
     model: WModel, player: str, phi: ConfigurationOrdering, start: int = 1
 ) -> Iterator[tuple[Ordering, int]]:
@@ -180,16 +231,44 @@ def prefix_cells(
     :func:`enumerate_orderings`, so a check that stops at its first failure
     reports what a walk over every injective sequence would.  A prefix's
     cell is the union of the cells of ``phi`` whose ordering starts with it.
+    The scan behind it is kept on ``phi`` (:func:`_prefix_scan`).
     """
-    _validate_phi(model, player, phi)
-    agents = model.agents_of(player)
-    pos = {a: i for i, a in enumerate(agents)}
-    for k in range(start, len(agents) + 1):
-        cells: dict[tuple[str, ...], int] = {}
-        for rho, mask in phi.cells:
-            cells[rho.sequence[:k]] = cells.get(rho.sequence[:k], 0) | mask
-        for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
-            yield Ordering(player, prefix), cells[prefix]
+    for prefix, cell, _ in _prefix_scan(model, player, phi, start):
+        yield Ordering(player, prefix), cell
+
+
+_UNDECIDED = object()  # no verdict kept for a prefix yet
+
+
+def first_failure(
+    model: WModel,
+    player: str,
+    phi: ConfigurationOrdering,
+    start: int,
+    decide: Callable[[WModel, str, tuple[str, ...], int], Optional[Record]],
+) -> Optional[Record]:
+    """First verdict other than None that ``decide(model, player, prefix,
+    cell)`` gives along the prefixes of ``phi`` from length ``start``, in
+    the order of :func:`prefix_cells`.
+
+    The verdict of a whole-space prefix is kept in the model's table for
+    ``decide`` (keyed by the function, in the model's derived fields) and
+    read from there by every later check along any ordering; a prefix with
+    a smaller cell is decided on every walk.
+    """
+    derived = model._derived  # type: ignore[attr-defined]
+    verdicts = derived.get(decide)
+    if verdicts is None:
+        verdicts = derived[decide] = {}
+    for prefix, cell, whole in _prefix_scan(model, player, phi, start):
+        verdict = verdicts.get(prefix, _UNDECIDED) if whole else _UNDECIDED
+        if verdict is _UNDECIDED:
+            verdict = decide(model, player, prefix, cell)
+            if whole:
+                verdicts[prefix] = verdict
+        if verdict is not None:
+            return verdict
+    return None
 
 
 def cylinder_field(model: WModel, coords: CoordinateSet) -> Partition:
@@ -197,38 +276,81 @@ def cylinder_field(model: WModel, coords: CoordinateSet) -> Partition:
     which starts with its cylinder information fields; a miss is built
     once per model."""
     derived = model._derived  # type: ignore[attr-defined]
-    if coords not in derived:
-        derived[coords] = cylinder_partition(model.space, coords)
-    return derived[coords]
+    field = derived.get(coords)
+    if field is None:
+        field = derived[coords] = cylinder_partition(model.space, coords)
+    return field
 
 
 def choice_partition(model: WModel, agents) -> Partition:
     """Join over ``agents`` of what each did and knew (I_a), built once per
     model.  When every I_a is a cylinder field, the join is the cylinder over
     their generators and the agents' own action coordinates, from the model's
-    table (:func:`cylinder_field`).  Otherwise the last of them in declared
-    order folds its I_a atom ids and action digits into the atom ids of the
-    others' field, renumbered so labels stay below |H|."""
-    space, derived = model.space, model._derived  # type: ignore[attr-defined]
+    table (:func:`cylinder_field`); that coordinate set is the one of the
+    join over all but the last agent, with the last one's added, when that
+    join is kept.  Otherwise the last of them in declared order folds its
+    I_a atom ids and action digits into the atom ids of the others' field,
+    renumbered so labels stay below |H|.  The field is kept under the agents
+    in declared order and under the tuple as given, so a prefix finds it
+    without sorting."""
+    derived = model._derived  # type: ignore[attr-defined]
+    given = type(agents) is tuple
+    field = derived.get(agents) if given else None
+    if field is not None:
+        return field
+    space = model.space
     key = tuple(sorted(agents, key=space.agent_pos))
-    if key not in derived:
-        gens = [model.info_of(a).generators for a in key]
-        if None not in gens:
-            coords = CoordinateSet(any(g.include_nature for g in gens), frozenset(key).union(*(g.agents for g in gens)))
-            derived[key] = cylinder_field(model, coords)
+    field = derived.get(key)
+    if field is None:
+        head = derived.get(agents[:-1]) if given and agents else None
+        last = model.info_of(agents[-1]).generators if head is not None else None
+        if last is not None and head.generators is not None:
+            coords = CoordinateSet(
+                head.generators.include_nature or last.include_nature,
+                head.generators.agents.union(last.agents, agents[-1:]),
+            )
+            field = cylinder_field(model, coords)
         else:
-            info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
-            n, radix = len(info), space.sizes[coord]
-            folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
-            derived[key] = partition_from_labels(space, first_seen([(c * n + z) * radix + d for c, z, d in folded]))
-    return derived[key]
+            field = _choice_field(model, key)
+        derived[key] = field
+    if given:
+        derived[agents] = field
+    return field
+
+
+def _choice_field(model: WModel, key: tuple[str, ...]) -> Partition:
+    """:func:`choice_partition` over ``key``, agents in declared order."""
+    space = model.space
+    gens = [model.info_of(a).generators for a in key]
+    if None not in gens:
+        coords = CoordinateSet(any(g.include_nature for g in gens), frozenset(key).union(*(g.agents for g in gens)))
+        return cylinder_field(model, coords)
+    info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
+    n, radix = len(info), space.sizes[coord]
+    folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
+    return partition_from_labels(space, first_seen([(c * n + z) * radix + d for c, z, d in folded]))
 
 
 def causality_ground(model: WModel, player: str, predecessors) -> Partition:
     """Cylinder field of Nature, all opponents and ``predecessors``, from the
     model's table (:func:`cylinder_field`): along a chain of prefixes each
-    ground is one cylinder built once, or an information field already."""
-    return cylinder_field(model, CoordinateSet.of(True, model.opponents_of(player) + tuple(predecessors)))
+    ground is one cylinder built once, or an information field already.
+    It is also kept under ``("ground", player, predecessors)``, so a prefix
+    finds it without building a coordinate set, and a new prefix takes the
+    coordinate set of its shorter one with its last agent added."""
+    derived = model._derived  # type: ignore[attr-defined]
+    if type(predecessors) is not tuple:
+        predecessors = tuple(predecessors)
+    key = ("ground", player, predecessors)
+    ground = derived.get(key)
+    if ground is None:
+        head = derived.get(("ground", player, predecessors[:-1])) if predecessors else None
+        if head is not None:
+            coords = CoordinateSet(True, head.generators.agents.union(predecessors[-1:]))
+        else:
+            coords = CoordinateSet.of(True, model.opponents_of(player) + predecessors)
+        ground = derived[key] = cylinder_field(model, coords)
+    return ground
 
 
 class FieldMembershipViolation(Record):
@@ -246,17 +368,29 @@ class FieldMembershipViolation(Record):
     offending_atom: int
 
 
-def _first_cut(
-    kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
+def _cut(
+    player: str, prefix: tuple[str, ...], cell: int, conditioning: Optional[Partition], field: Partition
 ) -> Optional[FieldMembershipViolation]:
     """First piece ``cell & block``, blocks of ``conditioning`` in order (the
-    whole space when None), that cuts an atom of ``field`` properly, if any;
-    only the masks of that cut are built."""
+    whole space when None), that cuts an atom of ``field`` properly, if any.
+    Only the masks of that cut are read, and the partitions keep them
+    (:meth:`~wgames.fields.Partition.atom`); a piece equal to its block is
+    the block itself, so a kept verdict holds no mask of its own."""
     first = first_cut(cell, field, conditioning)
     if first is None:
         return None
     block = field.space.full_mask if conditioning is None else conditioning.atom(first[0])
-    return FieldMembershipViolation(kappa, block, cell & block, field.atom(first[1]))
+    subset = cell & block
+    return FieldMembershipViolation(
+        Ordering(player, prefix), block, block if subset == block else subset, field.atom(first[1])
+    )
+
+
+def _first_cut(
+    kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
+) -> Optional[FieldMembershipViolation]:
+    """:func:`_cut` at the prefix ``kappa``."""
+    return _cut(kappa.player, kappa.sequence, cell, conditioning, field)
 
 
 class RecallReport(Record):
@@ -270,6 +404,22 @@ class RecallReport(Record):
             raise ValueError("holds must match the absence of a violation")
 
 
+def _recall_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[FieldMembershipViolation]:
+    """Recall at one prefix: the cell, intersected with each atom of the
+    predecessors' choice field when there are predecessors, against the
+    last agent's information field."""
+    preds = prefix[:-1]
+    conditioning = choice_partition(model, preds) if preds else None
+    return _cut(player, prefix, cell, conditioning, model.info_of(prefix[-1]))
+
+
+def _causality_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[FieldMembershipViolation]:
+    """Causality at one prefix: the cell, refined by the last agent's
+    information, against the ground field of its predecessors."""
+    ground = causality_ground(model, player, prefix[:-1])
+    return _cut(player, prefix, cell, model.info_of(prefix[-1]), ground)
+
+
 def check_perfect_recall(
     model: WModel, player: str, phi: ConfigurationOrdering
 ) -> RecallReport:
@@ -279,15 +429,11 @@ def check_perfect_recall(
     length one the cell itself must belong to the field; for longer
     prefixes the cell is first intersected with each atom of the
     predecessors' choice field.  The first failure, in canonical prefix and
-    atom order, is reported.
+    atom order, is reported; whole-space prefixes are decided once per
+    model (:func:`first_failure`).
     """
-    for kappa, cell in prefix_cells(model, player, phi):
-        preds = kappa.sequence[:-1]
-        conditioning = choice_partition(model, preds) if preds else None
-        violation = _first_cut(kappa, cell, conditioning, model.info_of(kappa.last))
-        if violation is not None:
-            return RecallReport(False, phi, violation)
-    return RecallReport(True, phi, None)
+    violation = first_failure(model, player, phi, 1, _recall_cut)
+    return RecallReport(violation is None, phi, violation)
 
 
 def check_partial_causality(
@@ -295,13 +441,10 @@ def check_partial_causality(
 ) -> RecallReport:
     """Test every prefix cell, refined by the last agent's information,
     for membership in the ground field of Nature, opponents and
-    predecessors' actions."""
-    for kappa, cell in prefix_cells(model, player, phi):
-        ground = causality_ground(model, player, kappa.sequence[:-1])
-        violation = _first_cut(kappa, cell, model.info_of(kappa.last), ground)
-        if violation is not None:
-            return RecallReport(False, phi, violation)
-    return RecallReport(True, phi, None)
+    predecessors' actions; whole-space prefixes are decided once per
+    model (:func:`first_failure`)."""
+    violation = first_failure(model, player, phi, 1, _causality_cut)
+    return RecallReport(violation is None, phi, violation)
 
 
 # ── ordering search ─────────────────────────────────────────────────────

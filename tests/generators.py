@@ -11,7 +11,8 @@ Nature state and returns the matching non-constant perfect-recall ordering.
 guaranteed to be a valid model.  ``observes_document`` writes a model with
 its cylinder information fields in the ``observes`` form, and
 ``without_generators`` rebuilds one whose fields carry no coordinate sets,
-so every refinement test on it is counted.  ``mutated_json``
+so every refinement test on it is counted.  ``forgetful_model`` is a
+decision maker with no recall ordering at all.  ``mutated_json``
 makes one edit to a wire document, for the fuzz tests of the parsers.
 """
 
@@ -302,6 +303,21 @@ def deep_recall_model(n: int) -> WModel:
         players=(("P", ("a", "b")), ("Q", qs)),
         information=info,
     )
+
+
+def forgetful_model(n: int) -> WModel:
+    """One decision maker ``dm`` of ``n`` binary agents that forgets: t1
+    observes Nature, and each later t_k only the action of t_(k-1).  No
+    ordering has perfect recall, so the search sweeps all n! constant
+    orderings and then the general backtracking before it answers none."""
+    nature = FiniteSet("nature", ("w0", "w1"))
+    ids = tuple(f"t{k}" for k in range(1, n + 1))
+    agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ids)
+    space = _space_of(nature, agents)
+    info = tuple(
+        (a, cylinder_partition(space, CoordinateSet.of(k == 0, ids[k - 1 : k]))) for k, a in enumerate(ids)
+    )
+    return WModel(nature=nature, agents=agents, players=(("dm", ids),), information=info)
 
 
 def random_partition(rng: Random, space, max_atoms: int) -> Partition:

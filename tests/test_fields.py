@@ -558,3 +558,20 @@ def test_trivial_and_complete_partitions_are_cylinders():
 
     for name in ("alice-bob-simultaneous", "alice-bob-ordered"):
         assert choice_partition(corpus_model(name), ("alice", "bob")).generators is not None
+
+
+def test_atom_keeps_each_mask_it_builds_and_never_builds_atoms():
+    """``atom`` keeps the mask it builds, equal to the mask ``atoms`` holds
+    at that id, and a second call gives the same object; it never builds
+    the ``atoms`` tuple, which some paths are pinned not to build."""
+    rng = Random(28)
+    for _ in range(40):
+        space = random_space(rng, max_agents=3, max_actions=3, max_states=3, max_size=200)
+        labels = [rng.randrange(5) for _ in range(space.size)]
+        p, twin = partition_from_labels(space, labels), partition_from_labels(space, labels)
+        for aid in rng.sample(range(len(p)), min(3, len(p))):
+            mask = p.atom(aid)
+            assert p.atom(aid) is mask
+            assert mask == twin.atoms[aid]
+        assert "_atoms" not in vars(p)
+        assert p == twin and hash(p) == hash(twin)

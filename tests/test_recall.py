@@ -38,7 +38,7 @@ from wgames import (
     sequential_model,
 )
 from wgames import cli
-from wgames.io import model_digest, parse_model
+from wgames.io import model_digest, parse_model, serialize_model
 from wgames.necessity import CASE_ACTION, CASE_INFORMATION
 from wgames.recall import NodeBudget
 
@@ -46,6 +46,7 @@ from clirunner import CliRunner
 from generators import (
     config_tuple,
     deep_recall_model,
+    forgetful_model,
     oracle_phi,
     random_causal_model,
     random_partition,
@@ -562,3 +563,111 @@ def test_coordinate_sets_and_counting_give_the_same_answers_on_the_corpus():
     for name in corpus_names():
         model = corpus_model(name)
         assert _recall_answers(model) == _recall_answers(without_generators(model)), name
+
+
+# ── verdicts kept per model and scans kept per ordering ─────────────────
+
+
+def _orderings_to_check(model, player):
+    """The declared constant ordering, the same with its last two agents
+    swapped, and the first multi-cell partially causal ordering, if any."""
+    own = model.agents_of(player)
+    orderings = [constant_ordering(model, player, own)]
+    if len(own) >= 2:
+        orderings.append(constant_ordering(model, player, own[:-2] + (own[-1], own[-2])))
+    try:
+        for phi in islice(iter_causal_orderings(model, player, 2_000), 8):
+            if not phi.is_constant:
+                orderings.append(phi)
+                break
+    except SearchBudgetExhausted:
+        pass
+    return orderings
+
+
+def _call(model, call, copy=False):
+    name, player, phi = call
+    if name == "search_recall_ordering":
+        found = search_recall_ordering(model, player, 2_000)
+        return repr((found.outcome, found.ordering, found.nodes))
+    check = {
+        "check_perfect_recall": check_perfect_recall,
+        "check_partial_causality": check_partial_causality,
+        "find_recall_violation": find_recall_violation,
+    }[name]
+    if copy:  # an ordering object of its own, with no scan kept
+        phi = ConfigurationOrdering(phi.player, phi.cells)
+    return repr(check(model, player, phi))
+
+
+def _fresh(model):
+    return parse_model(serialize_model(model))
+
+
+def test_answers_do_not_depend_on_the_order_of_calls_on_one_model():
+    """The checks and the search answer alike whatever ran before them on
+    the same model and ordering objects: each answer equals the one a
+    freshly parsed copy of the model gives to that call alone, with an
+    ordering object of its own, in three call orders."""
+    rng = Random(28)
+    multi_cell = 0
+    for seed in range(300):
+        for model in (random_causal_model(Random(seed)), random_partition_model(Random(seed))):
+            calls = []
+            for player in model.player_names:
+                orderings = _orderings_to_check(model, player)
+                multi_cell += not orderings[-1].is_constant
+                for phi in orderings:
+                    for name in ("check_perfect_recall", "check_partial_causality", "find_recall_violation"):
+                        calls.append((name, player, phi))
+                calls.append(("search_recall_ordering", player, None))
+            want = {call_id: _call(_fresh(model), call, copy=True) for call_id, call in enumerate(calls)}
+            shared = _fresh(model)
+            for _ in range(3):
+                order = list(range(len(calls)))
+                rng.shuffle(order)
+                for call_id in order:
+                    assert _call(shared, calls[call_id]) == want[call_id], (seed, calls[call_id])
+    assert multi_cell >= 50, multi_cell
+
+
+def test_forgetful_search_sweeps_every_ordering_and_finds_none():
+    """Node counts of the search on a decision maker with no recall
+    ordering: every constant ordering, then the general backtracking."""
+    assert repr(search_recall_ordering(forgetful_model(6), "dm")) == (
+        "OrderingSearch(outcome='none', ordering=None, nodes=792)"
+    )
+    found = search_recall_ordering(forgetful_model(7), "dm")
+    assert (found.outcome, found.ordering, found.nodes) == ("none", None, 5138)
+
+
+def test_kept_verdicts_give_each_constant_ordering_a_fresh_models_report():
+    """One forgetful model checks all 120 constant orderings in turn, so
+    later ones read verdicts the earlier ones left; each report equals the
+    one a new model gives, kept masks included."""
+    model = forgetful_model(5)
+    for sequence in permutations(model.agents_of("dm")):
+        phi = constant_ordering(model, "dm", sequence)
+        fresh = forgetful_model(5)
+        want = check_perfect_recall(fresh, "dm", constant_ordering(fresh, "dm", sequence))
+        assert repr(check_perfect_recall(model, "dm", phi)) == repr(want)
+
+
+def test_an_ordering_keeps_its_scan_outside_its_fields():
+    """The kept scan leaves equality, hash, repr, replace and pickling as
+    they were, and a scan kept for one model is checked again for another."""
+    import pickle
+
+    model = sequential_model(4)
+    ids = model.agents_of("dm")
+    phi = constant_ordering(model, "dm", ids)
+    twin = constant_ordering(model, "dm", ids)
+    before = repr(phi)
+    assert check_perfect_recall(model, "dm", phi).holds
+    assert phi._scan is not None and twin._scan is None
+    assert phi == twin and hash(phi) == hash(twin) and repr(phi) == before
+    assert phi.replace()._scan is None and pickle.loads(pickle.dumps(phi))._scan is None
+    assert list(prefix_cells(model, "dm", phi)) == list(prefix_cells(model, "dm", twin))
+    other = sequential_model(5)
+    with pytest.raises(ValueError):
+        check_perfect_recall(other, "dm", phi)
