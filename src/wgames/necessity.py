@@ -134,9 +134,10 @@ def find_recall_violation(
 
     Scans the prefixes of length two or more that occur in ``phi``, by
     length then in canonical agent order, atoms of the final agent's field
-    in canonical order, pairs by ascending configuration index; the
-    verdict of a whole-space prefix is kept per model and read by every
-    later scan (:func:`~wgames.recall.first_failure`).  Within one
+    in canonical order, pairs by ascending configuration index; what a
+    whole-space prefix gives is kept per model, under its set of agents and
+    its final agent, and read by every later scan
+    (:func:`~wgames.recall.first_failure`).  Within one
     prefix an action-differing pair anywhere in the cell takes precedence
     over atom-only pairs: the atom-reactive witness built for the second
     tag is only sound when configurations sharing a final atom share every
@@ -154,11 +155,17 @@ def find_recall_violation(
     the answer.  Pairing with x loses nothing: a pair that differs in
     actions or records has a member that differs from x in the same way.
     """
-    return first_failure(model, player, phi, 2, _violation_at)
+    failure = first_failure(model, player, phi, 2, _violation_at)
+    if failure is None:
+        return None
+    prefix, (x, y, case) = failure
+    space = model.space
+    return RecallViolation(Ordering(player, prefix), space.config(x), space.config(y), case)
 
 
-def _violation_at(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[RecallViolation]:
-    """The violation :func:`find_recall_violation` reports at one prefix, if any."""
+def _violation_at(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[tuple[int, int, str]]:
+    """The pair (x, y, case) :func:`find_recall_violation` reports at one
+    prefix, configurations by index, if any."""
     space = model.space
     preds = prefix[:-1]
     choice, info = choice_partition(model, preds), model.info_of(prefix[-1])
@@ -174,8 +181,7 @@ def _violation_at(model: WModel, player: str, prefix: tuple[str, ...], cell: int
         if c != cx:
             pairs.append((u == ux, z, y, x))
     agree, _, y, x = min(pairs)
-    case = CASE_INFORMATION if agree else CASE_ACTION
-    return RecallViolation(Ordering(player, prefix), space.config(x), space.config(y), case)
+    return x, y, CASE_INFORMATION if agree else CASE_ACTION
 
 
 # ── witness construction ────────────────────────────────────────────────

@@ -10,12 +10,13 @@ actions.  Both checks quantify over atoms, which suffices for finite
 fields.  All three prefix checks (these two and the recall-violation scan)
 stop at the first failing prefix of one scan (:func:`first_failure`): the
 prefixes that occur, each with its cell, in the canonical order of
-:func:`enumerate_orderings`, which :func:`prefix_cells` also yields.  An
-ordering keeps its scan; a one-cell ordering's prefixes are slices of its
-sequence, each cut when the walk reaches it.  The verdict of a prefix whose
-cell is the whole space depends only on the model and the prefix, so the
-model keeps it, one table per check, and every check along any ordering,
-the ordering search's constant orderings among them, reads it there.
+:func:`enumerate_orderings`, which :func:`prefix_cells` also yields; a
+one-cell ordering's prefixes are slices of its sequence, each cut when the
+walk reaches it.  Where a prefix's cell is the whole space, what a check
+finds there depends only on the model, the prefix's agents and its last
+agent, so the model keeps it, one table per check, and every check along
+any ordering, the ordering search's constant orderings among them, reads
+it there.
 
 The searches build candidate orderings cell by cell, assigning the next
 agent in whole blocks.  The target property forces the block shape (the
@@ -34,7 +35,7 @@ columns.
 from __future__ import annotations
 
 from itertools import compress, permutations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .fields import (
     CoordinateSet,
@@ -93,14 +94,9 @@ def restrict_ordering(rho: Ordering, k: int) -> Ordering:
 
 class ConfigurationOrdering(Record):
     """The agents' order at each configuration: one disjoint ``(ordering,
-    mask)`` cell per order that occurs, sorted by lowest configuration.
+    mask)`` cell per order that occurs, sorted by lowest configuration."""
 
-    ``_scan`` keeps the ordering's prefix scan (see :func:`prefix_cells`)
-    with the space and agent tuple it was checked against; it is no field,
-    so ``==``, ``hash``, ``repr``, ``replace`` and pickling ignore it."""
-
-    _fields = ("player", "cells")
-    __slots__ = _fields + ("_scan",)
+    __slots__ = ("player", "cells")
     player: str
     cells: tuple[tuple[Ordering, int], ...]
 
@@ -121,7 +117,6 @@ class ConfigurationOrdering(Record):
             raise ValueError("one cell per ordering")
         cells = sorted(self.cells, key=lambda cell: cell[1] & -cell[1])  # so == is canonical
         object.__setattr__(self, "cells", tuple(cells))
-        object.__setattr__(self, "_scan", None)
 
     @classmethod
     def from_table(cls, player: str, table) -> ConfigurationOrdering:
@@ -184,41 +179,26 @@ def ordering_cell(model: WModel, phi: ConfigurationOrdering, kappa: Ordering) ->
 
 def _prefix_scan(
     model: WModel, player: str, phi: ConfigurationOrdering, start: int
-) -> Iterable[tuple[tuple[str, ...], int, bool]]:
+) -> Iterator[tuple[tuple[str, ...], int, bool]]:
     """``(prefix, cell, whole)`` of :func:`prefix_cells`, prefixes as agent
-    tuples and ``whole`` telling whether the cell is the whole space.
-
-    ``phi`` is checked against the model once per space and agent tuple
-    and keeps its scan.  A one-cell ordering keeps none: its prefixes are
-    slices of its sequence, cut as the caller reaches them, so a walk that
-    stops early builds no more.  Any other keeps its list of prefixes.
-    """
-    space, agents = model.space, model.agents_of(player)
-    kept = phi._scan
-    if kept is None or kept[0] is not space or kept[1] is not agents:
-        _validate_phi(model, player, phi)
-        kept = (space, agents, None if phi.is_constant else _scan_cells(agents, phi, space.full_mask))
-        object.__setattr__(phi, "_scan", kept)
-    entries = kept[2]
-    if entries is None:
-        ((rho, full),) = phi.cells
-        seq = rho.sequence
-        return ((seq[:k], full, True) for k in range(start, len(seq) + 1))
-    return entries if start == 1 else [entry for entry in entries if len(entry[0]) >= start]
-
-
-def _scan_cells(agents: tuple[str, ...], phi: ConfigurationOrdering, full: int) -> list:
-    """Every prefix of ``phi``'s orderings with the union of their cells, by
-    length and then by the agents' positions in ``agents``."""
+    tuples and ``whole`` telling whether the cell is the whole space.  A
+    one-cell ordering's prefixes are slices of its sequence, cut as the
+    caller reaches them, so a walk that stops early builds no more."""
+    _validate_phi(model, player, phi)
+    full = model.space.full_mask
+    if phi.is_constant:
+        seq = phi.cells[0][0].sequence
+        for k in range(start, len(seq) + 1):
+            yield seq[:k], full, True
+        return
+    agents = model.agents_of(player)
     pos = {a: i for i, a in enumerate(agents)}
-    entries = []
-    for k in range(1, len(agents) + 1):
+    for k in range(start, len(agents) + 1):
         cells: dict[tuple[str, ...], int] = {}
         for rho, mask in phi.cells:
             cells[rho.sequence[:k]] = cells.get(rho.sequence[:k], 0) | mask
         for prefix in sorted(cells, key=lambda seq: [pos[a] for a in seq]):
-            entries.append((prefix, cells[prefix], cells[prefix] == full))
-    return entries
+            yield prefix, cells[prefix], cells[prefix] == full
 
 
 def prefix_cells(
@@ -231,13 +211,13 @@ def prefix_cells(
     :func:`enumerate_orderings`, so a check that stops at its first failure
     reports what a walk over every injective sequence would.  A prefix's
     cell is the union of the cells of ``phi`` whose ordering starts with it.
-    The scan behind it is kept on ``phi`` (:func:`_prefix_scan`).
+    The checks walk the same scan (:func:`first_failure`).
     """
     for prefix, cell, _ in _prefix_scan(model, player, phi, start):
         yield Ordering(player, prefix), cell
 
 
-_UNDECIDED = object()  # no verdict kept for a prefix yet
+_UNDECIDED = object()  # nothing kept for a prefix yet
 
 
 def first_failure(
@@ -245,29 +225,39 @@ def first_failure(
     player: str,
     phi: ConfigurationOrdering,
     start: int,
-    decide: Callable[[WModel, str, tuple[str, ...], int], Optional[Record]],
-) -> Optional[Record]:
-    """First verdict other than None that ``decide(model, player, prefix,
-    cell)`` gives along the prefixes of ``phi`` from length ``start``, in
-    the order of :func:`prefix_cells`.
+    decide: Callable[[WModel, str, tuple[str, ...], int], Optional[tuple]],
+) -> Optional[tuple[tuple[str, ...], tuple]]:
+    """The first prefix of ``phi`` from length ``start``, in the order of
+    :func:`prefix_cells`, at which ``decide(model, player, prefix, cell)``
+    finds a fault, with that fault (the fields of its record after the
+    prefix); None when there is none.
 
-    The verdict of a whole-space prefix is kept in the model's table for
-    ``decide`` (keyed by the function, in the model's derived fields) and
-    read from there by every later check along any ordering; a prefix with
-    a smaller cell is decided on every walk.
+    On a whole-space cell every field a check reads is a join over the
+    predecessors, which forgets their order, so the fault there depends
+    only on the model, the set of the prefix's agents and its last agent.
+    It is kept under that pair in the model's table for ``decide``, so the
+    table holds at most one entry per agent subset and member, and every
+    later check along any ordering reads it.  A prefix with a smaller cell
+    is decided on every walk.
     """
     derived = model._derived  # type: ignore[attr-defined]
-    verdicts = derived.get(decide)
-    if verdicts is None:
-        verdicts = derived[decide] = {}
+    faults = derived.get(decide)
+    if faults is None:
+        faults = derived[decide] = {}
+    pos, n = model.space.agent_pos, len(model.space.agents)
+    agents = 0  # bit set of the whole-space prefix's agents
     for prefix, cell, whole in _prefix_scan(model, player, phi, start):
-        verdict = verdicts.get(prefix, _UNDECIDED) if whole else _UNDECIDED
-        if verdict is _UNDECIDED:
-            verdict = decide(model, player, prefix, cell)
-            if whole:
-                verdicts[prefix] = verdict
-        if verdict is not None:
-            return verdict
+        if whole:  # whole-space prefixes come first, each one agent longer than the last
+            for a in prefix[-1:] if agents else prefix:
+                agents |= 1 << pos(a)
+            key = agents * n + pos(prefix[-1])
+            fault = faults.get(key, _UNDECIDED)
+            if fault is _UNDECIDED:
+                fault = faults[key] = decide(model, player, prefix, cell)
+        else:
+            fault = decide(model, player, prefix, cell)
+        if fault is not None:
+            return prefix, fault
     return None
 
 
@@ -286,71 +276,31 @@ def choice_partition(model: WModel, agents) -> Partition:
     """Join over ``agents`` of what each did and knew (I_a), built once per
     model.  When every I_a is a cylinder field, the join is the cylinder over
     their generators and the agents' own action coordinates, from the model's
-    table (:func:`cylinder_field`); that coordinate set is the one of the
-    join over all but the last agent, with the last one's added, when that
-    join is kept.  Otherwise the last of them in declared order folds its
-    I_a atom ids and action digits into the atom ids of the others' field,
-    renumbered so labels stay below |H|.  The field is kept under the agents
-    in declared order and under the tuple as given, so a prefix finds it
-    without sorting."""
-    derived = model._derived  # type: ignore[attr-defined]
-    given = type(agents) is tuple
-    field = derived.get(agents) if given else None
-    if field is not None:
-        return field
-    space = model.space
+    table (:func:`cylinder_field`).  Otherwise the last of them in declared
+    order folds its I_a atom ids and action digits into the atom ids of the
+    others' field, renumbered so labels stay below |H|."""
+    space, derived = model.space, model._derived  # type: ignore[attr-defined]
     key = tuple(sorted(agents, key=space.agent_pos))
     field = derived.get(key)
     if field is None:
-        head = derived.get(agents[:-1]) if given and agents else None
-        last = model.info_of(agents[-1]).generators if head is not None else None
-        if last is not None and head.generators is not None:
-            coords = CoordinateSet(
-                head.generators.include_nature or last.include_nature,
-                head.generators.agents.union(last.agents, agents[-1:]),
-            )
+        gens = [model.info_of(a).generators for a in key]
+        if None not in gens:
+            coords = CoordinateSet(any(g.include_nature for g in gens), frozenset(key).union(*(g.agents for g in gens)))
             field = cylinder_field(model, coords)
         else:
-            field = _choice_field(model, key)
+            info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
+            n, radix = len(info), space.sizes[coord]
+            folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
+            field = partition_from_labels(space, first_seen([(c * n + z) * radix + d for c, z, d in folded]))
         derived[key] = field
-    if given:
-        derived[agents] = field
     return field
-
-
-def _choice_field(model: WModel, key: tuple[str, ...]) -> Partition:
-    """:func:`choice_partition` over ``key``, agents in declared order."""
-    space = model.space
-    gens = [model.info_of(a).generators for a in key]
-    if None not in gens:
-        coords = CoordinateSet(any(g.include_nature for g in gens), frozenset(key).union(*(g.agents for g in gens)))
-        return cylinder_field(model, coords)
-    info, coord = model.info_of(key[-1]), space.agent_pos(key[-1]) + 1
-    n, radix = len(info), space.sizes[coord]
-    folded = zip(choice_partition(model, key[:-1]).atom_ids, info.atom_ids, space.column(coord))
-    return partition_from_labels(space, first_seen([(c * n + z) * radix + d for c, z, d in folded]))
 
 
 def causality_ground(model: WModel, player: str, predecessors) -> Partition:
     """Cylinder field of Nature, all opponents and ``predecessors``, from the
     model's table (:func:`cylinder_field`): along a chain of prefixes each
-    ground is one cylinder built once, or an information field already.
-    It is also kept under ``("ground", player, predecessors)``, so a prefix
-    finds it without building a coordinate set, and a new prefix takes the
-    coordinate set of its shorter one with its last agent added."""
-    derived = model._derived  # type: ignore[attr-defined]
-    if type(predecessors) is not tuple:
-        predecessors = tuple(predecessors)
-    key = ("ground", player, predecessors)
-    ground = derived.get(key)
-    if ground is None:
-        head = derived.get(("ground", player, predecessors[:-1])) if predecessors else None
-        if head is not None:
-            coords = CoordinateSet(True, head.generators.agents.union(predecessors[-1:]))
-        else:
-            coords = CoordinateSet.of(True, model.opponents_of(player) + predecessors)
-        ground = derived[key] = cylinder_field(model, coords)
-    return ground
+    ground is one cylinder built once, or an information field already."""
+    return cylinder_field(model, CoordinateSet.of(True, model.opponents_of(player) + tuple(predecessors)))
 
 
 class FieldMembershipViolation(Record):
@@ -368,29 +318,27 @@ class FieldMembershipViolation(Record):
     offending_atom: int
 
 
-def _cut(
-    player: str, prefix: tuple[str, ...], cell: int, conditioning: Optional[Partition], field: Partition
-) -> Optional[FieldMembershipViolation]:
+def _cut(cell: int, conditioning: Optional[Partition], field: Partition) -> Optional[tuple[int, int, int]]:
     """First piece ``cell & block``, blocks of ``conditioning`` in order (the
-    whole space when None), that cuts an atom of ``field`` properly, if any.
-    Only the masks of that cut are read, and the partitions keep them
+    whole space when None), that cuts an atom of ``field`` properly, as
+    (block, piece, atom) masks; None if there is none.  Only the masks of
+    that cut are read, and the partitions keep them
     (:meth:`~wgames.fields.Partition.atom`); a piece equal to its block is
-    the block itself, so a kept verdict holds no mask of its own."""
+    the block itself, so a kept fault holds no mask of its own."""
     first = first_cut(cell, field, conditioning)
     if first is None:
         return None
     block = field.space.full_mask if conditioning is None else conditioning.atom(first[0])
     subset = cell & block
-    return FieldMembershipViolation(
-        Ordering(player, prefix), block, block if subset == block else subset, field.atom(first[1])
-    )
+    return block, block if subset == block else subset, field.atom(first[1])
 
 
 def _first_cut(
     kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
 ) -> Optional[FieldMembershipViolation]:
-    """:func:`_cut` at the prefix ``kappa``."""
-    return _cut(kappa.player, kappa.sequence, cell, conditioning, field)
+    """:func:`_cut` at the prefix ``kappa``, as its violation record."""
+    cut = _cut(cell, conditioning, field)
+    return None if cut is None else FieldMembershipViolation(kappa, *cut)
 
 
 class RecallReport(Record):
@@ -404,20 +352,27 @@ class RecallReport(Record):
             raise ValueError("holds must match the absence of a violation")
 
 
-def _recall_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[FieldMembershipViolation]:
+def _report(phi: ConfigurationOrdering, failure: Optional[tuple[tuple[str, ...], tuple]]) -> RecallReport:
+    """The report of a check whose :func:`first_failure` is ``failure``."""
+    if failure is None:
+        return RecallReport(True, phi, None)
+    prefix, cut = failure
+    return RecallReport(False, phi, FieldMembershipViolation(Ordering(phi.player, prefix), *cut))
+
+
+def _recall_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[tuple[int, int, int]]:
     """Recall at one prefix: the cell, intersected with each atom of the
     predecessors' choice field when there are predecessors, against the
     last agent's information field."""
     preds = prefix[:-1]
     conditioning = choice_partition(model, preds) if preds else None
-    return _cut(player, prefix, cell, conditioning, model.info_of(prefix[-1]))
+    return _cut(cell, conditioning, model.info_of(prefix[-1]))
 
 
-def _causality_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[FieldMembershipViolation]:
+def _causality_cut(model: WModel, player: str, prefix: tuple[str, ...], cell: int) -> Optional[tuple[int, int, int]]:
     """Causality at one prefix: the cell, refined by the last agent's
     information, against the ground field of its predecessors."""
-    ground = causality_ground(model, player, prefix[:-1])
-    return _cut(player, prefix, cell, model.info_of(prefix[-1]), ground)
+    return _cut(cell, model.info_of(prefix[-1]), causality_ground(model, player, prefix[:-1]))
 
 
 def check_perfect_recall(
@@ -429,11 +384,10 @@ def check_perfect_recall(
     length one the cell itself must belong to the field; for longer
     prefixes the cell is first intersected with each atom of the
     predecessors' choice field.  The first failure, in canonical prefix and
-    atom order, is reported; whole-space prefixes are decided once per
+    atom order, is reported; what whole-space prefixes give is kept per
     model (:func:`first_failure`).
     """
-    violation = first_failure(model, player, phi, 1, _recall_cut)
-    return RecallReport(violation is None, phi, violation)
+    return _report(phi, first_failure(model, player, phi, 1, _recall_cut))
 
 
 def check_partial_causality(
@@ -441,10 +395,9 @@ def check_partial_causality(
 ) -> RecallReport:
     """Test every prefix cell, refined by the last agent's information,
     for membership in the ground field of Nature, opponents and
-    predecessors' actions; whole-space prefixes are decided once per
+    predecessors' actions; what whole-space prefixes give is kept per
     model (:func:`first_failure`)."""
-    violation = first_failure(model, player, phi, 1, _causality_cut)
-    return RecallReport(violation is None, phi, violation)
+    return _report(phi, first_failure(model, player, phi, 1, _causality_cut))
 
 
 # ── ordering search ─────────────────────────────────────────────────────

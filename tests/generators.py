@@ -12,7 +12,9 @@ guaranteed to be a valid model.  ``observes_document`` writes a model with
 its cylinder information fields in the ``observes`` form, and
 ``without_generators`` rebuilds one whose fields carry no coordinate sets,
 so every refinement test on it is counted.  ``forgetful_model`` is a
-decision maker with no recall ordering at all.  ``mutated_json``
+decision maker with no recall ordering at all, and ``blind_last_model`` one
+whose constant orderings fail where its blind agent acts, most of them late.
+``mutated_json``
 makes one edit to a wire document, for the fuzz tests of the parsers.
 """
 
@@ -317,6 +319,20 @@ def forgetful_model(n: int) -> WModel:
     info = tuple(
         (a, cylinder_partition(space, CoordinateSet.of(k == 0, ids[k - 1 : k]))) for k, a in enumerate(ids)
     )
+    return WModel(nature=nature, agents=agents, players=(("dm", ids),), information=info)
+
+
+def blind_last_model(n: int) -> WModel:
+    """One decision maker ``dm`` of ``n`` agents: t1 .. t(n-1) have one
+    action each and observe Nature, and t_n, declared last, has two actions
+    and observes nothing.  A constant ordering first fails where t_n acts,
+    or at the second agent when t_n acts first, so the search's constant
+    orderings fail at every position t_n can take, most of them late."""
+    nature = FiniteSet("nature", ("w0", "w1"))
+    ids = tuple(f"t{k}" for k in range(1, n + 1))
+    agents = tuple((a, FiniteSet(a, ("0",) if k < n else ("0", "1"))) for k, a in enumerate(ids, 1))
+    space = _space_of(nature, agents)
+    info = tuple((a, cylinder_partition(space, CoordinateSet.of(k < n, ()))) for k, a in enumerate(ids, 1))
     return WModel(nature=nature, agents=agents, players=(("dm", ids),), information=info)
 
 

@@ -44,6 +44,7 @@ from wgames.recall import NodeBudget
 
 from clirunner import CliRunner
 from generators import (
+    blind_last_model,
     config_tuple,
     deep_recall_model,
     forgetful_model,
@@ -565,16 +566,20 @@ def test_coordinate_sets_and_counting_give_the_same_answers_on_the_corpus():
         assert _recall_answers(model) == _recall_answers(without_generators(model)), name
 
 
-# ── verdicts kept per model and scans kept per ordering ─────────────────
+# ── what whole-space prefixes give, kept per model ──────────────────────
 
 
 def _orderings_to_check(model, player):
     """The declared constant ordering, the same with its last two agents
-    swapped, and the first multi-cell partially causal ordering, if any."""
+    swapped and with its first two swapped (whose prefixes of length three
+    and more have the agents and last agent of the declared one's), and
+    the first multi-cell partially causal ordering, if any."""
     own = model.agents_of(player)
     orderings = [constant_ordering(model, player, own)]
     if len(own) >= 2:
         orderings.append(constant_ordering(model, player, own[:-2] + (own[-1], own[-2])))
+    if len(own) >= 3:
+        orderings.append(constant_ordering(model, player, (own[1], own[0]) + own[2:]))
     try:
         for phi in islice(iter_causal_orderings(model, player, 2_000), 8):
             if not phi.is_constant:
@@ -595,7 +600,7 @@ def _call(model, call, copy=False):
         "check_partial_causality": check_partial_causality,
         "find_recall_violation": find_recall_violation,
     }[name]
-    if copy:  # an ordering object of its own, with no scan kept
+    if copy:  # an ordering object of its own
         phi = ConfigurationOrdering(phi.player, phi.cells)
     return repr(check(model, player, phi))
 
@@ -653,21 +658,23 @@ def test_kept_verdicts_give_each_constant_ordering_a_fresh_models_report():
         assert repr(check_perfect_recall(model, "dm", phi)) == repr(want)
 
 
-def test_an_ordering_keeps_its_scan_outside_its_fields():
-    """The kept scan leaves equality, hash, repr, replace and pickling as
-    they were, and a scan kept for one model is checked again for another."""
-    import pickle
-
-    model = sequential_model(4)
+def test_kept_faults_stay_one_per_agent_subset_and_last_agent():
+    """The tables of what whole-space prefixes give are keyed by the
+    prefix's set of agents and its last agent, whatever order the checks
+    meet them in.  The search's 5,040 constant orderings of seven agents,
+    each of which fails only where the blind agent acts or, when it acts
+    first, at the second agent, leave at most 7 * 2^6
+    entries in each table, where their walks meet 3,919 distinct prefixes;
+    a prefix met again in another order gets a fault that names it."""
+    model = blind_last_model(7)
+    found = search_recall_ordering(model, "dm", 6_000)
+    assert (found.outcome, found.nodes) == ("unknown", 6_000)
+    tables = [table for key, table in model._derived.items() if callable(key)]
+    assert tables and all(len(table) <= 7 * 2**6 for table in tables)
     ids = model.agents_of("dm")
-    phi = constant_ordering(model, "dm", ids)
-    twin = constant_ordering(model, "dm", ids)
-    before = repr(phi)
-    assert check_perfect_recall(model, "dm", phi).holds
-    assert phi._scan is not None and twin._scan is None
-    assert phi == twin and hash(phi) == hash(twin) and repr(phi) == before
-    assert phi.replace()._scan is None and pickle.loads(pickle.dumps(phi))._scan is None
-    assert list(prefix_cells(model, "dm", phi)) == list(prefix_cells(model, "dm", twin))
-    other = sequential_model(5)
-    with pytest.raises(ValueError):
-        check_perfect_recall(other, "dm", phi)
+    for sequence in (ids, (ids[1], ids[0]) + ids[2:], ids[::-1]):
+        phi = constant_ordering(model, "dm", sequence)
+        fresh = blind_last_model(7)
+        report = check_perfect_recall(model, "dm", phi)
+        assert report.violation.kappa.sequence == (sequence[:2] if sequence[0] == "t7" else sequence)
+        assert repr(report) == repr(check_perfect_recall(fresh, "dm", constant_ordering(fresh, "dm", sequence)))
