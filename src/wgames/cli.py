@@ -108,9 +108,12 @@ def _load_ordering(path: str, model: WModel, player: str):
     return phi
 
 
-def _require_player(model: WModel, player: str) -> None:
-    if player not in model.player_names:
-        raise UsageError(f"unknown player {player!r}")
+def _model_and_player(args) -> tuple[WModel, str]:
+    """MODEL parsed, and ``--player``, which must name one of its players."""
+    model = _parse_file(parse_model, args.model)
+    if args.player not in model.player_names:
+        raise UsageError(f"unknown player {args.player!r}")
+    return model, args.player
 
 
 def _player_strategies(model: WModel, loaded: list) -> list:
@@ -239,9 +242,7 @@ def playability(args) -> None:
 
 def recall(args) -> None:
     """Check perfect recall along an ordering, or search for one."""
-    model = _parse_file(parse_model, args.model)
-    player = args.player
-    _require_player(model, player)
+    model, player = _model_and_player(args)
     phi, nodes = _recall_ordering(args, "recall", model, player, "fails")
     if nodes is None:
         _emit(args, "recall", model, "holds", {"player": player}, 0)
@@ -251,9 +252,7 @@ def recall(args) -> None:
 
 def causality(args) -> None:
     """Check partial causality of an ordering."""
-    model = _parse_file(parse_model, args.model)
-    player = args.player
-    _require_player(model, player)
+    model, player = _model_and_player(args)
     phi = _load_ordering(args.ordering, model, player)
     report = check_partial_causality(model, player, phi)
     if report.holds:
@@ -277,9 +276,7 @@ def pushforward_cmd(args) -> None:
 
 def kuhn(args) -> None:
     """Behavioral strategy with the same closed-loop law as the mixed one."""
-    model = _parse_file(parse_model, args.model)
-    player = args.player
-    _require_player(model, player)
+    model, player = _model_and_player(args)
     nu = _parse_file(parse_belief, args.nu, model)
     loaded = [_parse_file(parse_strategy, f, model) for f in args.strategy]
     strategies = _player_strategies(model, loaded)
@@ -314,9 +311,7 @@ def necessity(args) -> None:
     (exit 0); only when there is none is the violation of the first causal
     ordering that has one certified.  One node budget covers both searches.
     """
-    model = _parse_file(parse_model, args.model)
-    player = args.player
-    _require_player(model, player)
+    model, player = _model_and_player(args)
     _one_of_ordering_or_search(args.ordering, args.search)
 
     def certify(phi, violation):
@@ -498,6 +493,7 @@ _TOP = _Command(
     },
 )
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # what int() reads, at any length
 
 
 def _is_option(token: str) -> bool:
@@ -567,6 +563,9 @@ def _value(entry: _Entry, text: str):
         try:
             number = int(text)
         except ValueError:
+            if _INTEGER.fullmatch(text):  # longer than Python converts from a string
+                digits = sum(map(str.isdecimal, text))
+                raise UsageError(f"argument {entry.name}: integer of {digits} digits has too many digits") from None
             raise UsageError(f"argument {entry.name}: {text!r} is not an integer") from None
         if number < 1:
             raise UsageError(f"argument {entry.name}: must be at least 1")

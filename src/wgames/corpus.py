@@ -5,7 +5,8 @@ the library: the Alice/Bob trio contrasts information structures on the same
 four-configuration square, ``witsenhausen-noncausal`` is the classic playable
 model with no first agent, and the remaining entries encode textbook
 leader/follower information inclusions (sequential control, principal-agent,
-Stackelberg).
+Stackelberg).  All but ``witsenhausen-noncausal`` are written as observes
+tables: whether each agent sees Nature, and whose actions it watches.
 
 ``sequential-<T>`` is parameterised: any positive step count within the size
 cap is accepted by :func:`corpus_model`, while :func:`corpus_names` lists the
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from .fields import (
     DEFAULT_SPACE_CAP,
-    ConfigurationSpace,
     CoordinateSet,
     FiniteSet,
     Partition,
@@ -24,15 +24,18 @@ from .fields import (
     build_space,
     cylinder_partition,
     partition_from_key,
-    trivial_partition,
 )
 from .model import WModel
 
 NO_NATURE = FiniteSet("nature", ("*",))
 
 
-def _observes(space: ConfigurationSpace, nature: bool, agents) -> Partition:
-    return cylinder_partition(space, CoordinateSet.of(nature, agents))
+def _cylinder_model(nature: FiniteSet, agents, players, observes) -> WModel:
+    """The model in which ``observes[agent]``, a pair (sees Nature, watched
+    agents), generates each agent's field."""
+    space = build_space(nature, agents)
+    information = tuple((a, cylinder_partition(space, CoordinateSet.of(*observes[a]))) for a, _ in agents)
+    return WModel(nature=nature, agents=agents, players=players, information=information)
 
 
 _AB_AGENTS = (
@@ -44,45 +47,21 @@ _AB_PLAYERS = (("team", ("alice", "bob")),)
 
 def alice_bob_simultaneous() -> WModel:
     """Two agents, one player, neither observes anything."""
-    space = build_space(NO_NATURE, _AB_AGENTS)
-    return WModel(
-        nature=NO_NATURE,
-        agents=_AB_AGENTS,
-        players=_AB_PLAYERS,
-        information=(
-            ("alice", trivial_partition(space)),
-            ("bob", trivial_partition(space)),
-        ),
-    )
+    observes = {"alice": (False, ()), "bob": (False, ())}
+    return _cylinder_model(NO_NATURE, _AB_AGENTS, _AB_PLAYERS, observes)
 
 
 def alice_bob_ordered() -> WModel:
     """Bob knows nothing, Alice sees Bob's action."""
-    space = build_space(NO_NATURE, _AB_AGENTS)
-    return WModel(
-        nature=NO_NATURE,
-        agents=_AB_AGENTS,
-        players=_AB_PLAYERS,
-        information=(
-            ("alice", _observes(space, False, ("bob",))),
-            ("bob", trivial_partition(space)),
-        ),
-    )
+    observes = {"alice": (False, ("bob",)), "bob": (False, ())}
+    return _cylinder_model(NO_NATURE, _AB_AGENTS, _AB_PLAYERS, observes)
 
 
 def alice_bob_nature() -> WModel:
     """A coin toss precedes play: Bob sees it, Alice sees it plus Bob."""
     nature = FiniteSet("nature", ("heads", "tails"))
-    space = build_space(nature, _AB_AGENTS)
-    return WModel(
-        nature=nature,
-        agents=_AB_AGENTS,
-        players=_AB_PLAYERS,
-        information=(
-            ("alice", _observes(space, True, ("bob",))),
-            ("bob", _observes(space, True, ())),
-        ),
-    )
+    observes = {"alice": (True, ("bob",)), "bob": (True, ())}
+    return _cylinder_model(nature, _AB_AGENTS, _AB_PLAYERS, observes)
 
 
 def witsenhausen_noncausal() -> WModel:
@@ -129,15 +108,8 @@ def sequential_model(steps: int) -> WModel:
     nature = FiniteSet("nature", ("w0", "w1"))
     ids = tuple(f"t{k}" for k in range(1, steps + 1))
     agents = tuple((a, FiniteSet(a, ("0", "1"))) for a in ids)
-    space = build_space(nature, agents)
-    return WModel(
-        nature=nature,
-        agents=agents,
-        players=(("dm", ids),),
-        information=tuple(
-            (ids[k], _observes(space, True, ids[:k])) for k in range(steps)
-        ),
-    )
+    observes = {ids[k]: (True, ids[:k]) for k in range(steps)}
+    return _cylinder_model(nature, agents, (("dm", ids),), observes)
 
 
 def principal_agent_hidden_type() -> WModel:
@@ -149,16 +121,8 @@ def principal_agent_hidden_type() -> WModel:
         ("A", FiniteSet("A", ("weak", "strong"))),
     )
     players = (("principal", ("P",)), ("agent", ("A",)))
-    space = build_space(nature, agents)
-    return WModel(
-        nature=nature,
-        agents=agents,
-        players=players,
-        information=(
-            ("P", _observes(space, False, ("A",))),
-            ("A", _observes(space, True, ())),
-        ),
-    )
+    observes = {"P": (False, ("A",)), "A": (True, ())}
+    return _cylinder_model(nature, agents, players, observes)
 
 
 def principal_agent_hidden_action() -> WModel:
@@ -170,16 +134,8 @@ def principal_agent_hidden_action() -> WModel:
         ("A", FiniteSet("A", ("shirk", "work"))),
     )
     players = (("principal", ("P",)), ("agent", ("A",)))
-    space = build_space(nature, agents)
-    return WModel(
-        nature=nature,
-        agents=agents,
-        players=players,
-        information=(
-            ("P", trivial_partition(space)),
-            ("A", _observes(space, True, ("P",))),
-        ),
-    )
+    observes = {"P": (False, ()), "A": (True, ("P",))}
+    return _cylinder_model(nature, agents, players, observes)
 
 
 def stackelberg() -> WModel:
@@ -194,16 +150,8 @@ def stackelberg() -> WModel:
         ("F", FiniteSet("F", ("enter", "exit"))),
     )
     players = (("leader", ("L",)), ("follower", ("F",)))
-    space = build_space(nature, agents)
-    return WModel(
-        nature=nature,
-        agents=agents,
-        players=players,
-        information=(
-            ("L", _observes(space, True, ())),
-            ("F", _observes(space, True, ("L",))),
-        ),
-    )
+    observes = {"L": (True, ()), "F": (True, ("L",))}
+    return _cylinder_model(nature, agents, players, observes)
 
 
 _FIXED = {

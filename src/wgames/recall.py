@@ -333,14 +333,6 @@ def _cut(cell: int, conditioning: Optional[Partition], field: Partition) -> Opti
     return block, block if subset == block else subset, field.atom(first[1])
 
 
-def _first_cut(
-    kappa: Ordering, cell: int, conditioning: Optional[Partition], field: Partition
-) -> Optional[FieldMembershipViolation]:
-    """:func:`_cut` at the prefix ``kappa``, as its violation record."""
-    cut = _cut(cell, conditioning, field)
-    return None if cut is None else FieldMembershipViolation(kappa, *cut)
-
-
 class RecallReport(Record):
     __slots__ = ("holds", "ordering", "violation")
     holds: bool

@@ -751,6 +751,21 @@ def test_nonpositive_search_budget_is_exit_2(runner, tmp_path, command, budget):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["recall", "kuhn", "necessity"])
+def test_huge_search_budget_reports_as_the_default(runner, tmp_path, command):
+    """A budget far past what the search needs changes nothing: the search
+    ends on its own, and the report is the default budget's."""
+    name = "alice-bob-ordered" if command == "kuhn" else "alice-bob-simultaneous"
+    args = ["--format", "structured", command, write_model(tmp_path, name), "--player", "team", "--search"]
+    if command == "kuhn":
+        nu = write_json(tmp_path, "nu.json", {"*": "1"})
+        args += ["--nu", nu, "--strategy", write_json(tmp_path, "mixed.json", CORRELATED)]
+    default = runner.invoke(main, args)
+    huge = runner.invoke(main, args + ["--budget", "1000000000000000000000000000000"])
+    assert default.exit_code in (0, 1)
+    assert (huge.exit_code, huge.stdout) == (default.exit_code, default.stdout)
+
+
 def test_kuhn_verify_with_cancelling_solution_counts_is_exit_2(runner, tmp_path):
     # B mixes copy and anti-copy: every sampled plan pair solves uniquely,
     # but A's behavioral form has 0 or 2 solutions against either
@@ -1130,6 +1145,8 @@ GRAMMAR_CASES = {
     "directory": (["solve", "{model}", "--profile", "{dir}"], 2, "argument --profile: file '{dir}' is a directory"),
     "zero-threads": (["--threads", "0", "validate", "{model}"], 2, "argument --threads: must be at least 1"),
     "text-budget": (["recall", "{model}", "--player", "team", "--search", "--budget", "many"], 2, "argument --budget: 'many' is not an integer"),
+    "long-budget": (["recall", "{model}", "--player", "team", "--search", "--budget", "9" * 5000], 2, "argument --budget: integer of 5000 digits has too many digits"),
+    "long-threads": (["--threads", "1_" + "0" * 4400, "validate", "{model}"], 2, "argument --threads: integer of 4401 digits has too many digits"),
     "bad-choice": (["--format", "xml", "validate", "{model}"], 2, "argument --format: invalid choice: 'xml' (choose from 'human', 'structured')"),
     "command-usage-error": (["examples", "export", "zz"], 2, "wgames examples export: error: unknown example 'zz'"),
     "command-mode-error": (["recall", "{model}", "--player", "team"], 2, "wgames recall: error: give exactly one of --ordering or --search"),
@@ -1143,8 +1160,15 @@ GRAMMAR_CASES = {
 }
 
 
+# Cases of integers longer than ``int`` reads from a string (4,300 digits by
+# default); a Python without that limit reads them.
+DIGIT_LIMIT_CASES = {"long-budget", "long-threads"}
+
+
 @pytest.mark.parametrize("case", list(GRAMMAR_CASES))
 def test_command_line_grammar(runner, tmp_path, case):
+    if case in DIGIT_LIMIT_CASES and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length")
     argv, code, message = GRAMMAR_CASES[case]
     model = corpus_model("alice-bob-ordered")
     first = {a: [model.actions_of(a).labels[0]] * len(model.info_of(a)) for a in model.agent_ids}
@@ -1159,6 +1183,7 @@ def test_command_line_grammar(runner, tmp_path, case):
     assert result.exit_code == code, result.output
     assert message.format(**files) in result.stderr
     assert "Traceback" not in result.output
+    assert not [a for a in argv if len(a) > 1000 and a in result.stderr]  # long values are not echoed
     if code == 2:
         assert result.stdout == ""
         usage, error = result.stderr.splitlines()

@@ -30,7 +30,7 @@ from wgames import (
 )
 import wgames.fields as fields
 from wgames.fields import atoms_inside, cylinder_refines, first_cut, mask_of, partition_from_labels
-from wgames.recall import Ordering, _first_cut, causality_ground, choice_partition
+from wgames.recall import _cut, causality_ground, choice_partition
 
 from generators import to_oracle
 import oracles
@@ -290,9 +290,8 @@ def test_label_builders_match_set_oracles_on_wide_and_traced_spaces():
 
 
 def _check_cuts_against_oracle(rng, space, members, parts):
-    """``subset_in_field``, ``first_cut`` and ``recall._first_cut`` agree
-    with the set oracle on random subsets of the support."""
-    kappa = Ordering("P", ("x",))
+    """``subset_in_field``, ``first_cut`` and ``recall._cut`` agree with
+    the set oracle on random subsets of the support."""
     subsets = [0, mask_of(members)]
     for _ in range(6):
         subsets.append(mask_of(rng.sample(members, rng.randint(1, len(members)))))
@@ -313,14 +312,12 @@ def _check_cuts_against_oracle(rng, space, members, parts):
                     None,
                 )
                 assert first_cut(s, p, q) == expected
-                cut = _first_cut(kappa, s, q, p)
+                cut = _cut(s, q, p)
                 if expected is None:
                     assert cut is None
                 else:
                     b, a = expected
-                    assert (cut.conditioning_atom, cut.subset, cut.offending_atom) == (
-                        q.atoms[b], s & q.atoms[b], p.atoms[a]
-                    )
+                    assert cut == (q.atoms[b], s & q.atoms[b], p.atoms[a])
         outside = space.full_mask & ~p.support
         if outside:
             with pytest.raises(ValueError):

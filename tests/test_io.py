@@ -158,6 +158,53 @@ def test_corpus_digests_are_pinned(name, digest):
     assert model_digest(corpus_model(name)) == digest
 
 
+@pytest.mark.parametrize(
+    "steps,digest",
+    [
+        (1, "503e87ac6a4a1a39"),
+        (2, "bb7974be6cbed308"),
+        (3, "f53439e10f4cbdba"),
+        (4, "ac29b6c6e42a824f"),
+        (5, "8b243dca9b693813"),
+        (6, "008d2ccd667a6e04"),
+    ],
+)
+def test_sequential_digests_are_pinned(steps, digest):
+    assert model_digest(corpus_model(f"sequential-{steps}")) == digest
+
+
+# What each agent of the cylinder examples observes, in agent order:
+# (sees Nature, watched agents).
+CORPUS_OBSERVES = {
+    "alice-bob-simultaneous": {"alice": (False, ()), "bob": (False, ())},
+    "alice-bob-ordered": {"alice": (False, ("bob",)), "bob": (False, ())},
+    "alice-bob-nature": {"alice": (True, ("bob",)), "bob": (True, ())},
+    "principal-agent-hidden-type": {"P": (False, ("A",)), "A": (True, ())},
+    "principal-agent-hidden-action": {"P": (False, ()), "A": (True, ("P",))},
+    "stackelberg": {"L": (True, ()), "F": (True, ("L",))},
+}
+for _steps in range(1, 7):  # t_k sees Nature and t_1 .. t_(k-1)
+    CORPUS_OBSERVES[f"sequential-{_steps}"] = {
+        f"t{k}": (True, tuple(f"t{j}" for j in range(1, k))) for k in range(1, _steps + 1)
+    }
+
+
+@pytest.mark.parametrize("name", list(CORPUS_OBSERVES))
+def test_examples_keep_their_generators(name):
+    """Digests ignore ``generators``, but the coordinate-set shortcuts
+    (``cylinder_refines``) read them: each cylinder example's fields carry
+    their observes table."""
+    fields = [(a, p.generators) for a, p in corpus_model(name).information]
+    table = CORPUS_OBSERVES[name]
+    assert fields == [(a, CoordinateSet.of(*observed)) for a, observed in table.items()]
+
+
+def test_noncausal_example_has_no_generators():
+    """Its fields are not cylinders, so none claims coordinates."""
+    fields = corpus_model("witsenhausen-noncausal").information
+    assert [p.generators for _, p in fields] == [None, None, None]
+
+
 def test_space_over_the_cap_fails_fast():
     # 2**24 configurations exceed the 10**7 cap before anything is built
     agents = [f"a{i}" for i in range(24)]
